@@ -10,11 +10,15 @@ value).
 
 The paper uses OR-Tools; the structure of these problems (a near-chain of
 small-domain variables) makes a domain-propagation + backtracking solver
-entirely sufficient, and keeps the reproduction dependency-free.
+entirely sufficient, and keeps the reproduction dependency-free.  The
+planner's DP only ever grows a candidate range at its end, so the solver
+is an :class:`AxisProblem` that can be extended in place instead of
+re-solved per range.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 from ...ir import AXIS_IRREGULAR as IRR
@@ -54,6 +58,184 @@ def range_is_moe_only(instrs: list[Instruction]) -> bool:
     return bool(instrs) and all(i.op in MOE_ONLY_OPS for i in instrs)
 
 
+class AxisProblem:
+    """The axis-inference constraint problem of one range, grown in place.
+
+    Holds one domain per value (in first-seen order), each instruction's
+    rule list pruned to the current domains, and a value -> instruction
+    user index.  :meth:`extend` appends instructions at the range's end
+    and propagates arc consistency from the new instructions only;
+    :meth:`solve` backtracks over the values still ambiguous.
+
+    Extending ``[i, n)`` to ``[i, n')`` gives exactly the problem a
+    from-scratch build of ``[i, n')`` would: producers precede consumers,
+    so appended instructions never change which values enter the range;
+    the arc-consistency fixpoint is unique, and each pruned rule list is
+    the original list filtered by the final domains; and domains keep the
+    from-scratch insertion order, so backtracking picks the same axes.
+    Moving the range's start is not incremental (entry domains change).
+
+    Domain sets and rule lists are replaced, never mutated, so a copy of
+    the two containers is an independent snapshot.
+    """
+
+    __slots__ = (
+        "program",
+        "ctx",
+        "instrs",
+        "operands",
+        "rules",
+        "domains",
+        "users",
+        "feasible",
+        "steps",
+    )
+
+    def __init__(self, program: Program, ctx: RuleContext) -> None:
+        self.program = program
+        self.ctx = ctx
+        self.instrs: list[Instruction] = []
+        #: per instruction: its input then output value ids
+        self.operands: list[tuple[int, ...]] = []
+        #: per instruction: live rules as flat (input + output) axis tuples
+        self.rules: list[list[tuple[int, ...]]] = []
+        self.domains: dict[int, set[int]] = {}
+        self.users: dict[int, list[int]] = {}
+        #: False once propagation proved the range (and every extension
+        #: of it) unpartitionable
+        self.feasible = True
+        #: instruction revisions run by propagation, search included
+        self.steps = 0
+
+    def extend(self, instrs: list[Instruction]) -> "AxisProblem":
+        """Append ``instrs`` to the range and propagate from them."""
+        if not self.feasible:
+            return self
+        program = self.program
+        domains = self.domains
+        users = self.users
+        queue: list[int] = []
+        for ins in instrs:
+            j = len(self.instrs)
+            in_types = [program.type_of(v) for v in ins.inputs]
+            out_types = [program.type_of(v) for v in ins.outputs]
+            cands = rules_for(ins, in_types, out_types, self.ctx)
+            if not cands:
+                self.feasible = False
+                return self
+            vids = (*ins.inputs, *ins.outputs)
+            n_in = len(ins.inputs)
+            for pos, (vid, t) in enumerate(zip(vids, in_types + out_types)):
+                if vid in domains:
+                    if users[vid][-1] != j:
+                        users[vid].append(j)
+                    continue
+                full = set(range(t.rank)) | {NP, IRR}
+                if pos < n_in:
+                    # first seen as an input: produced outside the range
+                    full &= entry_domain(t, is_route_type(t))
+                domains[vid] = full
+                users[vid] = [j]
+            self.instrs.append(ins)
+            self.operands.append(vids)
+            self.rules.append([ia + oa for ia, oa in cands])
+            queue.append(j)
+        if not self._propagate(queue):
+            self.feasible = False
+        return self
+
+    def _propagate(self, queue: list[int]) -> bool:
+        """Worklist (AC-3) propagation from the instructions in ``queue``
+        to the fixpoint; False when a domain or rule list empties."""
+        domains = self.domains
+        rules = self.rules
+        operands = self.operands
+        users = self.users
+        queued = set(queue)
+        head = 0
+        while head < len(queue):
+            j = queue[head]
+            head += 1
+            queued.discard(j)
+            self.steps += 1
+            vids = operands[j]
+            cands = rules[j]
+            live = [
+                r
+                for r in cands
+                if all(a in domains[v] for v, a in zip(vids, r))
+            ]
+            if not live:
+                return False
+            if len(live) != len(cands):
+                rules[j] = live
+            for pos, vid in enumerate(vids):
+                dom = domains[vid]
+                if len(dom) == 1:
+                    continue
+                narrowed = dom & {r[pos] for r in live}
+                if len(narrowed) == len(dom):
+                    continue
+                if not narrowed:
+                    return False
+                domains[vid] = narrowed
+                # j itself needs another pass only when vid is also
+                # another of its operands
+                for u in users[vid]:
+                    if u not in queued and (u != j or vids.count(vid) > 1):
+                        queued.add(u)
+                        queue.append(u)
+        return True
+
+    def solve(self) -> InferenceResult | None:
+        """Preference-ordered backtracking over the ambiguous values.
+
+        Leaves the problem unchanged, so it can be extended afterwards.
+        """
+        if not self.feasible or not self.instrs:
+            return None
+        domains = self.domains
+        order = [v for v, d in domains.items() if len(d) > 1]
+        if order:
+            trial = copy.copy(self)
+            trial.domains = dict(domains)
+            trial.rules = list(self.rules)
+            trial.steps = 0
+            found = trial._search(order, 0)
+            self.steps += trial.steps
+            if not found:
+                return None
+            domains = trial.domains
+
+        axes = {v: next(iter(d)) for v, d in domains.items()}
+
+        # sanity: every instruction must actually be partitioned
+        for ins in self.instrs:
+            if all(axes.get(o, NP) == NP for o in ins.outputs):
+                return None
+        return InferenceResult(axes=axes, moe_only=self.ctx.moe_only)
+
+    def _search(self, order: list[int], idx: int) -> bool:
+        """Assign ``order[idx:]`` in preference order, propagating each
+        choice; restores the snapshot before trying the next axis."""
+        while idx < len(order) and len(self.domains[order[idx]]) == 1:
+            idx += 1
+        if idx == len(order):
+            return True
+        vid = order[idx]
+        snapshot_domains = dict(self.domains)
+        snapshot_rules = list(self.rules)
+        for axis in sorted(self.domains[vid], key=_pref):
+            self.domains[vid] = {axis}
+            if self._propagate(list(self.users[vid])) and self._search(
+                order, idx + 1
+            ):
+                return True
+            self.domains = dict(snapshot_domains)
+            self.rules = list(snapshot_rules)
+        return False
+
+
 def infer_axes(
     instrs: list[Instruction],
     program: Program,
@@ -69,95 +251,4 @@ def infer_axes(
         return None
     if ctx is None:
         ctx = RuleContext(moe_only=range_is_moe_only(instrs))
-
-    produced: set[int] = set()
-    for ins in instrs:
-        produced.update(ins.outputs)
-
-    # candidate rule tuples per instruction
-    inst_rules: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
-    for ins in instrs:
-        in_types = [program.type_of(v) for v in ins.inputs]
-        out_types = [program.type_of(v) for v in ins.outputs]
-        cands = rules_for(ins, in_types, out_types, ctx)
-        if not cands:
-            return None
-        inst_rules.append(cands)
-
-    # variable domains: every value gets the full axis set, restricted by
-    # the entry rules when it is produced outside the range
-    domains: dict[int, set[int]] = {}
-    for ins in instrs:
-        for vid in list(ins.inputs) + list(ins.outputs):
-            if vid not in domains:
-                t = program.type_of(vid)
-                full = set(range(t.rank)) | {NP, IRR}
-                if vid not in produced:
-                    full &= entry_domain(t, is_route_type(t))
-                domains[vid] = full
-
-    # arc-consistency propagation to fixpoint
-    def propagate() -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for ins, cands in zip(instrs, inst_rules):
-                vids = list(ins.inputs) + list(ins.outputs)
-                live = [
-                    (ia, oa)
-                    for ia, oa in cands
-                    if all(
-                        a in domains[vid]
-                        for vid, a in zip(vids, list(ia) + list(oa))
-                    )
-                ]
-                if not live:
-                    return False
-                if len(live) != len(cands):
-                    cands[:] = live
-                    changed = True
-                # narrow each operand's domain to the union over live tuples
-                for pos, vid in enumerate(vids):
-                    allowed = {(list(ia) + list(oa))[pos] for ia, oa in live}
-                    narrowed = domains[vid] & allowed
-                    if not narrowed:
-                        return False
-                    if narrowed != domains[vid]:
-                        domains[vid] = narrowed
-                        changed = True
-        return True
-
-    if not propagate():
-        return None
-
-    # backtracking over any still-ambiguous values
-    order = [v for v in domains if len(domains[v]) > 1]
-
-    def solve(idx: int) -> bool:
-        if idx == len(order):
-            return True
-        vid = order[idx]
-        if len(domains[vid]) == 1:
-            return solve(idx + 1)
-        snapshot_domains = {v: set(d) for v, d in domains.items()}
-        snapshot_rules = [list(c) for c in inst_rules]
-        for axis in sorted(domains[vid], key=_pref):
-            domains[vid] = {axis}
-            if propagate() and solve(idx + 1):
-                return True
-            for v in domains:
-                domains[v] = set(snapshot_domains[v])
-            for c, snap in zip(inst_rules, snapshot_rules):
-                c[:] = snap
-        return False
-
-    if not solve(0):
-        return None
-
-    axes = {v: next(iter(d)) for v, d in domains.items()}
-
-    # sanity: every instruction must actually be partitioned
-    for ins in instrs:
-        if all(axes.get(o, NP) == NP for o in ins.outputs):
-            return None
-    return InferenceResult(axes=axes, moe_only=ctx.moe_only)
+    return AxisProblem(program, ctx).extend(instrs).solve()

@@ -31,11 +31,16 @@ implementation (:mod:`.dp_reference`), but
   pipeline simulation the caches miss runs in one lockstep numpy batch
   (:func:`repro.runtime.batch.simulate_lanes`) instead of one Python
   recurrence per candidate;
+* a cold plan infers partition axes incrementally: the DP only grows a
+  candidate range at its end, so each range start keeps one
+  :class:`~.axis_inference.AxisProblem` for the duration of the plan and
+  extends it group by group instead of re-solving every range;
 * everything that does not depend on the routing signature -- grouping,
-  axis inference, feasible-k limits, stage decompositions, compute chunk
-  durations, boundary overheads -- persists across re-plans in a
-  :class:`PlannerState`, so a warm re-plan only re-prices the
-  all-to-alls and re-runs the two-stream recurrences they invalidate.
+  the per-range contexts (solved axes, feasible-k limits, stage
+  decompositions), compute chunk durations, boundary overheads --
+  persists across re-plans in a :class:`PlannerState`, so a warm
+  re-plan runs no axis inference, only re-prices the all-to-alls and
+  re-runs the two-stream recurrences they invalidate.
 
 Bit-identity with the reference is load-bearing (it is what lets the
 re-optimizing trainer swap between cold and warm plans freely) and is
@@ -51,8 +56,15 @@ import numpy as np
 from ...ir import InstrKind, Program
 from ..cache import LRUCache
 from ..cost_model import CostEstimator
-from .axis_inference import InferenceResult, infer_axes
+from .axis_inference import (
+    MOE_ONLY_OPS,
+    AxisProblem,
+    InferenceResult,
+    infer_axes,  # noqa: F401 -- perfbench/spans.py patches this name
+    range_is_moe_only,
+)
 from .pipeline import PendingCost, PlanCaches, RangeContext, resolve_pending
+from .rules import RuleContext
 
 
 @dataclass(frozen=True)
@@ -323,8 +335,14 @@ class PlannerState:
     )
     caches: PlanCaches = field(default_factory=PlanCaches)
     consumers: ConsumerIndex | None = None
+    #: range start position -> (end position, :class:`AxisProblem` of the
+    #: range); lives for one ``plan_partitions`` call only
+    frontiers: dict[int, tuple[int, AxisProblem]] = field(default_factory=dict)
     cold_plans: int = 0
     warm_plans: int = 0
+    #: instructions added to axis problems, and propagation steps run
+    axis_instrs: int = 0
+    axis_steps: int = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -342,6 +360,7 @@ class PlannerState:
         self.caches.overhead.clear()
         self.caches.sim.clear()
         self.consumers = None
+        self.frontiers.clear()
 
     def prepare(
         self,
@@ -403,14 +422,48 @@ class PlannerState:
         hit = self.contexts.get(key, _MISS)
         if hit is not _MISS:
             return None if hit is _INFEASIBLE else hit
-        instrs = program.instructions[i_pos:n_pos]
-        axes = infer_axes(instrs, program)
+        axes = self.range_axes(program, i_pos, n_pos)
         if axes is None:
             self.contexts.put(key, _INFEASIBLE)
             return None
+        instrs = program.instructions[i_pos:n_pos]
         ctx = RangeContext(program, instrs, axes, start=i_pos, end=n_pos)
         self.contexts.put(key, ctx)
         return ctx
+
+    def range_axes(
+        self, program: Program, i_pos: int, n_pos: int
+    ) -> InferenceResult | None:
+        """Axis inference for ``[i_pos, n_pos)``, extending the problem of
+        the last range solved from ``i_pos`` when it ends at or before
+        ``n_pos``.  The result equals a from-scratch :func:`infer_axes`
+        (see :class:`AxisProblem`); the problem is rebuilt when the range
+        stops being MoE-only, because that changes the rules."""
+        frontier = self.frontiers.get(i_pos)
+        if frontier is not None:
+            end, problem = frontier
+            tail = program.instructions[end:n_pos]
+            if end > n_pos or (
+                problem.ctx.moe_only
+                and not all(ins.op in MOE_ONLY_OPS for ins in tail)
+            ):
+                frontier = None
+        if frontier is None:
+            tail = program.instructions[i_pos:n_pos]
+            ctx = RuleContext(moe_only=range_is_moe_only(tail))
+            problem = AxisProblem(program, ctx)
+        added, steps = len(problem.instrs), problem.steps
+        problem.extend(tail)
+        axes = problem.solve()
+        self.frontiers[i_pos] = (n_pos, problem)
+        self.axis_instrs += len(problem.instrs) - added
+        self.axis_steps += problem.steps - steps
+        return axes
+
+    def prune_frontiers(self, i_pos: int) -> None:
+        """Drop the axis problems of range starts before ``i_pos``."""
+        for start in [s for s in self.frontiers if s < i_pos]:
+            del self.frontiers[start]
 
     def stats(self) -> dict:
         """Counter snapshot for reports and benchmarks."""
@@ -418,6 +471,10 @@ class PlannerState:
         out.update(self.caches.stats())
         out["cold_plans"] = self.cold_plans
         out["warm_plans"] = self.warm_plans
+        out["axis_inference"] = {
+            "instructions": self.axis_instrs,
+            "propagation_steps": self.axis_steps,
+        }
         return out
 
 
@@ -504,13 +561,16 @@ def plan_partitions(
     # can be hoisted out of the recurrence wholesale; sim-cache misses
     # stay unevaluated for the batch.  Every candidate's (i_pos, n_pos,
     # k) is distinct, so deferring the puts cannot turn a would-be hit
-    # into a miss within this plan.
+    # into a miss within this plan.  A range context that misses extends
+    # its start's axis problem (n ascends, so ranges only grow at the
+    # end); a start's problem is dropped once it leaves the window.
     pending: dict[tuple[int, int, int], PendingCost] = {}
     missing: list[PendingCost] = []
     for n in range(1, ng + 1):
         lo = n - max_range
         if lo < 0:
             lo = 0
+        state.prune_frontiers(groups[lo].start)
         gl = int(last_a2a[n])
         pipe_end = gl + 1 if gl >= lo else lo
         if pipe_end <= lo:
@@ -530,6 +590,7 @@ def plan_partitions(
                 pending[(i, n, k)] = pend
                 if pend.pipeline_ms is None:
                     missing.append(pend)
+    state.frontiers.clear()
 
     # -- phase B: one lockstep batch over all owed simulations (the
     # scalar loop would have run one Python recurrence per miss)

@@ -2,16 +2,27 @@
 
 import pytest
 
-from repro import GPT2MoEConfig
+from oracles.axis_inference_reference import infer_axes_reference
+from repro import GPT2MoEConfig, build_training_graph
+from repro.core import (
+    CachingOpProfiler,
+    CommCostModel,
+    CostEstimator,
+    LancetHyperParams,
+    PlannerState,
+)
 from repro.ir import AXIS_IRREGULAR as IRR
 from repro.ir import NOT_PARTITIONED as NP
+from repro.ir import Program, TensorType
 from repro.core.partition import (
     RuleContext,
+    forward_length,
     infer_axes,
     range_is_moe_only,
     rules_for,
 )
 from repro.models import build_forward
+from repro.runtime import COMPILED, ClusterSpec
 
 
 def moe_range(graph, from_op="layernorm", include_combine=True):
@@ -136,3 +147,100 @@ class TestInference:
         )
         instrs, p = moe_range(g, "gate")
         assert infer_axes(instrs, p) is None
+
+
+def _same(result, oracle) -> bool:
+    """Same None-ness, same axes (key order included), same context."""
+    if result is None or oracle is None:
+        return result is None and oracle is None
+    return (
+        list(result.axes.items()) == list(oracle.axes.items())
+        and result.moe_only == oracle.moe_only
+    )
+
+
+class TestIncrementalMatchesOracle:
+    """The shipped solver, from scratch and grown group by group as the
+    planner grows it, equals the sweep-to-fixpoint reference on every
+    range ``[i, n)`` of the DP window."""
+
+    @pytest.mark.parametrize(
+        "graph,gpus",
+        [
+            (lambda: build_training_graph(
+                GPT2MoEConfig.gpt2_s_moe(),
+                batch=24, seq=512, num_gpus=16), 16),
+            (lambda: build_training_graph(
+                GPT2MoEConfig.tiny(), batch=4, seq=8, num_gpus=2), 2),
+            (lambda: build_forward(
+                GPT2MoEConfig.tiny(), batch=4, seq=8, num_gpus=2), 2),
+            (lambda: build_forward(
+                GPT2MoEConfig.tiny(gate="bpr"), batch=4, seq=8, num_gpus=2), 2),
+        ],
+        ids=["gpt2-s-moe", "tiny", "switch", "bpr"],
+    )
+    def test_every_window_range(self, graph, gpus):
+        program = graph().program
+        cluster = ClusterSpec.for_gpus("a100", gpus)
+        costs = CostEstimator(
+            CachingOpProfiler(gpu=cluster.gpu, framework=COMPILED),
+            CommCostModel(cluster),
+        )
+        state = PlannerState()
+        state.prepare(
+            program, costs, LancetHyperParams(), forward_length(program)
+        )
+        groups = state.groups
+        seen = {"feasible": 0, "infeasible": 0, "moe_only": 0}
+        for n in range(1, len(groups) + 1):
+            lo = max(n - state.max_range, 0)
+            state.prune_frontiers(groups[lo].start)
+            n_pos = groups[n - 1].end
+            for i in range(lo, n):
+                i_pos = groups[i].start
+                instrs = program.instructions[i_pos:n_pos]
+                oracle = infer_axes_reference(instrs, program)
+                assert _same(infer_axes(instrs, program), oracle), (i_pos, n_pos)
+                grown = state.range_axes(program, i_pos, n_pos)
+                assert _same(grown, oracle), (i_pos, n_pos)
+                seen["infeasible" if oracle is None else "feasible"] += 1
+                seen["moe_only"] += bool(oracle and oracle.moe_only)
+        assert seen["feasible"] and seen["infeasible"], seen
+        assert seen["moe_only"], seen
+        stats = state.stats()["axis_inference"]
+        assert 0 < stats["instructions"] and 0 < stats["propagation_steps"]
+
+    def test_range_leaving_moe_only_is_rebuilt(self):
+        """An all-to-all alone may split its buffer on the capacity axis;
+        once a dense op joins the range that rule is gone, so the grown
+        problem must be rebuilt, not extended."""
+        program = Program()
+        buf = program.add_input(TensorType((4, 8, 16)), "buf")
+        (out,) = program.add("all_to_all", [buf.id])
+        program.add("gelu", [out.id])
+        state = PlannerState()
+        for n_pos in (1, 2):
+            instrs = program.instructions[:n_pos]
+            oracle = infer_axes_reference(instrs, program)
+            assert _same(state.range_axes(program, 0, n_pos), oracle)
+        assert infer_axes_reference(program.instructions[:1], program).moe_only
+        assert oracle is None
+
+    def test_solve_leaves_the_problem_extendable(self):
+        """Two independent elementwise ops leave both chains ambiguous, so
+        solving branches to the batch axis; appending a positional
+        embedding then forces the sequence axis.  Solving the short range
+        must not have committed the grown range to its choice."""
+        program = Program()
+        x = program.add_input(TensorType((4, 8, 16)), "x")
+        table = program.add_input(TensorType((8, 16)), "table")
+        (y,) = program.add("gelu", [x.id])
+        (t,) = program.add("gelu", [table.id])
+        program.add("pos_embedding", [y.id, t.id])
+        state = PlannerState()
+        for n_pos in (2, 3):
+            instrs = program.instructions[:n_pos]
+            oracle = infer_axes_reference(instrs, program)
+            assert _same(state.range_axes(program, 0, n_pos), oracle)
+            assert _same(infer_axes(instrs, program), oracle)
+        assert oracle.axes[y.id] == 1

@@ -273,6 +273,28 @@ class TestPerfBudget:
         assert fast.num_groups == ref.num_groups == 68
         assert_identical(fast, ref)
 
+    def test_axis_inference_extends_ranges_standard_config(self):
+        """A cold plan grows each range start's axis problem instead of
+        re-solving every candidate range: it adds fewer instructions than
+        the from-scratch sum of range lengths (13177 on this config), and
+        stays within the budget measured when incremental inference
+        landed.  A warm re-plan adds none."""
+        gpus = 16
+        cluster = ClusterSpec.for_gpus("a100", gpus)
+        graph = build_training_graph(
+            GPT2MoEConfig.gpt2_s_moe(), batch=24, seq=512, num_gpus=gpus
+        )
+        state = PlannerState()
+        plan_partitions(graph.program, fresh_costs(cluster), state=state)
+        cold = state.stats()["axis_inference"]
+        from_scratch = sum(n - i for i, n in state.contexts._data)
+        assert from_scratch == 13177
+        assert cold["instructions"] <= 1802 < from_scratch
+        assert cold["propagation_steps"] <= 1833
+        assert not state.frontiers
+        plan_partitions(graph.program, fresh_costs(cluster), state=state)
+        assert state.stats()["axis_inference"] == cold
+
     def test_warm_replan_prices_only_the_drift(self):
         """A warm re-plan with unchanged signatures re-simulates nothing;
         after drift it re-simulates only a2a-bearing candidates."""
@@ -417,6 +439,7 @@ class TestLRUCache:
         ):
             assert "hits" in stats[key] and "misses" in stats[key], key
         assert stats["planner_cold_plans"] == 1
+        assert stats["planner_axis_inference"]["instructions"] > 0
 
 
 class TestTrainerIntegration:

@@ -234,7 +234,9 @@ DIFFERENTIAL_CONFIGS = [
 class TestOptimizerDifferential:
     @pytest.mark.parametrize(
         "factory,e,seeds",
-        DIFFERENTIAL_CONFIGS,
+        # the last config's brute force takes ~17 s: it runs under -m slow
+        DIFFERENTIAL_CONFIGS[:-1]
+        + [pytest.param(*DIFFERENTIAL_CONFIGS[-1], marks=pytest.mark.slow)],
         ids=["a100x2-e4", "a100x2-e8", "a100x4-e4", "2x2-e4", "2x2-e8"],
     )
     def test_greedy_within_bound_of_brute_force(self, factory, e, seeds):
