@@ -7,10 +7,9 @@ stack (:mod:`repro.faults`, the failure-aware
 fully deterministic drills:
 
 - **injector** -- seeded randomized :class:`~repro.faults.FaultSchedule`
-  families driven through both simulator paths: the vectorized batch
-  path must agree with the scalar path *bit-for-bit* on every faulted
-  step (the PR 6 differential guarantee must survive degraded specs,
-  per-device slowdowns, and rank-loss routing remaps).
+  families simulated one step at a time and as one batch: the two must
+  agree *bit-for-bit* on every faulted step, across degraded specs,
+  per-device slowdowns, and rank-loss routing remaps.
 - **trainer** -- a persistent straggler is injected mid-training; the
   trainer's EWMA detector must flag it within a bounded number of
   steps, re-plan against the degraded cluster, and land within 10% of
@@ -67,7 +66,7 @@ RECOVERY_GAP_FLOOR = 0.02
 def _injector_drill(
     num_schedules: int, steps_per_schedule: int, seed: int
 ) -> dict:
-    """Seeded random schedules through scalar and batch simulation."""
+    """Seeded random schedules through per-step and batched simulation."""
     cluster = ClusterSpec.for_gpus("a100", 8)
     graph = build_training_graph(
         GPT2MoEConfig.tiny(), batch=8, seq=16, num_gpus=8
@@ -101,15 +100,15 @@ def _injector_drill(
         )
         batch = injector.simulate_batch(graph.program, probe)
         for idx, step in enumerate(probe):
-            scalar = injector.simulate(graph.program, step)
+            single = injector.simulate(graph.program, step)
             batched = batch.timeline(idx)
-            for a, b in zip(scalar.devices, batched.devices):
+            for a, b in zip(single.devices, batched.devices):
                 if a.intervals != b.intervals:
                     mismatches += 1
             if injector.degraded_at(step).degraded:
                 faulted_steps += 1
                 worst_inflation = max(
-                    worst_inflation, scalar.makespan / clean_ms
+                    worst_inflation, single.makespan / clean_ms
                 )
     return {
         "schedules": num_schedules,

@@ -1,19 +1,21 @@
-"""Simulator throughput: scalar per-scenario loop vs vectorized batch.
+"""Simulator throughput: per-scenario calls vs one vectorized batch.
 
 Not a paper figure -- infrastructure validation for the batch simulation
-core (:mod:`~repro.runtime.batch`).  The planner's warm re-plan path and
-the scenario-sweep figures evaluate *many* routing / straggler scenarios
-against one fixed program; this experiment measures exactly that shape:
-``B`` scenarios of one Lancet-optimized program, simulated once through
-the retained scalar loop (:func:`~repro.runtime.simulate
-.simulate_cluster` per scenario) and once through the vectorized batch
-pass (:func:`~repro.runtime.simulate.simulate_cluster_batch`).
+core (:mod:`~repro.runtime.batch`).  The scenario-sweep figures
+evaluate *many* routing / straggler scenarios against one fixed
+program; this experiment measures exactly that shape: ``B`` scenarios
+of one Lancet-optimized program, simulated once as ``B`` separate
+:func:`~repro.runtime.simulate.simulate_cluster` calls (each a
+one-scenario run of the engine, materializing its timeline) and once as
+a single ``B``-wide pass
+(:func:`~repro.runtime.simulate.simulate_cluster_batch`).  The row and
+metric names keep ``scalar`` for the per-scenario side.
 
-Both paths run against the *same* pre-warmed cost models -- the warm
-re-plan regime, where durations are cached and the Python event loop is
-the cost -- so the ratio isolates the simulation engine itself.  Every
-run also checks the two paths interval-for-interval: the batch engine
-must be bit-identical to the scalar reference, not merely close.
+Both sides run against the *same* pre-warmed cost models -- the warm
+re-plan regime, where durations are cached -- so the ratio measures
+what batching scenarios saves over running them one by one.  Every run
+also checks the two sides interval-for-interval: scenario ``b`` of the
+batch must be bit-identical to its own one-scenario run.
 """
 
 from __future__ import annotations
@@ -75,7 +77,8 @@ def scenario_costs(
 
 
 def _bit_identical(program, costs, batch_result) -> bool:
-    """Interval-for-interval comparison of both simulation paths."""
+    """Interval-for-interval comparison of each batched scenario with
+    its own one-scenario :func:`simulate_cluster` run."""
     for b, cost in enumerate(costs):
         scalar = simulate_cluster(program, cost=cost)
         batch = batch_result.timeline(b)
@@ -94,7 +97,8 @@ def run(
     rounds: int = 3,
     seed: int = 1,
 ) -> FigureResult:
-    """Time scalar vs batch simulation of ``B`` scenarios (best-of-N)."""
+    """Time per-scenario vs batched simulation of ``B`` scenarios
+    (best-of-N)."""
     import dataclasses
 
     from ...models import build_training_graph
@@ -112,7 +116,7 @@ def run(
     costs = scenario_costs(cluster, opt.framework, num_scenarios, seed)
 
     # warm every cost model once (routing draws + duration caches) so the
-    # timed comparison is the warm re-plan regime for both paths
+    # timed comparison is the warm re-plan regime for both sides
     for cost in costs:
         simulate_cluster(program, cost=cost)
     batch_result = simulate_cluster_batch(program, costs=costs)
@@ -159,9 +163,9 @@ def run(
             "GPUs",
             "Instrs",
             "Scenarios",
-            "Scalar ms",
+            "Per-scenario ms",
             "Batch ms",
-            "Scalar sims/s",
+            "Per-scenario sims/s",
             "Batch sims/s",
             "Speedup",
             "Identical",
@@ -181,7 +185,7 @@ def run(
             ]
             for r in rows
         ],
-        title=f"Simulator throughput: scalar loop vs vectorized batch "
+        title=f"Simulator throughput: per-scenario calls vs one batch "
         f"({model}, {cluster_kind}, {num_gpus} GPUs, B={b})",
     )
     mean_makespan = float(sum(scalar_makespans) / len(scalar_makespans))
@@ -191,7 +195,7 @@ def run(
         "speedup": speedup,
         "batch_sims_per_s": b / batch_s,
         # lower-is-better gates for check_regression.py: the time ratio
-        # is wall-time based but machine-normalized (both paths run on
+        # is wall-time based but machine-normalized (both sides run on
         # the same interpreter, same warm caches); the mean makespan is
         # a deterministic simulated quantity guarding semantic drift.
         "regression_metrics": {
@@ -201,7 +205,7 @@ def run(
     }
     return FigureResult(
         "sim_throughput",
-        "scalar per-scenario loop vs vectorized batch simulation",
+        "per-scenario simulate_cluster calls vs one vectorized batch",
         rows,
         table,
         notes,

@@ -94,7 +94,7 @@ def run(
         hotness = max(
             (s.bottleneck for s in signatures.values()), default=1.0
         )
-        # each skew-aware plan is a distinct program: one scalar sim each
+        # each skew-aware plan is a distinct program: one sim each
         t_skew = simulate_cluster(
             prog_skew, config=sim_config(routing)
         ).makespan

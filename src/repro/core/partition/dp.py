@@ -27,10 +27,11 @@ implementation (:mod:`.dp_reference`), but
   numpy (candidates past the window's last all-to-all group reduce to a
   single ``argmin``);
 * candidate pricing is hoisted out of the recurrence (``P(i, n, k)`` is
-  a pure range property, independent of the DP tables), and every
-  pipeline simulation the caches miss runs in one lockstep numpy batch
-  (:func:`repro.runtime.batch.simulate_lanes`) instead of one Python
-  recurrence per candidate;
+  a pure range property, independent of the DP tables): every candidate
+  is priced through the caches first, and the pipeline simulations they
+  miss run afterwards in one :func:`~.pipeline.resolve_pending` call,
+  each through the scalar two-stream recurrence
+  :meth:`~.pipeline.RangeContext.simulate_ms`;
 * a cold plan infers partition axes incrementally: the DP only grows a
   candidate range at its end, so each range start keeps one
   :class:`~.axis_inference.AxisProblem` for the duration of the plan and
@@ -559,7 +560,7 @@ def plan_partitions(
     # order and price it through the caches.  Candidate costs do not
     # depend on the DP tables (P is a pure range property), so pricing
     # can be hoisted out of the recurrence wholesale; sim-cache misses
-    # stay unevaluated for the batch.  Every candidate's (i_pos, n_pos,
+    # stay unevaluated for phase B.  Every candidate's (i_pos, n_pos,
     # k) is distinct, so deferring the puts cannot turn a would-be hit
     # into a miss within this plan.  A range context that misses extends
     # its start's axis problem (n ascends, so ranges only grow at the
@@ -592,8 +593,8 @@ def plan_partitions(
                     missing.append(pend)
     state.frontiers.clear()
 
-    # -- phase B: one lockstep batch over all owed simulations (the
-    # scalar loop would have run one Python recurrence per miss)
+    # -- phase B: run every owed simulation, in the order phase A
+    # priced the candidates
     resolve_pending(missing, caches)
 
     # -- phase C: the DP recurrence itself, over precomputed candidate

@@ -20,11 +20,13 @@ the routing signature (stage decomposition, intra-range dependencies,
 boundary-overhead operands, chunk-duration cache keys) and
 :class:`PlanCaches` memoizes the signature-independent numbers (compute
 chunk durations, boundary overheads) plus finished pipeline simulations
-keyed by the realized all-to-all chunk durations.  All paths -- the
-one-shot :func:`pipeline_cost_ms`, the reference DP and the fast DP --
-run through the same :meth:`RangeContext.cost` core, so caching can
-never change a predicted number: a cache hit returns the value the
-uncached evaluation would have produced, bit for bit.
+keyed by the realized all-to-all chunk durations.  Every path -- the
+one-shot :func:`pipeline_cost_ms` behind the reference DP, and the fast
+DP's :meth:`RangeContext.begin_cost` / :func:`resolve_pending` -- prices
+a candidate with the same chunk durations and the same scalar
+recurrence, :meth:`RangeContext.simulate_ms`, so caching can never
+change a predicted number: a cache hit returns the value the uncached
+evaluation would have produced, bit for bit.
 """
 
 from __future__ import annotations
@@ -32,15 +34,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ...ir import AXIS_IRREGULAR as IRR
 from ...ir import NOT_PARTITIONED as NP
 from ...ir import Dim, Instruction, Program, TensorType
-from ...runtime.batch import pack_lane, simulate_lanes
 from ..cache import LRUCache
 from ..cost_model import CostEstimator
 from .axis_inference import InferenceResult
+
+# inert: perfbench/spans.py still resolves these retired lane-engine names
+pack_lane = simulate_lanes = None
 
 
 def chunk_type(t: TensorType, axis: int, parts: int, index: int = 0) -> TensorType:
@@ -190,13 +192,10 @@ class PlanCaches:
         )
     )
     #: batch evaluations of sim-cache misses (one per
-    #: :func:`resolve_pending` call) and the lanes they carried;
-    #: ``batch_lockstep_lanes`` counts the subset priced through the
-    #: vectorized engine (the rest ran the scalar recurrence -- see the
-    #: width cutover in :func:`resolve_pending`)
+    #: :func:`resolve_pending` call) and the lanes -- owed ``(range,
+    #: parts)`` simulations -- they carried
     batch_calls: int = 0
     batch_lanes: int = 0
-    batch_lockstep_lanes: int = 0
 
     def stats(self) -> dict:
         return {
@@ -206,7 +205,6 @@ class PlanCaches:
             "batch": {
                 "calls": self.batch_calls,
                 "lanes": self.batch_lanes,
-                "lockstep_lanes": self.batch_lockstep_lanes,
             },
         }
 
@@ -237,7 +235,6 @@ class RangeContext:
         "exit_pairs",
         "k_limit",
         "_dur_templates",
-        "_lane_packs",
     )
 
     def __init__(
@@ -316,8 +313,6 @@ class RangeContext:
         # parts -> duration list with all-to-all slots left as None (the
         # only signature-dependent entries); filled per evaluation
         self._dur_templates: dict[int, list] = {}
-        # parts -> packed event stream for the lockstep batch engine
-        self._lane_packs: dict[int, object] = {}
 
     # -- the three cost components ----------------------------------------
 
@@ -432,16 +427,6 @@ class RangeContext:
                         end[i * parts + p] = comp_free
         return max(end)
 
-    def lane_pack(self, parts: int):
-        """The duration-independent packed event stream of this range at
-        ``parts``-way splitting, for :func:`~repro.runtime.batch
-        .simulate_lanes` -- cached, like the stage decomposition."""
-        pack = self._lane_packs.get(parts)
-        if pack is None:
-            pack = pack_lane(self.stages, self.deps, parts, len(self.instrs))
-            self._lane_packs[parts] = pack
-        return pack
-
     def begin_cost(
         self,
         parts: int,
@@ -452,13 +437,15 @@ class RangeContext:
         """Price a candidate through the caches, deferring any missing
         pipeline simulation.
 
-        Touches the chunk / sim / overhead caches in exactly the order
-        :meth:`cost` does, so counters and contents stay comparable; the
-        only difference is that a sim-cache miss leaves
-        ``pipeline_ms = None`` for :func:`resolve_pending` to fill with
-        one lockstep batch instead of one scalar recurrence per miss.
+        A sim-cache miss leaves ``pipeline_ms = None`` for
+        :func:`resolve_pending`, which the DP calls once after pricing
+        every candidate.
         """
         durs = self.chunk_durations(parts, costs, caches)
+        # a finished simulation depends only on the range structure and
+        # the duration vector; the non-a2a entries are pinned by (range,
+        # parts), so keying by the realized all-to-all chunk durations
+        # makes the entry self-invalidating under drift
         sim_key = (
             self.start,
             self.end,
@@ -485,45 +472,14 @@ class RangeContext:
         )
 
     def cost(
-        self,
-        parts: int,
-        costs: CostEstimator,
-        consumers_after=None,
-        caches: PlanCaches | None = None,
+        self, parts: int, costs: CostEstimator, consumers_after=None
     ) -> PipelineCost:
-        """The paper's ``P(i, n, k)`` for this range."""
-        durs = self.chunk_durations(parts, costs, caches)
-        if caches is None:
-            pipeline_ms = self.simulate_ms(durs, parts)
-        else:
-            # a finished simulation depends only on the range structure
-            # and the duration vector; the non-a2a entries are pinned by
-            # (range, parts), so keying by the realized all-to-all chunk
-            # durations makes the entry self-invalidating under drift
-            sim_key = (
-                self.start,
-                self.end,
-                parts,
-                tuple(durs[i] for i in self.a2a_idx),
-            )
-            pipeline_ms = caches.sim.get(sim_key)
-            if pipeline_ms is None:
-                pipeline_ms = self.simulate_ms(durs, parts)
-                caches.sim.put(sim_key, pipeline_ms)
+        """The paper's ``P(i, n, k)`` for this range, evaluated uncached."""
+        durs = self.chunk_durations(parts, costs, None)
+        pipeline_ms = self.simulate_ms(durs, parts)
         overhead = 0.0
         if consumers_after is not None:
-            if caches is None:
-                overhead = self.boundary_overhead_ms(
-                    parts, costs, consumers_after
-                )
-            else:
-                oh_key = (self.start, self.end, parts)
-                overhead = caches.overhead.get(oh_key)
-                if overhead is None:
-                    overhead = self.boundary_overhead_ms(
-                        parts, costs, consumers_after
-                    )
-                    caches.overhead.put(oh_key, overhead)
+            overhead = self.boundary_overhead_ms(parts, costs, consumers_after)
         return PipelineCost(
             total_ms=pipeline_ms + overhead,
             pipeline_ms=pipeline_ms,
@@ -536,7 +492,7 @@ class RangeContext:
 class PendingCost:
     """One DP candidate priced through the caches, with its pipeline
     simulation possibly still owed (``pipeline_ms is None`` until
-    :func:`resolve_pending` batch-evaluates the misses)."""
+    :func:`resolve_pending` evaluates the misses)."""
 
     ctx: RangeContext
     parts: int
@@ -554,44 +510,16 @@ class PendingCost:
         )
 
 
-#: Mean lockstep width (total events / longest lane) above which the
-#: vectorized engine beats the scalar recurrence.  Each lockstep step
-#: costs a fixed handful of numpy calls (~50us) no matter how many lanes
-#: it advances, while CPython runs a scalar event in ~150ns -- so the
-#: measured crossover sits near 350-500 events per step.  The DP's
-#: candidate batches average ~80-300 (many short lanes behind a few long
-#: ones) and stay scalar; wide scenario-style batches vectorize.
-LOCKSTEP_MIN_MEAN_WIDTH = 512
-
-
 def resolve_pending(missing: list[PendingCost], caches: PlanCaches) -> None:
-    """Evaluate every owed pipeline simulation in one batch.
+    """Run every owed pipeline simulation and cache its result.
 
-    Picks the engine by batch shape: wide batches (mean events per
-    lockstep step >= :data:`LOCKSTEP_MIN_MEAN_WIDTH`) run the vectorized
-    :func:`~repro.runtime.batch.simulate_lanes`; narrow ones run the
-    scalar recurrence lane by lane.  Both execute the exact float64
-    operation chain of ``missing[l].ctx.simulate_ms(durs, parts)``, so
-    cached values are bit-identical either way.  Results are ``put`` in
-    list order -- the order the scalar loop would have filled the cache.
+    Each lane runs :meth:`RangeContext.simulate_ms`, and results are
+    ``put`` in list order -- the order the DP priced the candidates.
     """
     if not missing:
         return
     caches.batch_calls += 1
     caches.batch_lanes += len(missing)
-    # event count per lane is parts * len(instrs); packs are only built
-    # (and cached on the contexts) when the lockstep engine is taken
-    events = [p.parts * len(p.ctx.instrs) for p in missing]
-    t_max = max(events)
-    if t_max and sum(events) >= LOCKSTEP_MIN_MEAN_WIDTH * t_max:
-        caches.batch_lockstep_lanes += len(missing)
-        packs = [p.ctx.lane_pack(p.parts) for p in missing]
-        durs = [np.asarray(p.durs, dtype=np.float64) for p in missing]
-        results = simulate_lanes(packs, durs)
-        for pend, ms in zip(missing, results):
-            pend.pipeline_ms = float(ms)
-            caches.sim.put(pend.sim_key, pend.pipeline_ms)
-        return
     for pend in missing:
         pend.pipeline_ms = pend.ctx.simulate_ms(pend.durs, pend.parts)
         caches.sim.put(pend.sim_key, pend.pipeline_ms)

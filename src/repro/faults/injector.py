@@ -276,8 +276,8 @@ class FaultInjector:
 
     def simulate_batch(self, program, steps: Sequence[int]):
         """Vectorized faulted timelines for many steps in one pass
-        (bit-identical to :meth:`simulate` per step, via the PR 6
-        batch-equals-scalar guarantee)."""
+        (bit-identical to :meth:`simulate` per step: both run the same
+        engine)."""
         return simulate_cluster_batch(
             program, configs=[self.config_at(s) for s in steps]
         )

@@ -26,11 +26,8 @@ from .device import (
 )
 from .batch import (
     BatchClusterResult,
-    LanePack,
     ScenarioPack,
-    pack_lane,
     pack_scenarios,
-    simulate_lanes,
     simulate_scenarios,
 )
 from .executor import DeviceEnv, NumericExecutor, run_program
@@ -83,7 +80,6 @@ __all__ = [
     "HierarchicalTiming",
     "HierarchicalTraffic",
     "Interval",
-    "LanePack",
     "NumericExecutor",
     "RoutingSignature",
     "ScenarioPack",
@@ -105,14 +101,12 @@ __all__ = [
     "merge_intervals",
     "observed_routing_signatures",
     "overlap_summary",
-    "pack_lane",
     "pack_scenarios",
     "render_cluster_timeline",
     "render_timeline",
     "run_program",
     "simulate_cluster",
     "simulate_cluster_batch",
-    "simulate_lanes",
     "simulate_program",
     "simulate_scenarios",
     "total_length",

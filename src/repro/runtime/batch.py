@@ -1,30 +1,17 @@
-"""Packed batch simulation cores (vectorized over candidates).
+"""The vectorized cluster simulation engine.
 
-Two vectorized engines live here, both bit-identical to their scalar
-references by construction -- every scalar step is a float64 ``max`` or a
-single add, and the batched versions perform the *same* operations
-elementwise, never reassociating a sum:
-
-- :func:`simulate_scenarios` evaluates one program under ``B`` routing /
-  straggler scenarios in a single numpy pass over instructions, carrying
-  ``[B, G]`` state arrays instead of ``B`` Python event loops.  It backs
-  :func:`~repro.runtime.simulate.simulate_cluster_batch`; per-scenario
-  :class:`~repro.runtime.timeline.ClusterTimeline` objects are
-  materialized lazily (building ``B * n * G`` ``Interval`` objects is
-  most of the scalar loop's cost).
-- :func:`simulate_lanes` advances ``L`` independent two-stream pipelined
-  schedules (the partition DP's ``P(i, n, k)`` candidates) in lockstep,
-  one vectorized step per within-lane event position.  The flat event
-  list is grouped by that position (a stable counting sort), so each
-  step touches exactly the lanes that still have an event -- no padding,
-  and the active width shrinks as short lanes drain.
-
-Lockstep only pays off when steps are wide: each step costs a handful
-of numpy calls regardless of width, while CPython runs the scalar
-recurrence at ~150 ns/event.  Measured crossover is a *mean* width
-(events / longest lane) of roughly 500; the planner's
-:func:`~repro.core.partition.pipeline.resolve_pending` picks the engine
-per batch accordingly.
+:func:`simulate_scenarios` evaluates one program under ``B`` routing /
+straggler scenarios in a single numpy pass over instructions, carrying
+``[B, G]`` state arrays instead of ``B`` Python event loops.  It is the
+package's only per-device cluster recurrence:
+:func:`~repro.runtime.simulate.simulate_cluster` is its ``B = 1`` view
+and :func:`~repro.runtime.simulate.simulate_cluster_batch` its ``B``-wide
+facade.  Every step is a float64 ``max`` or a single add, performed
+elementwise and never reassociated, so scenario ``b``'s result is
+bit-identical to a one-scenario run of the same cost model.
+Per-scenario :class:`~repro.runtime.timeline.ClusterTimeline` objects
+are materialized lazily: makespans come straight from the arrays, and
+building ``B * n * G`` ``Interval`` objects is paid only on request.
 """
 
 from __future__ import annotations
@@ -35,8 +22,6 @@ import numpy as np
 
 from ..ir import Program, Stream
 from .timeline import ClusterTimeline, Interval, Timeline
-
-# -- scenario batching (simulate_cluster over B configs) -------------------
 
 
 @dataclass
@@ -148,11 +133,10 @@ class BatchClusterResult:
 
     ``starts``/``ends`` have shape ``[n_instr, B, G]``; for a collective
     the start is the common synchronization point and the end is each
-    participant's own release time, exactly as
-    :func:`~repro.runtime.simulate.simulate_cluster` records them.
-    Full :class:`~repro.runtime.timeline.ClusterTimeline` objects are
-    built on demand -- makespans and most figure metrics never need the
-    ``B * n * G`` ``Interval`` objects the scalar path always pays for.
+    participant's own release time.  Full
+    :class:`~repro.runtime.timeline.ClusterTimeline` objects are built
+    on demand -- makespans and most figure metrics never need the
+    ``B * n * G`` ``Interval`` objects.
     """
 
     program: Program
@@ -179,8 +163,8 @@ class BatchClusterResult:
         return float(self.makespans[b])
 
     def timeline(self, b: int) -> ClusterTimeline:
-        """Materialize scenario ``b`` as a full per-device timeline,
-        interval-for-interval identical to the scalar simulator's."""
+        """Materialize scenario ``b`` as a full per-device timeline
+        (what :func:`~repro.runtime.simulate.simulate_cluster` returns)."""
         instructions = self.program.instructions
         g = self.num_devices
         devices: list[list[Interval]] = [[] for _ in range(g)]
@@ -212,7 +196,8 @@ def simulate_scenarios(pack: ScenarioPack) -> BatchClusterResult:
 
     State per scenario and device: when each value becomes ready
     (``[B, G, n_values]``) and when each stream frees up (``[B, G]``
-    per stream).  Each instruction applies the exact scalar update:
+    per stream).  Each instruction applies one step of the two-stream
+    recurrence to every scenario and device at once:
 
     - compute: ``end = max(stream_free, dep_ready) + dur`` per device;
     - collective: ``start = max over devices of arrival``, every
@@ -256,137 +241,3 @@ def simulate_scenarios(pack: ScenarioPack) -> BatchClusterResult:
             value_ready[:, :, out_slots] = ready[:, :, None]
 
     return BatchClusterResult(program=pack.program, starts=starts, ends=ends)
-
-
-# -- lane batching (the DP's pipeline recurrence over L candidates) --------
-
-
-@dataclass
-class LanePack:
-    """One ``(range, parts)`` candidate's event stream in packed form.
-
-    Events follow the exact scalar interleaving of
-    :meth:`~repro.core.partition.pipeline.RangeContext.simulate_ms`:
-    stage by stage, partition index ``p`` outer, instruction inner.  Slot
-    ``num_slots`` is pinned to zero (the scalar ``dep = 0.0`` initial
-    value); dependency rows are padded with it.
-    """
-
-    num_events: int
-    num_slots: int
-    #: [T] index into the candidate's duration vector
-    instr_idx: np.ndarray
-    #: [T] chunk-end slot each event writes (``i * parts + p``)
-    slot: np.ndarray
-    #: [T] stream of each event (0 = compute, 1 = comm)
-    sid: np.ndarray
-    #: [T, dmax] dependency slots, padded with the pinned-zero slot
-    deps: np.ndarray
-
-
-def pack_lane(stages, deps, parts: int, num_instrs: int) -> LanePack:
-    """Pack one candidate's two-stream recurrence into event arrays.
-
-    ``stages``/``deps`` come straight from a
-    :class:`~repro.core.partition.pipeline.RangeContext`; the pack is
-    duration-independent, so contexts cache one per ``parts``.
-    """
-    num_slots = num_instrs * parts
-    zero_slot = num_slots
-    order: list[int] = []
-    slot: list[int] = []
-    sid: list[int] = []
-    dep_rows: list[list[int]] = []
-    for stage in stages:
-        s = 1 if stage.is_comm else 0
-        for p in range(parts):
-            for i in stage.indices:
-                order.append(i)
-                slot.append(i * parts + p)
-                sid.append(s)
-                dep_rows.append([j * parts + p for j in deps[i]])
-    dmax = max((len(r) for r in dep_rows), default=0)
-    dep_arr = np.full((len(order), dmax), zero_slot, dtype=np.intp)
-    for t, row in enumerate(dep_rows):
-        dep_arr[t, : len(row)] = row
-    return LanePack(
-        num_events=len(order),
-        num_slots=num_slots,
-        instr_idx=np.asarray(order, dtype=np.intp),
-        slot=np.asarray(slot, dtype=np.intp),
-        sid=np.asarray(sid, dtype=np.intp),
-        deps=dep_arr,
-    )
-
-
-def simulate_lanes(packs: list[LanePack], durs: list[np.ndarray]) -> np.ndarray:
-    """Run ``L`` independent pipeline recurrences in lockstep.
-
-    ``durs[l]`` is lane ``l``'s per-instruction chunk-duration vector.
-    Returns the ``[L]`` pipeline makespans, bit-identical to
-    ``RangeContext.simulate_ms`` lane by lane: each lockstep step
-    performs the scalar step's exact float64 operations (``max``
-    comparisons and one add) for the lanes whose event stream reaches
-    that step -- events are grouped by within-lane position with a
-    stable sort, so per-lane order is preserved and short lanes simply
-    drop out of later steps instead of being padded.
-
-    Lane state lives in one flat ``end_buf`` of ``max_slots + 1``
-    entries per lane; the shared extra column (and each pack's
-    pinned-zero padding slot, which its own events never write) stays
-    0.0 and serves as the ``dep = 0.0`` target for padded dependency
-    rows.
-    """
-    lanes = len(packs)
-    if lanes == 0:
-        return np.zeros(0)
-    counts = np.asarray([p.num_events for p in packs], dtype=np.intp)
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(lanes)
-    max_slots = max(p.num_slots for p in packs)
-    stride = max_slots + 1  # one always-zero column per lane
-    d_max = max(max(p.deps.shape[1] for p in packs), 1)
-
-    # flatten every lane's event stream, tagged with its step index
-    lane_of = np.repeat(np.arange(lanes, dtype=np.intp), counts)
-    starts_ = np.zeros(lanes, dtype=np.intp)
-    np.cumsum(counts[:-1], out=starts_[1:])
-    step_of = np.arange(total, dtype=np.intp) - np.repeat(starts_, counts)
-    base = lane_of * stride
-    slot_flat = np.concatenate([p.slot for p in packs]) + base
-    sid_flat = np.concatenate([p.sid for p in packs]) + lane_of * 2
-    dur_all = np.concatenate([np.asarray(d, dtype=np.float64) for d in durs])
-    dur_sizes = np.asarray([len(d) for d in durs], dtype=np.intp)
-    dur_off = np.zeros(lanes, dtype=np.intp)
-    np.cumsum(dur_sizes[:-1], out=dur_off[1:])
-    idx_flat = np.concatenate([p.instr_idx for p in packs]) + np.repeat(dur_off, counts)
-    dur_flat = dur_all[idx_flat]
-    # column max_slots of a lane is never written (its slots stop at
-    # num_slots - 1 <= max_slots - 1), so it is a valid global zero slot
-    deps_flat = np.full((total, d_max), max_slots, dtype=np.intp)
-    for idx, p in enumerate(packs):
-        w = p.deps.shape[1]
-        if p.num_events and w:
-            deps_flat[starts_[idx] : starts_[idx] + p.num_events, :w] = p.deps
-    deps_flat += base[:, None]
-
-    # group by step index (stable -> per-lane event order preserved)
-    order = np.argsort(step_of, kind="stable")
-    slot_s = slot_flat[order]
-    sid_s = sid_flat[order]
-    dur_s = dur_flat[order]
-    deps_s = deps_flat[order]
-    t_max = int(counts.max())
-    ptr = np.searchsorted(step_of[order], np.arange(t_max + 1))
-
-    end_buf = np.zeros(lanes * stride)
-    stream_free = np.zeros(lanes * 2)
-    for t in range(t_max):
-        lo, hi = int(ptr[t]), int(ptr[t + 1])
-        dep = end_buf[deps_s[lo:hi]].max(axis=1)
-        s = sid_s[lo:hi]
-        finish = np.maximum(stream_free[s], dep) + dur_s[lo:hi]
-        stream_free[s] = finish
-        end_buf[slot_s[lo:hi]] = finish
-    return end_buf.reshape(lanes, stride).max(axis=1)

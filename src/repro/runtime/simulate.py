@@ -8,7 +8,7 @@ data dependencies have completed -- exactly the semantics the paper's
 pipeline scheduler assumes (Sec. 5.3: "start time = max over (i) end of
 dependencies and (ii) end of the previous instruction of the same type").
 
-Two simulation modes share the cost model:
+Two recurrences share the cost model:
 
 - :func:`simulate_program` -- the SPMD-symmetric fast path: all devices
   run the same program on equal-sized data, so one representative device
@@ -21,12 +21,11 @@ Two simulation modes share the cost model:
   participants, and per-device straggler slowdowns stretch compute.
   With uniform routing and no stragglers this degenerates to ``G``
   copies of the representative timeline, bit-for-bit.
-- :func:`simulate_cluster_batch` -- ``B`` routing / straggler scenarios
-  of one program evaluated in a single vectorized pass
-  (:mod:`~repro.runtime.batch`), bit-identical to running
-  :func:`simulate_cluster` once per scenario.  The scalar loop is the
-  retained reference; the batch path is what the planner sweeps and the
-  figure benchmarks lean on.
+  :func:`simulate_cluster_batch` evaluates ``B`` routing / straggler
+  scenarios of one program in a single pass of the vectorized engine
+  (:mod:`~repro.runtime.batch`), and :func:`simulate_cluster` is that
+  engine's ``B = 1`` view, so a batch is bit-identical to calling
+  :func:`simulate_cluster` once per scenario.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ import numpy as np
 import math
 
 from ..ir import Dim, Instruction, Program, Stream, TensorType, get_op
+from .batch import pack_scenarios, simulate_scenarios
 from .cluster import ClusterSpec
 from .device import COMPILED, FrameworkProfile
 from .routing_model import (
@@ -183,30 +183,37 @@ class GroundTruthCost:
 
     # -- communication ops ----------------------------------------------------------
 
-    def a2a_pair_bytes(
+    def _irregular_a2a(
         self, instr: Instruction, program: Program
-    ) -> np.ndarray | None:
-        """Realized pair-bytes matrix of an irregular all-to-all, or
+    ) -> tuple[tuple, float, int] | None:
+        """Routing-draw arguments of an irregular all-to-all, as
+        ``(draw, fraction, bytes_per_token)`` where ``draw`` is
+        ``(layer_key, num_gpus, num_experts, tokens, capacity)`` -- or
         ``None`` when the collective moves the full padded buffer."""
         if self.config.padded_a2a or not instr.attrs.get("irregular", False):
             return None
-        cluster = self.config.cluster
         buf_t = program.type_of(instr.inputs[0])
         e, c, h = buf_t.shape
-        g = cluster.num_gpus
         tokens = int(instr.attrs.get("tokens", e * c))
         layer_key = instr.attrs.get("moe_layer", instr.origin or instr.uid)
         fraction = 1.0
         if instr.partition is not None:
             fraction = 1.0 / instr.partition[1]
+        capacity = c if fraction == 1.0 else int(np.ceil(c))
+        draw = (layer_key, self.config.cluster.num_gpus, e, tokens, capacity)
+        return draw, fraction, h * buf_t.dtype.nbytes
+
+    def a2a_pair_bytes(
+        self, instr: Instruction, program: Program
+    ) -> np.ndarray | None:
+        """Realized pair-bytes matrix of an irregular all-to-all, or
+        ``None`` when the collective moves the full padded buffer."""
+        args = self._irregular_a2a(instr, program)
+        if args is None:
+            return None
+        draw, fraction, bytes_per_token = args
         return self.config.routing.pair_bytes_for(
-            layer_key,
-            g,
-            e,
-            tokens,
-            c if fraction == 1.0 else int(np.ceil(c)),
-            bytes_per_token=h * buf_t.dtype.nbytes,
-            fraction=fraction,
+            *draw, bytes_per_token=bytes_per_token, fraction=fraction
         )
 
     def a2a_expert_counts(
@@ -223,26 +230,12 @@ class GroundTruthCost:
         to *price* an all-to-all but not to *re-place* experts -- the
         placement optimizer needs the per-expert decomposition.
         """
-        if self.config.padded_a2a or not instr.attrs.get("irregular", False):
+        args = self._irregular_a2a(instr, program)
+        if args is None:
             return None
-        cluster = self.config.cluster
-        buf_t = program.type_of(instr.inputs[0])
-        e, c, h = buf_t.shape
-        g = cluster.num_gpus
-        tokens = int(instr.attrs.get("tokens", e * c))
-        layer_key = instr.attrs.get("moe_layer", instr.origin or instr.uid)
-        fraction = 1.0
-        if instr.partition is not None:
-            fraction = 1.0 / instr.partition[1]
-        counts = self.config.routing.counts_for(
-            layer_key,
-            g,
-            e,
-            tokens,
-            c if fraction == 1.0 else int(np.ceil(c)),
-            fraction=fraction,
-        )
-        return counts, float(h * buf_t.dtype.nbytes)
+        draw, fraction, bytes_per_token = args
+        counts = self.config.routing.counts_for(*draw, fraction=fraction)
+        return counts, float(bytes_per_token)
 
     def _a2a_ms(self, instr: Instruction, program: Program) -> float:
         pair = self.a2a_pair_bytes(instr, program)
@@ -374,71 +367,16 @@ def simulate_cluster(
     With :class:`UniformRoutingModel` routing and no stragglers all
     devices see identical costs, and each per-device timeline is
     bit-for-bit the :func:`simulate_program` timeline.
+
+    This is the one-scenario view of the vectorized engine
+    (:func:`~repro.runtime.batch.simulate_scenarios`), so it agrees
+    with :func:`simulate_cluster_batch` scenario for scenario.
     """
     if cost is None:
         if config is None:
             raise ValueError("need cost or config")
         cost = GroundTruthCost(config)
-    g = cost.config.cluster.num_gpus
-    slowdowns = cost.config.device_slowdowns()
-
-    value_ready = [dict() for _ in range(g)]  # type: list[dict[int, float]]
-    stream_free = [
-        {Stream.COMPUTE: 0.0, Stream.COMM: 0.0} for _ in range(g)
-    ]
-    intervals: list[list[Interval]] = [[] for _ in range(g)]
-
-    for instr in program.instructions:
-        stream = Stream.COMM if instr.is_comm else Stream.COMPUTE
-        arrivals = []
-        for d in range(g):
-            dep_ready = 0.0
-            for v in instr.inputs:
-                t = value_ready[d].get(v, 0.0)
-                if t > dep_ready:
-                    dep_ready = t
-            arrivals.append(max(stream_free[d][stream], dep_ready))
-
-        if instr.is_comm:
-            # collective: wait for all participants, resolve per-device
-            # busy times, release everyone at the common completion time
-            start = max(arrivals)
-            times = cost.collective_device_times(instr, program)
-            complete = start + float(times.max())
-            for d in range(g):
-                end_d = start + float(times[d])
-                stream_free[d][stream] = complete
-                for o in instr.outputs:
-                    value_ready[d][o] = complete
-                intervals[d].append(
-                    Interval(
-                        uid=instr.uid,
-                        op=instr.op,
-                        kind=instr.kind.value,
-                        stream=stream,
-                        start=start,
-                        end=end_d,
-                    )
-                )
-        else:
-            for d in range(g):
-                dur = cost.device_duration_ms(instr, program, slowdowns[d])
-                end = arrivals[d] + dur
-                stream_free[d][stream] = end
-                for o in instr.outputs:
-                    value_ready[d][o] = end
-                intervals[d].append(
-                    Interval(
-                        uid=instr.uid,
-                        op=instr.op,
-                        kind=instr.kind.value,
-                        stream=stream,
-                        start=arrivals[d],
-                        end=end,
-                    )
-                )
-
-    return ClusterTimeline([Timeline(ivs) for ivs in intervals])
+    return simulate_scenarios(pack_scenarios(program, [cost])).timeline(0)
 
 
 def simulate_cluster_batch(
@@ -458,12 +396,10 @@ def simulate_cluster_batch(
     full :class:`~repro.runtime.timeline.ClusterTimeline` objects are
     materialized only on request.
 
-    Vectorizing is safe for bit-identity because every scalar update is
-    a float64 ``max`` or a single add -- operations numpy reproduces
+    Vectorizing is safe for bit-identity because every update is a
+    float64 ``max`` or a single add -- operations numpy reproduces
     elementwise exactly; no sum is ever reassociated.
     """
-    from .batch import pack_scenarios, simulate_scenarios
-
     if costs is None:
         if configs is None:
             raise ValueError("need configs or costs")

@@ -8,8 +8,8 @@ and *non-overlapped computation*.
 Every multi-term reduction here goes through :func:`math.fsum`, which is
 exactly rounded and therefore independent of accumulation order.  That
 makes the reductions agree bit-for-bit no matter which simulator
-produced the intervals (scalar :func:`~repro.runtime.simulate
-.simulate_cluster` or the vectorized batch path) or in which order a
+produced the intervals (the vectorized cluster engine or the scalar
+reference loop the tests keep as an oracle) or in which order a
 caller enumerates them -- naive left-to-right ``+=`` would tie the
 result to one enumeration order and force differential tests down to
 approximate equality.

@@ -298,7 +298,7 @@ def st_microbatch_count(max_microbatches: int = 8):
 
 def st_simulation_scenario(num_gpus: int):
     """Strategy over (routing model, straggler map, protocol flags) --
-    one scenario for the batch-vs-scalar differential harness."""
+    one scenario for the engine-vs-reference differential harness."""
     from hypothesis import strategies as st
 
     stragglers = st.one_of(

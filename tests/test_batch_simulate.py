@@ -1,13 +1,12 @@
-"""Differential testing of the vectorized batch simulation core.
+"""Differential testing of the vectorized cluster simulation engine.
 
-The contract under test (ISSUE 6): for any program, cluster and scenario
-set, :func:`simulate_cluster_batch` is **bit-identical** to running the
-scalar :func:`simulate_cluster` once per scenario -- interval for
-interval, including ``a2a_algo`` annotations, straggler and hot-expert
-knobs -- and the DP's lockstep lane engine is bit-identical to
-``RangeContext.simulate_ms`` candidate for candidate.  Bit-identity (not
-approx-equality) is what lets the planner and the figure suite swap
-freely between the scalar reference and the batch path.
+The contract under test: for any program, cluster and scenario set,
+:func:`simulate_cluster_batch` is **bit-identical** to running the
+scalar reference loop (``tests/oracles/cluster_reference.py``) once per
+scenario -- interval for interval, including ``a2a_algo`` annotations,
+straggler, hot-expert and rank-loss knobs.  Bit-identity (not
+approx-equality) is what lets the engine replace the scalar loop, and
+:func:`simulate_cluster`, its one-scenario view, stand in for it.
 
 Scenario generators and hypothesis strategies live in
 :mod:`repro.testing`, shared with ``test_fast_replan`` and
@@ -18,9 +17,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.cluster_reference import simulate_cluster_reference
 
-from repro.core import LancetOptimizer, PlannerState, plan_partitions
-from repro.core.partition.dp import _INFEASIBLE
+from repro.core import LancetOptimizer, plan_partitions
+from repro.faults import (
+    FaultInjector,
+    FaultSchedule,
+    FaultSpec,
+    RemappedRoutingModel,
+)
 from repro.runtime import (
     ClusterSpec,
     GroundTruthCost,
@@ -29,7 +34,6 @@ from repro.runtime import (
     UniformRoutingModel,
     simulate_cluster,
     simulate_cluster_batch,
-    simulate_lanes,
     simulate_program,
 )
 from repro.testing import (
@@ -50,9 +54,12 @@ def assert_bit_identical(batch_tl, scalar_tl):
 
 
 def run_both(program, configs):
-    """(batch result, scalar timelines) for one scenario set."""
+    """(batch result, reference timelines) for one scenario set."""
     costs = [GroundTruthCost(c) for c in configs]
-    scalar = [simulate_cluster(program, cost=GroundTruthCost(c)) for c in configs]
+    scalar = [
+        simulate_cluster_reference(program, cost=GroundTruthCost(c))
+        for c in configs
+    ]
     return simulate_cluster_batch(program, costs=costs), scalar
 
 
@@ -119,6 +126,35 @@ class TestScenarioBatchDifferential:
         result, scalar = run_both(program, configs)
         for b, ref in enumerate(scalar):
             assert_bit_identical(result.timeline(b), ref)
+
+    def test_fault_injector_rank_loss_configs(self):
+        """Faulted configs -- a straggler, a rank loss folded into its
+        buddy through ``RemappedRoutingModel``, both at once -- priced
+        under irregular a2a, so the remapped pair bytes reach every
+        collective.  The batch engine and ``simulate_cluster`` must both
+        match the reference."""
+        layers, gpus, batch, seq, gate = PROGRAM_GRID[0]
+        program = build_grid_graph(layers, gpus, batch, seq, gate).program
+        template = SimulationConfig(
+            ClusterSpec.for_gpus("a100", gpus),
+            padded_a2a=False,
+            routing=SyntheticRoutingModel(
+                seed=11, concentration=0.5, hot_experts=1, hot_boost=0.6
+            ),
+        )
+        sched = FaultSchedule(
+            (
+                FaultSpec("straggler", 1, severity=2.0, start_step=1),
+                FaultSpec("rank_loss", 3, start_step=2),
+            )
+        )
+        injector = FaultInjector(template, sched)
+        configs = [injector.config_at(step) for step in (0, 1, 2)]
+        assert isinstance(configs[2].routing, RemappedRoutingModel)
+        result, scalar = run_both(program, configs)
+        for b, (cfg, ref) in enumerate(zip(configs, scalar)):
+            assert_bit_identical(result.timeline(b), ref)
+            assert_bit_identical(simulate_cluster(program, config=cfg), ref)
 
     def test_batch_of_one_equals_simulate_program_uniform(self):
         """Extends the PR 1 invariant to the batch path: under uniform
@@ -221,34 +257,8 @@ class TestTimelineReductionStability:
 
 
 class TestLaneEngineDifferential:
-    def test_lanes_match_scalar_recurrence_on_real_contexts(self):
-        """Harvest every RangeContext a real plan builds and replay each
-        (context, parts) candidate with randomized duration vectors: the
-        lockstep batch must reproduce ``simulate_ms`` bit-for-bit."""
-        cluster = ClusterSpec.for_gpus("a100", 8)
-        graph = build_grid_graph(3, 8, 8, 128)
-        opt = LancetOptimizer(cluster)
-        state = opt.planner_state
-        plan_partitions(graph.program, opt.costs, state=state)
-        contexts = [
-            ctx
-            for ctx in state.contexts._data.values()
-            if ctx is not _INFEASIBLE and ctx is not None
-        ]
-        assert contexts, "plan built no feasible range contexts"
-        rng = np.random.default_rng(5)
-        lanes, durs, expect = [], [], []
-        for ctx in contexts:
-            for parts in (2, 4, 8):
-                if parts > ctx.k_limit:
-                    continue
-                d = rng.uniform(0.01, 2.0, size=len(ctx.instrs))
-                lanes.append(ctx.lane_pack(parts))
-                durs.append(d)
-                expect.append(ctx.simulate_ms(list(d), parts))
-        got = simulate_lanes(lanes, durs)
-        assert got.shape == (len(expect),)
-        assert [float(x) for x in got] == expect
+    """The DP defers its sim-cache misses -- ``(range, parts)`` lanes --
+    to one ``resolve_pending`` call per plan."""
 
     def test_planner_reports_batch_counters(self):
         """LancetReport.cache_stats carries the batch-hit counters, and a

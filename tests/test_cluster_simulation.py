@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles.cluster_reference import simulate_cluster_reference
 
 from repro.ir import Stream
 from repro.runtime import (
@@ -38,29 +39,35 @@ def skewed_config(cluster, **kw):
 
 
 class TestUniformEquivalence:
-    """Per-device simulation degenerates to the legacy single timeline."""
+    """Per-device simulation degenerates to the legacy single timeline,
+    for the shipped engine and the scalar reference loop alike."""
+
+    SIMULATORS = (simulate_cluster, simulate_cluster_reference)
 
     def test_padded_bitwise_equal(self, tiny_graph, small_cluster):
         cfg = uniform_config(small_cluster)
         legacy = simulate_program(tiny_graph.program, config=cfg)
-        ctl = simulate_cluster(tiny_graph.program, config=cfg)
-        assert ctl.num_devices == small_cluster.num_gpus
-        for tl in ctl.devices:
-            assert tl.intervals == legacy.intervals
-        assert ctl.makespan == legacy.makespan
+        for sim in self.SIMULATORS:
+            ctl = sim(tiny_graph.program, config=cfg)
+            assert ctl.num_devices == small_cluster.num_gpus
+            for tl in ctl.devices:
+                assert tl.intervals == legacy.intervals
+            assert ctl.makespan == legacy.makespan
 
     def test_irregular_uniform_bitwise_equal(self, tiny_graph, small_cluster):
         cfg = uniform_config(small_cluster, padded_a2a=False)
         legacy = simulate_program(tiny_graph.program, config=cfg)
-        ctl = simulate_cluster(tiny_graph.program, config=cfg)
-        for tl in ctl.devices:
-            assert tl.intervals == legacy.intervals
+        for sim in self.SIMULATORS:
+            ctl = sim(tiny_graph.program, config=cfg)
+            for tl in ctl.devices:
+                assert tl.intervals == legacy.intervals
 
     def test_shared_cost_object(self, tiny_graph, small_cluster):
         cost = GroundTruthCost(uniform_config(small_cluster))
         legacy = simulate_program(tiny_graph.program, cost=cost)
-        ctl = simulate_cluster(tiny_graph.program, cost=cost)
-        assert ctl.makespan == legacy.makespan
+        for sim in self.SIMULATORS:
+            ctl = sim(tiny_graph.program, cost=cost)
+            assert ctl.makespan == legacy.makespan
 
     def test_needs_cost_or_config(self, tiny_graph):
         with pytest.raises(ValueError):
