@@ -5,8 +5,10 @@ Runs the three seeded chaos drills (``repro.bench.figures
 directly, on top of the baseline-diffed regression metrics:
 
 1. **Injection fidelity** -- randomized fault schedules (stragglers,
-   NIC degradation, rank loss) produce *bit-identical* timelines on the
-   scalar and vectorized simulator paths: zero mismatched timelines.
+   NIC degradation, rank loss) produce *bit-identical* timelines whether
+   each step is simulated on its own or the steps run as one batch
+   (both go through the one cluster-simulation engine): zero mismatched
+   timelines.
 2. **Failure-aware re-planning** -- the trainer detects an injected
    persistent straggler within a bounded number of steps, estimates its
    magnitude accurately, and its post-re-plan schedule lands within 10%

@@ -26,7 +26,6 @@ import time
 import warnings
 from dataclasses import dataclass
 
-from ..core.lancet import LancetOptimizer
 from ..ir import Program
 from ..models import ModelGraph
 from ..runtime.cluster import ClusterSpec
@@ -194,18 +193,10 @@ def _plan_resolved_staged(resolved: ResolvedWorkload, check: bool) -> Plan:
     t0 = time.perf_counter()
     request = resolved.pipeline
     policy = resolved.policy
-    hyper = policy.hyper_params()
 
     def optimizer_factory(stage_cluster):
-        return LancetOptimizer(
-            stage_cluster,
-            framework=resolved.framework,
-            hyper_params=hyper,
-            enable_dw_schedule=policy.enable_dw_schedule,
-            enable_partition=policy.enable_partition,
-            defer_allreduce=policy.defer_allreduce,
-            routing_signatures=resolved.signatures,
-            enable_hierarchical_a2a=policy.enable_hierarchical_a2a,
+        return policy.make_optimizer(
+            stage_cluster, resolved.framework, resolved.signatures
         )
 
     routing = None
@@ -257,15 +248,8 @@ def plan_resolved(resolved: ResolvedWorkload, check: bool = True) -> Plan:
     if resolved.pipeline is not None:
         return _plan_resolved_staged(resolved, check=check)
     t0 = time.perf_counter()
-    optimizer = LancetOptimizer(
-        resolved.cluster,
-        framework=resolved.framework,
-        hyper_params=resolved.policy.hyper_params(),
-        enable_dw_schedule=resolved.policy.enable_dw_schedule,
-        enable_partition=resolved.policy.enable_partition,
-        defer_allreduce=resolved.policy.defer_allreduce,
-        routing_signatures=resolved.signatures,
-        enable_hierarchical_a2a=resolved.policy.enable_hierarchical_a2a,
+    optimizer = resolved.policy.make_optimizer(
+        resolved.cluster, resolved.framework, resolved.signatures
     )
     optimized, report = optimizer.optimize(resolved.source, check=check)
     compile_seconds = time.perf_counter() - t0

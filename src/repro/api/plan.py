@@ -142,6 +142,45 @@ class PlanPolicy:
             max_range_groups=self.max_range_groups,
         )
 
+    def make_optimizer(
+        self,
+        cluster: ClusterSpec,
+        framework: FrameworkProfile = COMPILED,
+        signatures: dict | None = None,
+    ):
+        """A :class:`~repro.core.LancetOptimizer` configured by this
+        policy (the inverse of :meth:`from_optimizer`)."""
+        from ..core.lancet import LancetOptimizer
+
+        return LancetOptimizer(
+            cluster,
+            framework=framework,
+            hyper_params=self.hyper_params(),
+            enable_dw_schedule=self.enable_dw_schedule,
+            enable_partition=self.enable_partition,
+            defer_allreduce=self.defer_allreduce,
+            routing_signatures=signatures,
+            enable_hierarchical_a2a=self.enable_hierarchical_a2a,
+        )
+
+    @classmethod
+    def from_optimizer(cls, optimizer) -> "PlanPolicy":
+        """The policy an existing optimizer plans under.  Every knob
+        that shapes a schedule is part of it, so differently configured
+        optimizers never share a store entry.  An optimizer plans
+        against whatever signatures it is given, hence skew-aware."""
+        hp = optimizer.hyper_params
+        return cls(
+            enable_dw_schedule=optimizer.enable_dw_schedule,
+            enable_partition=optimizer.enable_partition,
+            defer_allreduce=optimizer.defer_allreduce,
+            enable_hierarchical_a2a=optimizer.enable_hierarchical_a2a,
+            skew_aware=True,
+            max_partitions=hp.max_partitions,
+            group_ms=hp.group_ms,
+            max_range_groups=hp.max_range_groups,
+        )
+
 
 class Plan:
     """A compiled, serializable Lancet schedule (see module docstring).

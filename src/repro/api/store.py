@@ -6,9 +6,11 @@ bucket)`` -- to a saved :class:`~repro.api.plan.Plan`, so that a second
 process (or a fleet of trainers) gets a warm plan for the price of a
 JSON read instead of a planner run.  Keys contain nothing process-local
 (see :mod:`repro.api.fingerprint`); signatures enter the key in their
-quantized bucket form, exactly like the in-memory plan cache of
-:class:`~repro.train.ReoptimizingTrainer`, so realizations that would
-yield the same plan share an entry.
+quantized bucket form, so realizations that would yield the same plan
+share an entry.  :func:`plan_key` derives the key from its parts and
+:meth:`PlanStore.key_of` from a plan; ``put``,
+:meth:`repro.serving.PlanServer.publish` and the in-memory plan cache
+of :class:`~repro.train.ReoptimizingTrainer` all key through them.
 
 Layout: one ``<digest>.plan.json`` per entry under the store root, plus
 two sidecar memos -- ``scenario_index.json`` mapping scenario identities
@@ -72,11 +74,19 @@ from .scenario import Scenario
 DEFAULT_KEY_DIGITS = 2
 
 
-def _plan_pipeline(plan: Plan) -> dict | None:
-    """The pipeline-request portion of a plan's store key (``None`` for
-    flat plans)."""
+def _plan_identity(plan: Plan) -> dict:
+    """Every key component of a plan except its signatures: the one
+    place a plan's identity is read off the plan itself."""
     stage_map = getattr(plan, "stage_map", None)
-    return stage_map.request_dict() if stage_map is not None else None
+    return {
+        "fingerprint": plan.fingerprint,
+        "cluster": plan.cluster,
+        "policy": plan.policy,
+        "framework": plan.framework,
+        "placement": plan.placement,
+        # the pipeline *request* of a staged plan (None for flat plans)
+        "pipeline": stage_map.request_dict() if stage_map is not None else None,
+    }
 
 
 def signature_bucket(signatures: dict | None, digits: int = DEFAULT_KEY_DIGITS):
@@ -128,6 +138,58 @@ def bucket_distance(a, b) -> float:
         ) / max(len(loads_a), 1)
         worst = max(worst, scale_d, load_d)
     return worst
+
+
+def _base_payload(
+    fingerprint: str,
+    cluster: ClusterSpec,
+    policy: PlanPolicy,
+    framework: FrameworkProfile,
+    placement=None,
+    pipeline=None,
+) -> dict:
+    payload = {
+        "fingerprint": fingerprint,
+        "cluster": cluster_to_json(cluster),
+        "framework": framework_to_json(framework),
+        "policy": policy.to_dict(),
+    }
+    if placement is not None:
+        # placement-free keys stay byte-identical to pre-placement
+        # stores (existing entries keep resolving); a placement
+        # qualifies the key by its content fingerprint so plans for
+        # different expert layouts can never collide
+        from ..placement import placement_map_fingerprint
+
+        payload["placement"] = placement_map_fingerprint(placement)
+    if pipeline is not None:
+        # same optional-key pattern for staged plans: the *request*
+        # (stages/microbatches/schedule) is part of the identity --
+        # two schedules over the same graph must never share an
+        # entry -- while chosen boundaries are planner output
+        payload["pipeline"] = dict(pipeline)
+    return payload
+
+
+def plan_key(
+    fingerprint: str,
+    cluster: ClusterSpec,
+    policy: PlanPolicy,
+    framework: FrameworkProfile,
+    signatures: dict | None = None,
+    placement=None,
+    pipeline=None,
+    *,
+    digits: int = DEFAULT_KEY_DIGITS,
+) -> str:
+    """Digest of the canonical plan key: what :class:`PlanStore` files
+    entries under, and what the trainer's in-memory plan cache keys on.
+    The whole cluster spec enters the key, not just its name."""
+    payload = _base_payload(
+        fingerprint, cluster, policy, framework, placement, pipeline
+    )
+    payload["signatures"] = signature_bucket(signatures, digits)
+    return canonical_digest(payload)
 
 
 class PlanStore:
@@ -191,37 +253,6 @@ class PlanStore:
 
     # -- keys ----------------------------------------------------------------
 
-    def _base_payload(
-        self,
-        fingerprint: str,
-        cluster: ClusterSpec,
-        policy: PlanPolicy,
-        framework: FrameworkProfile,
-        placement=None,
-        pipeline=None,
-    ) -> dict:
-        payload = {
-            "fingerprint": fingerprint,
-            "cluster": cluster_to_json(cluster),
-            "framework": framework_to_json(framework),
-            "policy": policy.to_dict(),
-        }
-        if placement is not None:
-            # placement-free keys stay byte-identical to pre-placement
-            # stores (existing entries keep resolving); a placement
-            # qualifies the key by its content fingerprint so plans for
-            # different expert layouts can never collide
-            from ..placement import placement_map_fingerprint
-
-            payload["placement"] = placement_map_fingerprint(placement)
-        if pipeline is not None:
-            # same optional-key pattern for staged plans: the *request*
-            # (stages/microbatches/schedule) is part of the identity --
-            # two schedules over the same graph must never share an
-            # entry -- while chosen boundaries are planner output
-            payload["pipeline"] = dict(pipeline)
-        return payload
-
     def key_for(
         self,
         fingerprint: str,
@@ -232,12 +263,16 @@ class PlanStore:
         placement=None,
         pipeline=None,
     ) -> str:
-        """Digest of the canonical cache key."""
-        payload = self._base_payload(
-            fingerprint, cluster, policy, framework, placement, pipeline
+        """Digest of the canonical cache key (see :func:`plan_key`)."""
+        return plan_key(
+            fingerprint, cluster, policy, framework, signatures, placement,
+            pipeline, digits=self.digits,
         )
-        payload["signatures"] = signature_bucket(signatures, self.digits)
-        return canonical_digest(payload)
+
+    def key_of(self, plan: Plan) -> str:
+        """The key a plan is filed under (what :meth:`put` writes and a
+        :meth:`get` of the same identity reads)."""
+        return self.key_for(signatures=plan.signatures, **_plan_identity(plan))
 
     def base_key_for(
         self,
@@ -251,7 +286,7 @@ class PlanStore:
         """Digest of the signature-free identity: the family of entries
         that differ only in their routing-signature bucket."""
         return canonical_digest(
-            self._base_payload(
+            _base_payload(
                 fingerprint, cluster, policy, framework, placement, pipeline
             )
         )
@@ -381,15 +416,7 @@ class PlanStore:
         overrides -- cluster, explicit signatures -- that a plain
         scenario compile would not reproduce).
         """
-        key = self.key_for(
-            plan.fingerprint,
-            plan.cluster,
-            plan.policy,
-            plan.framework,
-            plan.signatures,
-            plan.placement,
-            _plan_pipeline(plan),
-        )
+        key = self.key_of(plan)
         path = plan.save(self.path_for(key))
         self._memory.pop(key, None)
         self.stats["puts"] += 1
@@ -482,14 +509,7 @@ class PlanStore:
 
     def _index_signatures(self, plan: Plan, key: str) -> None:
         index = self._read_signature_index()
-        base = self.base_key_for(
-            plan.fingerprint,
-            plan.cluster,
-            plan.policy,
-            plan.framework,
-            plan.placement,
-            _plan_pipeline(plan),
-        )
+        base = self.base_key_for(**_plan_identity(plan))
         family = index.setdefault(base, {})
         family[key] = signature_bucket(plan.signatures, self.digits)
         atomic_write_text(

@@ -148,7 +148,9 @@ def _trainer_drill(
         trainer.step()
         timeline = injector.simulate(trainer.program, step)
         trainer.observe_device_times(timeline.per_device_compute_ms())
-        if trainer.fault_replans and faulted_program is None:
+        if faulted_program is None and any(
+            e.trigger == "fault" for e in trainer.events
+        ):
             # the schedule in force right after the fault re-plan --
             # the heal at ``heal`` swaps it back out, so grade this one
             faulted_program = trainer.program
@@ -167,7 +169,8 @@ def _trainer_drill(
         degraded.plan_spec, framework=optimizer.framework
     ).optimize(graph)
     faulted_cfg = injector.config_at(onset)
-    replan = next(e for e in trainer.fault_replans if e.trigger == "fault")
+    replans = [e for e in trainer.events if e.trigger != "drift"]
+    replan = next(e for e in replans if e.trigger == "fault")
     post_ms = simulate_cluster(faulted_program, config=faulted_cfg).makespan
     oracle_ms = simulate_cluster(oracle_program, config=faulted_cfg).makespan
     return {
@@ -177,14 +180,14 @@ def _trainer_drill(
         "detection_latency_steps": detected_step - onset,
         "estimated_slowdown": estimate,
         "injected_slowdown": severity,
-        "replans": len(trainer.fault_replans),
+        "replans": len(replans),
         "migrated": replan.migrated,
         "migration_cost_ms": replan.migration_cost_ms,
         "recovered_step": recovered_step,
         "post_replan_ms": post_ms,
         "oracle_ms": oracle_ms,
         "recovery_gap": post_ms / oracle_ms - 1.0,
-        "back_to_nominal": trainer.optimizer is trainer._nominal_optimizer,
+        "back_to_nominal": trainer.optimizer.cluster == cluster,
     }
 
 

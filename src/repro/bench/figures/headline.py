@@ -27,7 +27,7 @@ def plan_store_metrics(preset: str = "gpt2-s-moe/a100x16") -> dict:
     cold compile populated.
     """
     from ...api import PlanStore, Scenario, compile
-    from ...api import compiler as api_compiler
+    from ...core import lancet as core_lancet
 
     scenario = Scenario.preset(preset)
     with tempfile.TemporaryDirectory() as tmp:
@@ -38,14 +38,14 @@ def plan_store_metrics(preset: str = "gpt2-s-moe/a100x16") -> dict:
         # measure -- don't assume -- that the warm path never reaches
         # the planner: count optimizer constructions during the lookup
         constructions = []
-        real_optimizer = api_compiler.LancetOptimizer
+        real_optimizer = core_lancet.LancetOptimizer
 
         def probing_optimizer(*args, **kwargs):
             opt = real_optimizer(*args, **kwargs)
             constructions.append(opt)
             return opt
 
-        api_compiler.LancetOptimizer = probing_optimizer
+        core_lancet.LancetOptimizer = probing_optimizer
         try:
             # best of 3: each round uses a fresh PlanStore instance (a
             # stand-in for a new process, always through the disk), and
@@ -57,7 +57,7 @@ def plan_store_metrics(preset: str = "gpt2-s-moe/a100x16") -> dict:
                 warm_plan = compile(scenario, store=PlanStore(tmp))
                 warm_s = min(warm_s, time.perf_counter() - t0)
         finally:
-            api_compiler.LancetOptimizer = real_optimizer
+            core_lancet.LancetOptimizer = real_optimizer
 
     # if the warm path did run a planner, report its real eval count so
     # the regression gate (baseline: 0) fails with the actual magnitude

@@ -40,6 +40,7 @@ from .optimizer import (
     PlacementOptimizer,
     PlacementResult,
     migration_cost_ms,
+    migration_pays_off,
 )
 from .reference import brute_force_placement, remap_pair_bytes_reference
 from .replay import MigrationEvent, ReplayReport, replay_trace
@@ -55,6 +56,7 @@ __all__ = [
     "ReplayReport",
     "brute_force_placement",
     "migration_cost_ms",
+    "migration_pays_off",
     "normalize_placement",
     "placement_for",
     "placement_map_fingerprint",

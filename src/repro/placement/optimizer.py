@@ -461,3 +461,12 @@ def migration_cost_ms(
         cluster.nic_per_gpu_gbps * 1e9
     )
     return float(cluster.alpha_ms() + max(t_intra, t_inter) * 1e3)
+
+
+def migration_pays_off(win_ms: float, horizon_steps: int, cost_ms: float) -> bool:
+    """The one rule for every priced switch (expert placements here and
+    in :func:`~repro.placement.replay_trace`, fault and recovery
+    schedule swaps in :class:`~repro.train.ReoptimizingTrainer`): take it
+    iff the steady-state per-step win, amortized over ``horizon_steps``,
+    beats the one-off ``cost_ms``."""
+    return win_ms * horizon_steps > cost_ms

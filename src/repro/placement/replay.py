@@ -9,8 +9,10 @@ the stay-on-identity baseline over the *same* trace, so "did migrating
 help, net of its cost?" is answerable from one replay.
 
 :class:`MigrationEvent` is the telemetry record shared with
-:class:`~repro.train.ReoptimizingTrainer` -- the trainer emits the same
-events when its live drift detector triggers a priced migration.
+:class:`~repro.train.ReoptimizingTrainer`, and
+:func:`~repro.placement.migration_pays_off` the pricing rule: the
+trainer emits the same events, decided by the same predicate, when its
+live drift detector triggers a priced migration.
 """
 
 from __future__ import annotations
@@ -20,7 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import ExpertPlacement
-from .optimizer import PlacementOptimizer, migration_cost_ms
+from .optimizer import (
+    PlacementOptimizer,
+    migration_cost_ms,
+    migration_pays_off,
+)
 
 
 @dataclass(frozen=True)
@@ -121,8 +127,8 @@ def replay_trace(
     ``trace`` is a sequence of ``[num_gpus, num_experts]`` dispatch-count
     matrices (one per training step).  Every ``replan_every`` steps the
     optimizer searches for a better placement starting from the current
-    one; a switch is taken only when ``win_ms * horizon_steps >
-    migration_cost_ms`` -- the same pricing rule
+    one; a switch is taken only when :func:`~repro.placement
+    .migration_pays_off` says so -- the pricing rule
     :class:`~repro.train.ReoptimizingTrainer` applies live.
     """
     if horizon_steps < 1:
@@ -150,8 +156,9 @@ def replay_trace(
                 cost = migration_cost_ms(
                     current, candidate, cluster, expert_weight_bytes
                 )
-                win = before_ms - after_ms
-                migrated = win * horizon_steps > cost
+                migrated = migration_pays_off(
+                    before_ms - after_ms, horizon_steps, cost
+                )
                 report.events.append(
                     MigrationEvent(
                         step=step,

@@ -839,16 +839,7 @@ class PlanServer:
         server: written to the shared store and installed in the memory
         cache, so subsequent requests for its identity are warm."""
         self._store_put(plan, index_scenario=index_scenario)
-        from ..api.store import _plan_pipeline
-
-        key = self.store.key_for(
-            plan.fingerprint,
-            plan.cluster,
-            plan.policy,
-            plan.framework,
-            plan.signatures,
-            pipeline=_plan_pipeline(plan),
-        )
+        key = self.store.key_of(plan)
         with self._lock:
             if self._memory is not None:
                 self._memory.put(key, plan)

@@ -2,8 +2,8 @@
 
 from .data import SyntheticCorpus
 from .loop import (
-    ReoptimizationEvent,
     ReoptimizingTrainer,
+    ReplanEvent,
     StepResult,
     Trainer,
 )
@@ -11,8 +11,8 @@ from .optimizer import SGD
 
 __all__ = [
     "SGD",
-    "ReoptimizationEvent",
     "ReoptimizingTrainer",
+    "ReplanEvent",
     "StepResult",
     "SyntheticCorpus",
     "Trainer",

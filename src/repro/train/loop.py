@@ -11,11 +11,11 @@ trajectory bit-for-bit unchanged.
 planning: each step it reads the gate's *observed* dispatch counts from
 the numeric run, summarizes them as per-layer routing signatures,
 measures drift against the signatures the current schedule was optimized
-for, and re-runs :class:`~repro.core.LancetOptimizer` (with a
-signature-keyed plan cache) when the workload has shifted enough that
-the plan is stale.  Because Lancet's transformations are numerically
-exact, swapping schedules mid-training leaves the trajectory
-bit-for-bit unchanged -- only the (simulated) iteration time moves.
+for, and re-plans when the workload (or the cluster's health) has
+shifted enough that the plan is stale.  Because Lancet's transformations
+are numerically exact, swapping schedules mid-training leaves the
+trajectory bit-for-bit unchanged -- only the (simulated) iteration time
+moves.
 """
 
 from __future__ import annotations
@@ -25,11 +25,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..api.compiler import _store_lookup
+from ..api.fingerprint import graph_fingerprint
 from ..api.plan import Plan, PlanPolicy
+from ..api.store import plan_key
 from ..core.cache import LRUCache
+from ..faults.injector import derive_degraded
+from ..faults.model import FaultSpec
 from ..ir import Program
 from ..models.gpt2_moe import ModelGraph
 from ..models.init import init_param_values
+from ..placement import (
+    ExpertPlacement,
+    MigrationEvent,
+    migration_cost_ms,
+    migration_pays_off,
+    placement_for,
+)
 from ..runtime.executor import DeviceEnv, NumericExecutor
 from ..runtime.routing_model import RoutingSignature
 from .data import SyntheticCorpus
@@ -42,8 +54,6 @@ def _check_plan_matches(plan: Plan, graph: ModelGraph) -> None:
     -- worse, with a shared store -- publish re-plans under the wrong
     fingerprint, poisoning every other trainer's cache.
     """
-    from ..api.fingerprint import graph_fingerprint
-
     actual = graph_fingerprint(graph.program)
     if plan.fingerprint != actual:
         raise ValueError(
@@ -51,6 +61,14 @@ def _check_plan_matches(plan: Plan, graph: ModelGraph) -> None:
             f"(plan fingerprint {plan.fingerprint[:23]}..., "
             f"this graph {actual[:23]}...); re-compile for this workload"
         )
+
+
+def _decoded_get(store, ident: dict) -> Plan | None:
+    """``store.get``, decoding the program now: corrupt sections miss."""
+    plan = store.get(**ident)
+    if plan is not None:
+        plan.program
+    return plan
 
 
 @dataclass
@@ -163,64 +181,52 @@ class Trainer:
 
 
 @dataclass
-class ReoptimizationEvent:
-    """Record of one schedule re-optimization (or cache reuse)."""
+class ReplanEvent:
+    """Record of one re-plan of the trainer's schedule.
 
-    step: int
-    drift: float
-    cache_hit: bool
-    #: wall time of the optimizer run (0.0 on a plan-cache hit)
-    wall_seconds: float
-    predicted_ms: float
-    signature_key: tuple
-    #: whether the partition planner reused its warm-start state
-    #: (False on plan-cache hits: the optimizer never ran)
-    warm_start: bool = False
-    #: whether the re-plan came out of the shared :class:`PlanStore`
-    #: (another process -- or an earlier run -- already planned it)
-    store_hit: bool = False
-
-
-@dataclass
-class FaultReplanEvent:
-    """Record of one failure-aware re-plan (fault onset or recovery).
-
-    Unlike :class:`ReoptimizationEvent` (routing drift: same cluster,
-    new signatures), a fault re-plan retargets the *cluster model*
-    itself -- and installing the new schedule is a priced decision:
-    migrating redistributes parameters, so the steady-state win over
-    :attr:`~ReoptimizingTrainer.migration_horizon_steps` iterations
-    must beat the one-off :attr:`migration_cost_ms`.
+    ``trigger`` says why it ran (``"drift"``, ``"fault"`` or
+    ``"recovery"``); ``source`` where the plan came from (``"memory"``:
+    the trainer's plan cache, ``"store"``: the shared
+    :class:`~repro.api.PlanStore`, ``"planned"``: the trainer's own
+    optimizer).  Drift re-plans install unconditionally; fault and
+    recovery swaps redistribute parameters, so they are priced with
+    :func:`~repro.placement.migration_pays_off` and ``migrated`` records
+    the verdict.
     """
 
     step: int
-    #: what triggered the re-plan: ``"fault"`` or ``"recovery"``
     trigger: str
-    #: estimated per-device slowdowns the re-plan targeted
-    #: (``{}`` = fully recovered, re-planning back to nominal)
-    slowdowns: dict
-    #: name of the :class:`~repro.runtime.cluster.ClusterSpec` the new
-    #: plan was compiled against
+    source: str
+    #: :func:`~repro.api.store.plan_key` the plan was looked up under
+    key: str
+    #: name of the :class:`~repro.runtime.cluster.ClusterSpec` planned for
     cluster: str
-    #: predicted iteration time of the *old* schedule on that cluster
-    predicted_stale_ms: float
-    #: predicted iteration time of the re-planned schedule on it
+    #: predicted iteration time of the new schedule; for priced
+    #: re-plans, as simulated on the target cluster for the pricing
     predicted_ms: float
-    #: one-off migration cost (parameter redistribution, priced as one
-    #: full all-reduce of the parameters on the target cluster)
-    migration_cost_ms: float
-    #: whether the new schedule was installed (win beat migration cost)
-    migrated: bool
+    #: wall time of the optimizer run (0.0 unless ``source="planned"``)
     wall_seconds: float
-
-    @property
-    def win_ms(self) -> float:
-        """Steady-state per-iteration win of the re-planned schedule."""
-        return self.predicted_stale_ms - self.predicted_ms
+    #: routing drift that triggered a drift re-plan (0.0 otherwise)
+    drift: float = 0.0
+    #: whether the partition planner reused its warm-start state
+    warm_start: bool = False
+    #: whether the new schedule was installed
+    migrated: bool = True
+    #: priced re-plans: the *old* schedule's iteration time on the target
+    predicted_stale_ms: float | None = None
+    #: priced re-plans: one full all-reduce of the parameters there
+    migration_cost_ms: float = 0.0
 
 
 class ReoptimizingTrainer(Trainer):
-    """Trainer that re-plans the schedule as the routing shifts.
+    """Trainer that re-plans the schedule as the routing or the cluster
+    health shifts.
+
+    Every re-plan runs one sequence, whatever triggered it: look the
+    plan up (this trainer's plan cache, then the shared store, then the
+    trainer's own warm optimizer, whose fresh plans are published back),
+    price it (fault and recovery swaps only), install it, and record a
+    :class:`ReplanEvent` in :attr:`events`.
 
     Parameters
     ----------
@@ -229,18 +235,20 @@ class ReoptimizingTrainer(Trainer):
     optimizer:
         A configured :class:`~repro.core.LancetOptimizer`; its cost
         estimator is re-targeted at each new routing observation (the
-        prediction caches key on the signature, so this is safe).
+        prediction caches key on the signature, so this is safe).  It
+        also carries the expert placement plans assume.
     drift_threshold:
         Re-optimize when any layer's observed signature drifts more than
         this from the signature the current plan was optimized for
         (see :meth:`RoutingSignature.drift_from`).
     cache_digits:
-        Quantization used for plan-cache keys: realizations whose loads
-        round to the same values reuse the cached schedule instead of
-        paying the optimizer wall time again.
+        Quantization of the signature bucket in plan-cache keys:
+        realizations whose loads round to the same values reuse the
+        cached schedule instead of paying the optimizer wall time again.
     plan_cache_size:
-        LRU bound of the signature-keyed plan cache.  A long run visits
-        an unbounded stream of distinct signatures, so the cache must be
+        LRU bound of the plan cache (keyed on
+        :func:`~repro.api.store.plan_key`).  A long run visits an
+        unbounded stream of distinct signatures, so the cache must be
         bounded; hits/misses/evictions are exposed via
         :attr:`plan_cache_stats`.
     plan:
@@ -250,10 +258,10 @@ class ReoptimizingTrainer(Trainer):
         and routing signatures are installed directly.
     store:
         Optional shared :class:`~repro.api.PlanStore`.  Consulted
-        (after the in-memory cache) before every re-optimization --
-        another process may already have planned this signature bucket
-        -- and every fresh re-plan is published back, so a fleet of
-        trainers amortizes planning work.
+        (after the plan cache) before every optimizer run -- another
+        process may already have planned this identity -- and every
+        fresh re-plan is published back, so a fleet of trainers
+        amortizes planning work.
     server:
         Optional :class:`~repro.serving.PlanServer`.  The trainer reads
         through the server's store and publishes every fresh re-plan
@@ -273,9 +281,8 @@ class ReoptimizingTrainer(Trainer):
         bit-identical to a trainer without this feature.
     migration_horizon_steps:
         How many future iterations a fault re-plan (or an expert
-        migration) is amortized over when pricing: the change is
-        installed iff ``win_ms * migration_horizon_steps >
-        migration_cost_ms``.
+        migration) is amortized over when pricing (see
+        :func:`~repro.placement.migration_pays_off`).
     placement_optimizer:
         Optional :class:`~repro.placement.PlacementOptimizer`.  When
         set, every drift-triggered re-plan first searches for a better
@@ -322,7 +329,6 @@ class ReoptimizingTrainer(Trainer):
         self.migration_horizon_steps = migration_horizon_steps
         self.fault_events: list = []
         self.recovery_events: list = []
-        self.fault_replans: list[FaultReplanEvent] = []
         self.placement_optimizer = placement_optimizer
         if expert_weight_bytes is None:
             # two [hidden, ffn_hidden] matrices per expert FFN, f32
@@ -330,9 +336,6 @@ class ReoptimizingTrainer(Trainer):
                 2.0 * graph.cfg.hidden * graph.cfg.ffn_hidden * 4.0
             )
         self.expert_weight_bytes = float(expert_weight_bytes)
-        #: expert placement the current schedule assumes
-        #: (``{layer: ExpertPlacement}`` map; ``None`` = identity layout)
-        self._placements = getattr(optimizer, "placement", None)
         #: telemetry of every priced placement-switch decision
         self.migration_events: list = []
         self.drift_threshold = drift_threshold
@@ -351,7 +354,6 @@ class ReoptimizingTrainer(Trainer):
             program = plan.program
             predicted = plan.predicted_iteration_ms
             initial_signatures = dict(plan.signatures or {})
-            self._fingerprint = plan.fingerprint
         else:
             # initial schedule: optimized for the uniform approximation
             # (no routing has been observed yet)
@@ -359,7 +361,8 @@ class ReoptimizingTrainer(Trainer):
             program, report = optimizer.optimize(graph)
             predicted = report.predicted_iteration_ms
             initial_signatures = {}
-            self._fingerprint = None
+        #: structural fingerprint of the source graph (plan-key component)
+        self._fingerprint = graph_fingerprint(graph.program)
         super().__init__(
             graph,
             program=program,
@@ -370,16 +373,17 @@ class ReoptimizingTrainer(Trainer):
         #: signatures the *current* schedule was optimized for
         self.plan_signatures: dict[object, RoutingSignature] = initial_signatures
         self.predicted_ms = predicted
-        #: plan cache: quantized signature key -> (program, predicted_ms),
+        #: plan cache: canonical plan key -> (program, predicted_ms),
         #: LRU-bounded (signatures form an unbounded key stream)
         self._plan_cache: LRUCache = LRUCache(
             plan_cache_size, name="plan-cache"
         )
-        self.events: list[ReoptimizationEvent] = []
+        #: every re-plan in order, whatever triggered it
+        self.events: list[ReplanEvent] = []
         self._observed: dict[object, RoutingSignature] = {}
         self._routing_vids = self._find_routing_values()
 
-    # -- routing observation ---------------------------------------------------
+    # -- observation -------------------------------------------------------------
 
     def _find_routing_values(self) -> dict[object, list[int]]:
         """Map each MoE layer to the output value ids of its gate
@@ -403,27 +407,38 @@ class ReoptimizingTrainer(Trainer):
         """Read the realized dispatch counts of every MoE layer from the
         step's routing info values -- the simulation counterpart of
         reading the gate's dispatch counters on real hardware."""
-        h_bytes = float(self.graph.cfg.hidden) * 2.0  # f16 activations
+        self.observe_dispatch_counts(
+            {
+                layer: np.stack(
+                    [
+                        np.sum([env[v].expert_counts() for v in vids], axis=0)
+                        for env in results
+                    ]
+                )
+                for layer, vids in self._routing_vids.items()
+            }
+        )
+
+    def observe_dispatch_counts(
+        self, counts_by_layer: dict, bytes_per_token: float | None = None
+    ) -> None:
+        """Install externally recorded dispatch counts as the latest
+        routing observation (``{layer: [devices, experts] counts}``) --
+        the seam trace replay and real-hardware gate counters share with
+        the numeric executor's own observation path."""
+        if bytes_per_token is None:
+            bytes_per_token = float(self.graph.cfg.hidden) * 2.0  # f16
         # attach the cluster topology so observed signatures also carry
         # the 2-hop phase loads (lets re-plans pick flat vs hierarchical
-        # per a2a); skipped when the numeric run is smaller than the
-        # modelled cluster
+        # per a2a); skipped for layers observed at another device count
         topo = self.optimizer.cluster.topology
-        if topo.num_gpus != self.g:
-            topo = None
         self._observed = {}
-        for layer, vids in self._routing_vids.items():
-            counts = np.stack(
-                [
-                    np.sum([env[v].expert_counts() for v in vids], axis=0)
-                    for env in results
-                ]
-            )
+        for layer, counts in counts_by_layer.items():
+            counts = np.asarray(counts)
+            t = topo if topo.num_gpus == counts.shape[0] else None
             self._observed[layer] = RoutingSignature.from_counts(
-                counts, bytes_per_token=h_bytes, topology=topo
+                counts, bytes_per_token=bytes_per_token, topology=t
             )
-
-    # -- the control loop ------------------------------------------------------
 
     def routing_drift(self) -> float:
         """Max drift of the latest observation vs the current plan's
@@ -436,151 +451,86 @@ class ReoptimizingTrainer(Trainer):
             drift = max(drift, sig.drift_from(ref))
         return drift
 
-    def _signature_key(self) -> tuple:
-        return tuple(
-            (layer, sig.key(self.cache_digits))
-            for layer, sig in sorted(self._observed.items())
-        )
-
-    def _policy(self) -> PlanPolicy:
-        """The plan-store policy identity of this trainer's optimizer.
-
-        Every knob that shapes the resulting schedule must be part of
-        the identity, or trainers configured differently would alias to
-        one store entry and install each other's schedules.
-        """
-        opt = self.optimizer
-        return PlanPolicy(
-            enable_dw_schedule=opt.enable_dw_schedule,
-            enable_partition=opt.enable_partition,
-            defer_allreduce=opt.defer_allreduce,
-            enable_hierarchical_a2a=opt.enable_hierarchical_a2a,
-            skew_aware=True,
-            max_partitions=opt.hyper_params.max_partitions,
-            group_ms=opt.hyper_params.group_ms,
-            max_range_groups=opt.hyper_params.max_range_groups,
-        )
-
-    def _ensure_fingerprint(self) -> str:
-        """Structural fingerprint of the source graph (computed once)."""
-        if self._fingerprint is None:
-            from ..api.fingerprint import graph_fingerprint
-
-            self._fingerprint = graph_fingerprint(self.graph.program)
-        return self._fingerprint
-
-    def _store_get(self):
-        """Warm plan for the current observation from the shared store.
-
-        Store problems (corrupt entry, incompatible schema written by a
-        newer build in the fleet) degrade to a cache miss -- the trainer
-        can always re-plan, so a shared-cache read failure must never
-        abort training.
-        """
-        if self.store is None:
-            return None
-        from ..api.plan import PlanError
-
-        try:
-            plan = self.store.get(
-                self._ensure_fingerprint(),
-                self.optimizer.cluster,
-                self._policy(),
-                self.optimizer.framework,
-                dict(self._observed),
-                placement=self._placements,
-            )
-            if plan is not None:
-                plan.program  # materialize now: decode failures = miss
-            return plan
-        except PlanError:
-            return None
-
-    def _store_put(self, program: Program, report) -> None:
-        """Publish a fresh re-plan so other trainers skip the planner."""
-        if self.store is None and self.server is None:
-            return
-        plan = Plan(
-            program=program,
-            cluster=self.optimizer.cluster,
-            policy=self._policy(),
-            fingerprint=self._ensure_fingerprint(),
-            predicted_iteration_ms=report.predicted_iteration_ms,
-            framework=self.optimizer.framework,
-            signatures=dict(self._observed),
-            planner=report.summary_dict(),
-            placement=self._placements,
-        )
-        if self.server is not None:
-            # through the server: also lands in its memory cache, so
-            # every other client is warm for this bucket immediately
-            self.server.publish(plan)
-        else:
-            self.store.put(plan)
+    # -- triggers ----------------------------------------------------------------
 
     def step(self) -> StepResult:
         result = super().step()
-        drift = self.routing_drift()
-        if drift <= self.drift_threshold or not self._observed:
-            return result
-        self._maybe_migrate_placement(result.step)
-        self._replan(result.step, drift)
+        self._on_routing(result.step)
         return result
 
-    def _replan(self, step: int, drift: float) -> None:
-        """Re-plan the schedule for the current observation (cache ->
-        store -> optimizer), install it, and record the event."""
-        key = self._signature_key()
-        # cache keys carry the active planning target: a schedule
-        # compiled for a degraded cluster must never be served once the
-        # trainer has re-targeted the healthy one (and vice versa) --
-        # and the active placement, for the same reason
-        from ..placement import placement_map_fingerprint
+    def replay_observation(
+        self, counts_by_layer: dict, bytes_per_token: float | None = None
+    ) -> float:
+        """Drive one tick of the re-planning control loop from recorded
+        dispatch counts, without executing a training step.
 
-        cache_key = (
-            self.optimizer.cluster.name,
-            placement_map_fingerprint(self._placements),
-        ) + key
-        cached = self._plan_cache.get(cache_key)
-        warm = False
-        store_hit = False
-        if cached is not None:
-            program, predicted = cached
-            wall = 0.0
-        else:
-            stored = self._store_get()
-            if stored is not None:
-                # another process (or an earlier run) already planned
-                # this signature bucket: reuse its schedule verbatim
-                program, predicted = stored.program, stored.predicted_iteration_ms
-                wall = 0.0
-                store_hit = True
-            else:
-                t0 = time.perf_counter()
-                self.optimizer.set_routing_signatures(dict(self._observed))
-                # the optimizer re-plans incrementally: its PlannerState
-                # carries every signature-independent DP table over from
-                # the previous plan, so only the drifted pricing is redone
-                program, report = self.optimizer.optimize(self.graph)
-                wall = time.perf_counter() - t0
-                predicted = report.predicted_iteration_ms
-                warm = report.warm_planned
-                self._store_put(program, report)
-            self._plan_cache.put(cache_key, (program, predicted))
-        self._install_program(program, predicted)
-        self.plan_signatures = dict(self._observed)
-        self.events.append(
-            ReoptimizationEvent(
-                step=step,
-                drift=drift,
-                cache_hit=cached is not None,
-                wall_seconds=wall,
-                predicted_ms=predicted,
-                signature_key=key,
-                warm_start=warm,
-                store_hit=store_hit,
+        Runs the exact drift -> placement-migration -> re-plan sequence
+        :meth:`step` runs after a numeric step; returns the measured
+        drift.  This is what replays a recorded routing trace through
+        the trainer (the ExpertMigration-style drill).
+        """
+        self.observe_dispatch_counts(counts_by_layer, bytes_per_token)
+        return self._on_routing(len(self.history))
+
+    def _on_routing(self, step: int) -> float:
+        """Decide on the latest routing observation: past the drift
+        threshold, reconsider the expert placement, then re-plan."""
+        drift = self.routing_drift()
+        if self._observed and drift > self.drift_threshold:
+            self._maybe_migrate_placement(step)
+            self._replan(step, "drift", drift=drift)
+        return drift
+
+    def observe_device_times(self, device_times_ms) -> list[ReplanEvent]:
+        """Feed one step's observed per-device compute times (e.g.
+        :meth:`~repro.runtime.timeline.ClusterTimeline
+        .per_device_compute_ms`) to the straggler detector.
+
+        Transient blips are absorbed by the detector's EWMA + patience;
+        only *persistent* degradation (or recovery from one) re-targets
+        planning at the estimated cluster health and triggers a priced
+        re-plan.  Returns the :class:`ReplanEvent` records of any
+        re-plans this observation triggered (usually empty).
+        """
+        if self.fault_detector is None:
+            raise ValueError(
+                "no fault_detector configured; pass a StragglerDetector "
+                "to ReoptimizingTrainer(fault_detector=...)"
             )
+        step = max(0, len(self.history) - 1)
+        faults, recoveries = self.fault_detector.observe(
+            step, device_times_ms
         )
+        self.fault_events.extend(faults)
+        self.recovery_events.extend(recoveries)
+        if not faults and not recoveries:
+            return []
+        # re-target planning at the estimated health: a same-policy twin
+        # of the nominal optimizer on the degraded spec while any device
+        # is flagged, the nominal optimizer once all have recovered; the
+        # installed expert placement carries over either way
+        slowdowns = dict(sorted(self.fault_detector.slowdowns().items()))
+        target = nominal = self._nominal_optimizer
+        if slowdowns:
+            degraded = derive_degraded(
+                nominal.cluster,
+                [FaultSpec("straggler", d, s) for d, s in slowdowns.items()],
+            )
+            target = PlanPolicy.from_optimizer(nominal).make_optimizer(
+                degraded.plan_spec, nominal.framework
+            )
+        target.set_placement(self.optimizer.placement)
+        self.optimizer = target
+        trigger = "fault" if faults else "recovery"
+        context = {
+            "trigger": trigger,
+            "step": step,
+            "fault_events": [e.to_dict() for e in faults],
+            "recovery_events": [e.to_dict() for e in recoveries],
+            "slowdowns": {str(d): s for d, s in slowdowns.items()},
+            "cluster": self.optimizer.cluster.name,
+        }
+        return [self._replan(step, trigger, context=context)]
 
     # -- expert placement migration ---------------------------------------------
 
@@ -597,13 +547,6 @@ class ReoptimizingTrainer(Trainer):
         """
         if self.placement_optimizer is None or not self._observed:
             return
-        from ..placement import (
-            ExpertPlacement,
-            MigrationEvent,
-            migration_cost_ms,
-            placement_for,
-        )
-
         popt = self.placement_optimizer
         g = popt.cluster.num_gpus
         before_total = after_total = transfer_ms = 0.0
@@ -622,7 +565,7 @@ class ReoptimizingTrainer(Trainer):
                 # cluster models (e.g. small numeric run, big modelled
                 # cluster): placement cannot be priced for this layer
                 continue
-            current = placement_for(self._placements, layer)
+            current = placement_for(self.optimizer.placement, layer)
             if current is None:
                 current = ExpertPlacement.identity(counts.shape[1], g)
             bpt = sig.bytes_per_token or 1.0
@@ -645,8 +588,9 @@ class ReoptimizingTrainer(Trainer):
             )
         if not changed:
             return
-        win = before_total - after_total
-        migrated = win * self.migration_horizon_steps > transfer_ms
+        migrated = migration_pays_off(
+            before_total - after_total, self.migration_horizon_steps, transfer_ms
+        )
         self.migration_events.append(
             MigrationEvent(
                 step=step,
@@ -661,167 +605,108 @@ class ReoptimizingTrainer(Trainer):
             )
         )
         if migrated:
-            if all(p.is_identity for p in candidates.values()):
-                self._placements = None
-            else:
-                self._placements = dict(candidates)
             # plans from here on price against the remapped signatures
-            self.optimizer.set_placement(self._placements)
+            identity = all(p.is_identity for p in candidates.values())
+            self.optimizer.set_placement(None if identity else candidates)
 
-    # -- trace replay ------------------------------------------------------------
+    # -- the re-plan sequence ----------------------------------------------------
 
-    def observe_dispatch_counts(
-        self, counts_by_layer: dict, bytes_per_token: float | None = None
-    ) -> None:
-        """Install externally recorded dispatch counts as the latest
-        routing observation (``{layer: [devices, experts] counts}``) --
-        the seam trace replay and real-hardware gate counters share with
-        the numeric executor's own observation path."""
-        if bytes_per_token is None:
-            bytes_per_token = float(self.graph.cfg.hidden) * 2.0
-        topo = self.optimizer.cluster.topology
-        self._observed = {}
-        for layer, counts in counts_by_layer.items():
-            counts = np.asarray(counts)
-            t = topo if topo.num_gpus == counts.shape[0] else None
-            self._observed[layer] = RoutingSignature.from_counts(
-                counts, bytes_per_token=bytes_per_token, topology=t
-            )
+    def _identity(self) -> dict:
+        """Plan-store identity of the plan the current target and
+        observation call for (the arguments of
+        :func:`~repro.api.store.plan_key`)."""
+        opt = self.optimizer
+        return {
+            "fingerprint": self._fingerprint,
+            "cluster": opt.cluster,
+            "policy": PlanPolicy.from_optimizer(opt),
+            "framework": opt.framework,
+            "signatures": dict(self._observed) or None,
+            "placement": opt.placement,
+        }
 
-    def replay_observation(
-        self, counts_by_layer: dict, bytes_per_token: float | None = None
-    ) -> float:
-        """Drive one tick of the re-planning control loop from recorded
-        dispatch counts, without executing a training step.
-
-        Runs the exact drift -> placement-migration -> re-plan sequence
-        :meth:`step` runs after a numeric step; returns the measured
-        drift.  This is what replays a recorded routing trace through
-        the trainer (the ExpertMigration-style drill).
-        """
-        step = len(self.history)
-        self.observe_dispatch_counts(counts_by_layer, bytes_per_token)
-        drift = self.routing_drift()
-        if drift <= self.drift_threshold or not self._observed:
-            return drift
-        self._maybe_migrate_placement(step)
-        self._replan(step, drift)
-        return drift
-
-    # -- failure-aware re-planning ---------------------------------------------
-
-    def observe_device_times(self, device_times_ms) -> list[FaultReplanEvent]:
-        """Feed one step's observed per-device compute times (e.g.
-        :meth:`~repro.runtime.timeline.ClusterTimeline
-        .per_device_compute_ms`) to the straggler detector.
-
-        Transient blips are absorbed by the detector's EWMA + patience;
-        only *persistent* degradation (or recovery from one) triggers a
-        fault re-plan.  Returns the :class:`FaultReplanEvent` records of
-        any re-plans this observation triggered (usually empty).
-        """
-        if self.fault_detector is None:
-            raise ValueError(
-                "no fault_detector configured; pass a StragglerDetector "
-                "to ReoptimizingTrainer(fault_detector=...)"
-            )
-        step = max(0, len(self.history) - 1)
-        faults, recoveries = self.fault_detector.observe(
-            step, device_times_ms
-        )
-        self.fault_events.extend(faults)
-        self.recovery_events.extend(recoveries)
-        if not faults and not recoveries:
-            return []
-        trigger = "fault" if faults else "recovery"
-        return [self._fault_replan(step, trigger, faults, recoveries)]
-
-    def _optimizer_for(self, cluster):
-        """A twin of the nominal optimizer targeting another cluster
-        (same ablation switches and hyper-params -- the plan-store
-        policy identity must survive the retarget)."""
-        from ..core.lancet import LancetOptimizer
-
-        base = self._nominal_optimizer
-        return LancetOptimizer(
-            cluster,
-            framework=base.framework,
-            hyper_params=base.hyper_params,
-            enable_dw_schedule=base.enable_dw_schedule,
-            enable_partition=base.enable_partition,
-            defer_allreduce=base.defer_allreduce,
-            enable_hierarchical_a2a=base.enable_hierarchical_a2a,
-        )
-
-    def _fault_replan(
-        self, step: int, trigger: str, faults, recoveries
-    ) -> FaultReplanEvent:
-        """Re-plan against the currently-estimated cluster health and
-        install the new schedule iff the migration prices in."""
-        from ..faults.injector import derive_degraded
-        from ..faults.model import FaultSpec
-        from ..runtime.simulate import SimulationConfig, simulate_program
-
-        slowdowns = self.fault_detector.slowdowns()
-        if slowdowns:
-            degraded = derive_degraded(
-                self._nominal_optimizer.cluster,
-                [
-                    FaultSpec("straggler", target=d, severity=s)
-                    for d, s in sorted(slowdowns.items())
-                ],
-            )
-            target = self._optimizer_for(degraded.plan_spec)
+    def _replan(
+        self, step: int, trigger: str, drift: float = 0.0, context=None
+    ) -> ReplanEvent:
+        """The one re-plan sequence.  Acquire a plan for the current
+        target and observation (the plan cache, then the shared store,
+        then this trainer's own warm optimizer, whose fresh plan is
+        published back), price it (fault and recovery only), install it,
+        and record the event."""
+        ident = self._identity()
+        key = plan_key(**ident, digits=self.cache_digits)
+        cached = self._plan_cache.get(key)
+        stored = None
+        if cached is None and self.store is not None:
+            # a corrupt entry, or one a newer build in the fleet wrote,
+            # degrades to a miss: training must never abort on it
+            stored = _store_lookup(_decoded_get, self.store, ident)
+        wall, warm = 0.0, False
+        if cached is not None:
+            source, (program, predicted) = "memory", cached
+        elif stored is not None:
+            # another process (or an earlier run) already planned this
+            # identity: reuse its schedule verbatim
+            source, program = "store", stored.program
+            predicted = stored.predicted_iteration_ms
         else:
-            target = self._nominal_optimizer
-        # re-target drift re-planning (and its store/cache identity) at
-        # the current health immediately; the *schedule* swap below is
-        # the part migration pricing gates
-        self.optimizer = target
-
-        t0 = time.perf_counter()
-        target.set_routing_signatures(dict(self._observed) or None)
-        program, report = target.optimize(self.graph)
-        wall = time.perf_counter() - t0
-
-        # price the migration: steady-state per-iteration win of the new
-        # schedule on the target cluster vs a one-off parameter
-        # redistribution (one full all-reduce of the parameters)
-        sim = SimulationConfig(
-            cluster=target.cluster, framework=target.framework
-        )
-        stale_ms = simulate_program(self.program, config=sim).makespan
-        new_ms = simulate_program(program, config=sim).makespan
-        param_bytes = float(
-            sum(self.program.type_of(p).nbytes for p in self.program.params)
-        )
-        migration_cost_ms = target.cluster.allreduce_time_ms(param_bytes)
-        win = stale_ms - new_ms
-        migrated = win * self.migration_horizon_steps > migration_cost_ms
-        if migrated:
-            report.fault_context = {
-                "trigger": trigger,
-                "step": step,
-                "fault_events": [e.to_dict() for e in faults],
-                "recovery_events": [e.to_dict() for e in recoveries],
-                "slowdowns": {str(d): s for d, s in sorted(slowdowns.items())},
-                "cluster": target.cluster.name,
-            }
-            self._install_program(program, report.predicted_iteration_ms)
-            self.plan_signatures = dict(self._observed)
-            self._store_put(program, report)
-        event = FaultReplanEvent(
+            source = "planned"
+            t0 = time.perf_counter()
+            self.optimizer.set_routing_signatures(ident["signatures"])
+            # the optimizer re-plans incrementally: its PlannerState
+            # carries every signature-independent DP table over from
+            # the previous plan, so only the drifted pricing is redone
+            program, report = self.optimizer.optimize(self.graph)
+            wall, warm = time.perf_counter() - t0, report.warm_planned
+            predicted = report.predicted_iteration_ms
+            report.fault_context = context
+            if self.store is not None:
+                plan = Plan(
+                    program=program,
+                    predicted_iteration_ms=predicted,
+                    planner=report.summary_dict(),
+                    **ident,
+                )
+                # through the server, the plan also lands in its memory
+                # cache: every other client is warm for it immediately
+                if self.server is not None:
+                    self.server.publish(plan)
+                else:
+                    self.store.put(plan)
+        self._plan_cache.put(key, (program, predicted))
+        event = ReplanEvent(
             step=step,
             trigger=trigger,
-            slowdowns=dict(sorted(slowdowns.items())),
-            cluster=target.cluster.name,
-            predicted_stale_ms=stale_ms,
-            predicted_ms=new_ms,
-            migration_cost_ms=migration_cost_ms,
-            migrated=migrated,
+            source=source,
+            key=key,
+            cluster=ident["cluster"].name,
+            predicted_ms=predicted,
             wall_seconds=wall,
+            drift=drift,
+            warm_start=warm,
         )
-        self.fault_replans.append(event)
+        if trigger != "drift":
+            # price the swap on the target cluster: steady-state win
+            # over the installed schedule vs a one-off parameter
+            # redistribution (one full all-reduce of the parameters)
+            from ..runtime.simulate import SimulationConfig, simulate_program
+
+            opt, old = self.optimizer, self.program
+            sim = SimulationConfig(cluster=opt.cluster, framework=opt.framework)
+            event.predicted_stale_ms = simulate_program(old, config=sim).makespan
+            event.predicted_ms = simulate_program(program, config=sim).makespan
+            event.migration_cost_ms = opt.cluster.allreduce_time_ms(
+                float(sum(old.type_of(p).nbytes for p in old.params))
+            )
+            event.migrated = migration_pays_off(
+                event.predicted_stale_ms - event.predicted_ms,
+                self.migration_horizon_steps,
+                event.migration_cost_ms,
+            )
+        if event.migrated:
+            self._install_program(program, predicted)
+            self.plan_signatures = dict(self._observed)
+        self.events.append(event)
         return event
 
     def _install_program(self, program: Program, predicted_ms: float) -> None:
@@ -841,8 +726,8 @@ class ReoptimizingTrainer(Trainer):
 
     @property
     def reoptimization_seconds(self) -> float:
-        """Total wall time spent re-running the optimizer (cache hits
-        are free)."""
+        """Total wall time spent re-running the optimizer (plan-cache and
+        store hits are free)."""
         return sum(e.wall_seconds for e in self.events)
 
     @property
@@ -851,5 +736,5 @@ class ReoptimizingTrainer(Trainer):
 
     @property
     def plan_cache_stats(self) -> dict:
-        """Hit/miss/eviction counters of the signature-keyed plan cache."""
+        """Hit/miss/eviction counters of the plan cache."""
         return self._plan_cache.stats()

@@ -41,6 +41,25 @@ def small_cluster() -> ClusterSpec:
 
 
 @pytest.fixture(scope="session")
+def tiny_swapped_placement(tiny_graph):
+    """``{first MoE layer: placement}`` for the tiny graph that moves
+    every expert to the other device (a non-identity layout)."""
+    from repro.placement import ExpertPlacement
+
+    g = tiny_graph.num_gpus
+    identity = ExpertPlacement.identity(tiny_graph.cfg.num_experts(g), g)
+    swapped = ExpertPlacement(
+        identity.num_experts,
+        g,
+        tuple(
+            tuple((g - 1 - d, f) for d, f in replicas)
+            for replicas in identity.assignments
+        ),
+    )
+    return {tiny_graph.moe_layers[0].layer: swapped}
+
+
+@pytest.fixture(scope="session")
 def a100_16() -> ClusterSpec:
     return ClusterSpec.p4de(2)
 

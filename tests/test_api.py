@@ -383,12 +383,13 @@ class TestWarmCompileSkipsPlanner:
         cold = compile(scenario, store=store)
         assert not cold.from_store
 
-        import repro.api.compiler as compile_mod
+        import repro.core.lancet as lancet_mod
 
         def boom(*a, **k):  # pragma: no cover - would mean a planner run
             raise AssertionError("planner ran on a warm store lookup")
 
-        monkeypatch.setattr(compile_mod, "LancetOptimizer", boom)
+        # PlanPolicy.make_optimizer resolves the class here at call time
+        monkeypatch.setattr(lancet_mod, "LancetOptimizer", boom)
         warm = compile(scenario, store=PlanStore(tmp_path))
         assert warm.from_store
         assert warm.predicted_iteration_ms == cold.predicted_iteration_ms
@@ -421,10 +422,10 @@ class TestWarmCompileSkipsPlanner:
         cluster = scenario.build_cluster()
         cold = compile(graph, cluster, store=store)
 
-        import repro.api.compiler as compile_mod
+        import repro.core.lancet as lancet_mod
 
         monkeypatch.setattr(
-            compile_mod,
+            lancet_mod,
             "LancetOptimizer",
             lambda *a, **k: (_ for _ in ()).throw(AssertionError("planner ran")),
         )
@@ -522,12 +523,12 @@ class TestTrainerIntegration:
             store=PlanStore(tmp_path),
         )
         b.run(2)  # must not raise
-        assert not any(e.store_hit for e in b.events)
+        assert not any(e.source == "store" for e in b.events)
         assert a.loss_curve() == b.loss_curve()
 
     def test_fleet_shares_plans_through_store(self, tmp_path):
         """Trainer A re-plans and publishes; trainer B re-uses A's plan
-        from the store (store_hit) instead of running its own planner."""
+        from the store (source "store") instead of running its own planner."""
         from repro import GPT2MoEConfig, build_training_graph
         from repro.core import LancetOptimizer
         from repro.train import ReoptimizingTrainer
@@ -549,13 +550,13 @@ class TestTrainerIntegration:
 
         a = make_trainer()
         a.run(2)
-        planned = [e for e in a.events if not e.cache_hit and not e.store_hit]
+        planned = [e for e in a.events if e.source == "planned"]
         assert planned, "trainer A must have planned at least once"
         assert len(store) >= 1
 
         b = make_trainer()
         b.run(2)
-        hits = [e for e in b.events if e.store_hit]
+        hits = [e for e in b.events if e.source == "store"]
         assert hits, "trainer B must reuse trainer A's published plans"
         assert all(e.wall_seconds == 0.0 for e in hits)
         # identical trajectory regardless of where the plan came from

@@ -458,9 +458,9 @@ class TestTrainerIntegration:
         assert stats["maxsize"] == 1
         assert stats["misses"] >= 1
         # every optimizer run after the constructor's cold plan is warm
-        misses = [e for e in tr.events if not e.cache_hit]
+        misses = [e for e in tr.events if e.source == "planned"]
         assert misses and all(e.warm_start for e in misses)
-        hits = [e for e in tr.events if e.cache_hit]
+        hits = [e for e in tr.events if e.source == "memory"]
         assert all(not e.warm_start for e in hits)
 
     def test_trajectory_unchanged_by_warm_replanning(

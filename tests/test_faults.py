@@ -8,6 +8,7 @@ import pytest
 from repro import GPT2MoEConfig, LancetOptimizer, build_training_graph
 from repro.faults import (
     FAULT_KINDS,
+    FaultEvent,
     FaultInjector,
     FaultSchedule,
     FaultSpec,
@@ -296,12 +297,12 @@ class TestFailureAwareTrainer:
         assert [e.device for e in trainer.fault_events] == [1]
         assert trainer.fault_events[0].ratio == pytest.approx(2.0, rel=0.02)
         assert [e.device for e in trainer.recovery_events] == [1]
-        triggers = [e.trigger for e in trainer.fault_replans]
+        triggers = [e.trigger for e in trainer.events]
         assert triggers == ["fault", "recovery"]
         # while degraded, planning targeted the degraded spec...
-        assert trainer.fault_replans[0].cluster != cluster.name
-        # ...and after recovery the nominal optimizer is back
-        assert trainer.optimizer is trainer._nominal_optimizer
+        assert trainer.events[0].cluster != cluster.name
+        # ...and after recovery planning targets the nominal cluster
+        assert trainer.optimizer.cluster == cluster
 
     def test_post_replan_within_10pct_of_oracle(self, setting):
         graph, cluster = setting
@@ -331,11 +332,11 @@ class TestFailureAwareTrainer:
             schedule=FaultSchedule((fault,)),
             migration_horizon_steps=0,  # no future to amortize over
         )
-        assert trainer.fault_replans  # the re-plan still ran...
-        assert not any(e.migrated for e in trainer.fault_replans)
+        assert trainer.events  # the re-plan still ran...
+        assert not any(e.migrated for e in trainer.events)
         # ...but the schedule was never swapped: zero amortization
         # horizon means no win can beat a positive migration cost
-        assert all(e.migration_cost_ms > 0 for e in trainer.fault_replans)
+        assert all(e.migration_cost_ms > 0 for e in trainer.events)
 
     def test_fault_free_run_matches_plain_trainer(self, setting):
         from repro.train import ReoptimizingTrainer
@@ -352,7 +353,7 @@ class TestFailureAwareTrainer:
         )
         plain.run(4)
         assert not with_detector.fault_events
-        assert not with_detector.fault_replans
+        assert not with_detector.events
         # bit-identical trajectory: the fault path never engaged
         assert with_detector.loss_curve() == plain.loss_curve()
 
@@ -420,22 +421,104 @@ class TestFaultContextTelemetry:
             trainer.step()
             tl = injector.simulate(trainer.program, step)
             trainer.observe_device_times(tl.per_device_compute_ms())
-        replan = trainer.fault_replans[0]
+        replan = trainer.events[0]
         assert replan.migrated
         # observed signatures keep drifting after the publish, so look
         # the plan up by nearest signature bucket rather than exact key
         import math
 
-        hit = store.nearest(
-            trainer._ensure_fingerprint(),
-            trainer.optimizer.cluster,
-            trainer._policy(),
-            trainer.optimizer.framework,
-            dict(trainer._observed),
-            max_distance=math.inf,
-        )
+        hit = store.nearest(**trainer._identity(), max_distance=math.inf)
         assert hit is not None
         ctx = hit[0].planner["fault_context"]
         assert ctx["trigger"] == "fault"
         assert ctx["cluster"] == trainer.optimizer.cluster.name
         assert ctx["slowdowns"]["1"] == pytest.approx(2.0, rel=0.02)
+
+
+class _ScriptedDetector:
+    """Stands in for :class:`StragglerDetector`: flags exactly the
+    slowdowns a test hands it, on the next observation."""
+
+    def __init__(self) -> None:
+        self.pending: dict | None = None
+        self.flagged: dict = {}
+
+    def flag(self, slowdowns: dict) -> None:
+        self.pending = dict(slowdowns)
+
+    def observe(self, step, device_times_ms):
+        if self.pending is None:
+            return [], []
+        self.flagged, self.pending = self.pending, None
+        return [FaultEvent(step, d, r) for d, r in self.flagged.items()], []
+
+    def slowdowns(self) -> dict:
+        return dict(self.flagged)
+
+
+class TestFaultReplanPath:
+    """Fault re-plans share the drift path's lookup, keys and placement."""
+
+    def _trainer(self, graph, cluster, optimizer=None, **kw):
+        from repro.train import ReoptimizingTrainer
+
+        detector = _ScriptedDetector()
+        trainer = ReoptimizingTrainer(
+            graph,
+            optimizer or LancetOptimizer(cluster),
+            drift_threshold=10.0,
+            fault_detector=detector,
+            seed=0,
+            **kw,
+        )
+        trainer.step()
+        return trainer, detector
+
+    def _fault(self, trainer, detector, slowdowns):
+        detector.flag(slowdowns)
+        [event] = trainer.observe_device_times([1.0] * trainer.g)
+        assert event.trigger == "fault"
+        return event
+
+    def test_fault_replan_keeps_installed_placement(
+        self, tiny_graph, small_cluster, tiny_swapped_placement
+    ):
+        optimizer = LancetOptimizer(
+            small_cluster, placement=tiny_swapped_placement
+        )
+        trainer, detector = self._trainer(
+            tiny_graph, small_cluster, optimizer=optimizer
+        )
+        self._fault(trainer, detector, {1: 2.0})
+        assert trainer.optimizer.cluster != small_cluster  # retargeted...
+        # ...without dropping the expert layout plans assume
+        assert trainer.optimizer.placement == tiny_swapped_placement
+
+    def test_degraded_specs_with_equal_names_get_distinct_entries(
+        self, tiny_graph, small_cluster
+    ):
+        trainer, detector = self._trainer(tiny_graph, small_cluster)
+        a = self._fault(trainer, detector, {1: 2.001})
+        b = self._fault(trainer, detector, {1: 2.004})
+        assert a.cluster == b.cluster  # the spec names round equal...
+        assert a.key != b.key  # ...the full specs key apart
+        assert b.source == "planned"
+
+    def test_fault_replan_answered_from_store(
+        self, tiny_graph, small_cluster, tmp_path
+    ):
+        from repro.api import PlanStore
+
+        store = PlanStore(tmp_path / "plans")
+        first = self._fault(
+            *self._trainer(tiny_graph, small_cluster, store=store), {1: 2.0}
+        )
+        assert first.source == "planned"
+        # a second trainer on the same store hits the same degraded spec
+        # and observation: the first trainer's published plan answers it
+        second = self._fault(
+            *self._trainer(tiny_graph, small_cluster, store=store), {1: 2.0}
+        )
+        assert second.source == "store"
+        assert second.wall_seconds == 0.0
+        assert second.key == first.key

@@ -30,6 +30,7 @@ import pytest
 
 from repro.api import Plan, Scenario, compile
 from repro.api.codec import signature_from_json, signature_to_json
+from repro.api.store import plan_key
 from repro.core import LancetOptimizer
 from repro.placement import (
     GREEDY_BOUND,
@@ -667,9 +668,8 @@ class TestTrainerMigration:
         assert ev.win_ms * ev.horizon_steps > ev.migration_cost_ms
         assert all(lay == layer for lay, _ in ev.moved_experts)
         # the accepted placement is installed end to end
-        assert trainer._placements is not None
-        assert trainer.optimizer.placement == trainer._placements
-        assert not placement_map_is_identity(trainer._placements)
+        assert trainer.optimizer.placement is not None
+        assert not placement_map_is_identity(trainer.optimizer.placement)
         # migration improves the modeled iteration time vs. the same
         # trace replayed without a placement optimizer
         assert trainer.predicted_ms <= plain.predicted_ms + 1e-9
@@ -699,10 +699,15 @@ class TestTrainerMigration:
         rng = np.random.default_rng(0)
         counts = skewed_counts(rng, cluster.num_gpus, 8, boost=800)
         trainer.replay_observation({layer: counts}, bytes_per_token=1024.0)
-        keys = list(trainer._plan_cache._data.keys())
-        if trainer._placements is not None:
-            fp = placement_map_fingerprint(trainer._placements)
-            assert any(fp in key for key in keys)
+        if trainer.optimizer.placement is not None:
+            ident = trainer._identity()
+            key = trainer.events[-1].key
+            assert key in trainer._plan_cache
+            assert key == plan_key(**ident, digits=trainer.cache_digits)
+            unplaced = plan_key(
+                **{**ident, "placement": None}, digits=trainer.cache_digits
+            )
+            assert key != unplaced
 
 
 def build_training_graph_for(num_gpus: int):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import PlanStore, Scenario
+from repro.api import PlanPolicy, PlanStore, Scenario, graph_fingerprint
 from repro.serving import (
     NEAREST_PREDICTED_GAP_BOUND,
     PlanServer,
@@ -179,7 +179,7 @@ class TestTrainerIntegration:
             store=store,
         )
         other.run(3)
-        assert any(e.store_hit for e in other.events)
+        assert any(e.source == "store" for e in other.events)
 
     def test_published_replan_is_served_warm(
         self, tiny_graph, small_cluster, tmp_path
@@ -202,10 +202,36 @@ class TestTrainerIntegration:
             # the publish path installs the plan in the server's memory
             # cache under its canonical store key
             key = store.key_for(
-                trainer._ensure_fingerprint(),
+                graph_fingerprint(tiny_graph.program),
                 small_cluster,
-                trainer._policy(),
+                PlanPolicy.from_optimizer(trainer.optimizer),
                 trainer.optimizer.framework,
                 trainer.plan_signatures,
             )
             assert server._memory.get(key) is not None
+
+    def test_publish_files_placed_plans_under_their_placed_key(
+        self, tiny_graph, small_cluster, store, tiny_swapped_placement
+    ):
+        """A plan compiled under an expert placement must not answer a
+        placement-free request from the server's memory: ``publish``
+        keys it the way ``store.put`` does, placement included."""
+        from repro.api import Plan, compile
+
+        unplaced = compile(tiny_graph.program, small_cluster)
+        placed = Plan(
+            program=unplaced.program,
+            cluster=unplaced.cluster,
+            policy=unplaced.policy,
+            fingerprint=unplaced.fingerprint,
+            predicted_iteration_ms=unplaced.predicted_iteration_ms,
+            framework=unplaced.framework,
+            signatures=unplaced.signatures,
+            placement=tiny_swapped_placement,
+        )
+        with PlanServer(store) as server:
+            server.publish(placed)
+            assert server._memory.get(store.key_of(placed)) is placed
+            result = server.serve(tiny_graph.program, small_cluster)
+        assert result.origin == "planned"
+        assert result.plan.placement is None

@@ -228,7 +228,7 @@ class TestReoptimizingTrainer:
         )
         tr.run(3)
         assert tr.num_reoptimizations >= 1
-        misses = [e for e in tr.events if not e.cache_hit]
+        misses = [e for e in tr.events if e.source == "planned"]
         assert misses and all(e.wall_seconds > 0 for e in misses)
         assert all(e.drift > 0 for e in tr.events)
         assert tr.reoptimization_seconds == pytest.approx(
@@ -246,9 +246,9 @@ class TestReoptimizingTrainer:
             seed=0,
         )
         tr.run(4)
-        hits = [e for e in tr.events if e.cache_hit]
+        hits = [e for e in tr.events if e.source == "memory"]
         assert hits and all(e.wall_seconds == 0.0 for e in hits)
-        assert len({e.signature_key for e in hits}) <= len(tr._plan_cache)
+        assert len({e.key for e in hits}) <= len(tr._plan_cache)
 
     def test_high_threshold_never_reoptimizes(self, tiny_setup):
         graph, cluster = tiny_setup
