@@ -4,7 +4,9 @@ A serialized plan must be executable anywhere, so it carries the *full*
 cluster and framework specification it was planned for (not just a
 preset name): a plan compiled against a tweaked ``ClusterSpec`` replays
 against exactly that spec.  Round-trips are field-exact -- every float
-is reconstructed bit-for-bit.
+is reconstructed bit-for-bit.  Decoders raise ``TypeError``,
+``ValueError`` or ``OverflowError`` on malformed input, which
+:meth:`repro.api.Plan.from_dict` reports as a :class:`~repro.api.PlanError`.
 """
 
 from __future__ import annotations
@@ -16,13 +18,24 @@ from ..runtime.device import FrameworkProfile, GPUSpec
 from ..runtime.routing_model import RoutingSignature
 
 
+def _expect(obj, kind: type, what: str):
+    """``obj`` when it is a ``kind``; a ``TypeError`` naming ``what``
+    otherwise."""
+    if not isinstance(obj, kind):
+        raise TypeError(
+            f"{what} must be a {kind.__name__}, got {type(obj).__name__}"
+        )
+    return obj
+
+
 def cluster_to_json(cluster: ClusterSpec) -> dict:
     # asdict recurses into the nested GPUSpec dataclass
     return dataclasses.asdict(cluster)
 
 
 def cluster_from_json(obj: dict) -> ClusterSpec:
-    gpu = GPUSpec(**obj["gpu"])
+    _expect(obj, dict, "cluster")
+    gpu = GPUSpec(**_expect(obj["gpu"], dict, "cluster gpu"))
     rest = {k: v for k, v in obj.items() if k != "gpu"}
     return ClusterSpec(gpu=gpu, **rest)
 
@@ -32,7 +45,7 @@ def framework_to_json(framework: FrameworkProfile) -> dict:
 
 
 def framework_from_json(obj: dict) -> FrameworkProfile:
-    return FrameworkProfile(**obj)
+    return FrameworkProfile(**_expect(obj, dict, "framework"))
 
 
 def signature_to_json(sig: RoutingSignature) -> dict:
@@ -49,6 +62,7 @@ def signature_to_json(sig: RoutingSignature) -> dict:
 
 
 def signature_from_json(obj: dict) -> RoutingSignature:
+    _expect(obj, dict, "routing signature")
     hier = obj.get("hier_load")
     counts = obj.get("expert_counts")
     return RoutingSignature(
@@ -80,4 +94,7 @@ def signatures_to_json(signatures: dict | None) -> list | None:
 def signatures_from_json(obj: list | None) -> dict | None:
     if not obj:
         return None
-    return {key: signature_from_json(so) for key, so in obj}
+    return {
+        key: signature_from_json(so)
+        for key, so in _expect(obj, list, "signatures")
+    }

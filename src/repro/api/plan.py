@@ -460,7 +460,7 @@ class Plan:
             )
         except PlanError:
             raise
-        except (KeyError, TypeError, ValueError) as err:
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise PlanError(f"malformed plan document: {err}") from err
         if materialize:
             plan.program  # decode + validate now; raises PlanError on garbage

@@ -40,6 +40,8 @@ _DEFAULT_SEQ = {"tiny": 32}
 
 
 def _resolve_model_name(name: str) -> str:
+    if not isinstance(name, str):
+        raise TypeError(f"model name must be a string, got {name!r}")
     for known in MODEL_BUILDERS:
         if name.lower() == known.lower():
             return known

@@ -26,12 +26,11 @@ implementation (:mod:`.dp_reference`), but
 * the k=1 relaxation is evaluated vectorized over candidate ``i`` with
   numpy (candidates past the window's last all-to-all group reduce to a
   single ``argmin``);
-* candidate pricing is hoisted out of the recurrence (``P(i, n, k)`` is
-  a pure range property, independent of the DP tables): every candidate
-  is priced through the caches first, and the pipeline simulations they
-  miss run afterwards in one :func:`~.pipeline.resolve_pending` call,
-  each through the scalar two-stream recurrence
-  :meth:`~.pipeline.RangeContext.simulate_ms`;
+* each pipeline candidate is priced where the recurrence relaxes it,
+  through :meth:`~.pipeline.RangeContext.cost` and the
+  :class:`~.pipeline.PlanCaches` (a sim-cache miss runs the scalar
+  two-stream recurrence :meth:`~.pipeline.RangeContext.simulate_ms`
+  on the spot);
 * a cold plan infers partition axes incrementally: the DP only grows a
   candidate range at its end, so each range start keeps one
   :class:`~.axis_inference.AxisProblem` for the duration of the plan and
@@ -64,8 +63,11 @@ from .axis_inference import (
     infer_axes,  # noqa: F401 -- perfbench/spans.py patches this name
     range_is_moe_only,
 )
-from .pipeline import PendingCost, PlanCaches, RangeContext, resolve_pending
+from .pipeline import PlanCaches, RangeContext
 from .rules import RuleContext
+
+# inert: perfbench/spans.py still resolves this retired lane-engine name
+resolve_pending = None
 
 
 @dataclass(frozen=True)
@@ -556,54 +558,14 @@ def plan_partitions(
 
     sims_before = caches.sim.misses
 
-    # -- phase A: enumerate every pipeline candidate P(i, n, k) in DP
-    # order and price it through the caches.  Candidate costs do not
-    # depend on the DP tables (P is a pure range property), so pricing
-    # can be hoisted out of the recurrence wholesale; sim-cache misses
-    # stay unevaluated for phase B.  Every candidate's (i_pos, n_pos,
-    # k) is distinct, so deferring the puts cannot turn a would-be hit
-    # into a miss within this plan.  A range context that misses extends
-    # its start's axis problem (n ascends, so ranges only grow at the
-    # end); a start's problem is dropped once it leaves the window.
-    pending: dict[tuple[int, int, int], PendingCost] = {}
-    missing: list[PendingCost] = []
+    # One pass in DP order.  A range context that misses extends its
+    # start's axis problem (n ascends, so ranges only grow at the end);
+    # a start's problem is dropped once it leaves the window.
     for n in range(1, ng + 1):
         lo = n - max_range
         if lo < 0:
             lo = 0
         state.prune_frontiers(groups[lo].start)
-        gl = int(last_a2a[n])
-        pipe_end = gl + 1 if gl >= lo else lo
-        if pipe_end <= lo:
-            continue
-        n_pos = groups[n - 1].end
-        for i in range(lo, pipe_end):
-            i_pos = groups[i].start
-            ctx = state.context(program, i_pos, n_pos)
-            if ctx is None:
-                continue
-            view = consumers.view(i_pos, n_pos)
-            for k in k_candidates:
-                if k > ctx.k_limit:
-                    continue
-                result.num_cost_evals += 1
-                pend = ctx.begin_cost(k, costs, view, caches)
-                pending[(i, n, k)] = pend
-                if pend.pipeline_ms is None:
-                    missing.append(pend)
-    state.frontiers.clear()
-
-    # -- phase B: run every owed simulation, in the order phase A
-    # priced the candidates
-    resolve_pending(missing, caches)
-
-    # -- phase C: the DP recurrence itself, over precomputed candidate
-    # costs; update order -- and therefore every strict-< tie -- is
-    # exactly the fused loop's
-    for n in range(1, ng + 1):
-        lo = n - max_range
-        if lo < 0:
-            lo = 0
         # k = 1 candidates, vectorized over i: T[i] + (S[n] - S[i]).
         # Elementwise float64 ops, so every entry carries exactly the
         # bits the reference's scalar expression produces.
@@ -621,17 +583,21 @@ def plan_partitions(
                     T[n] = c
                     parent[n] = (i, 1, None)
                 i_pos = groups[i].start
+                ctx = state.context(program, i_pos, n_pos)
+                if ctx is None:
+                    continue
+                view = consumers.view(i_pos, n_pos)
                 for k in k_candidates:
-                    pend = pending.get((i, n, k))
-                    if pend is None:
+                    if k > ctx.k_limit:
                         continue
-                    cost = pend.cost()
+                    result.num_cost_evals += 1
+                    cost = ctx.cost(k, costs, view, caches)
                     if T[i] + cost.total_ms < T[n]:
                         plan = RangePlan(
                             start=i_pos,
                             end=n_pos,
                             parts=k,
-                            axes=pend.ctx.axes,
+                            axes=ctx.axes,
                             predicted_ms=cost.total_ms,
                             sequential_ms=float(
                                 seq_prefix[n] - seq_prefix[i]
@@ -648,6 +614,7 @@ def plan_partitions(
             if tail[j] < T[n]:
                 T[n] = tail[j]
                 parent[n] = (pipe_end + j, 1, None)
+    state.frontiers.clear()
 
     result.num_pipeline_sims = caches.sim.misses - sims_before
 

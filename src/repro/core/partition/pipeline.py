@@ -20,13 +20,13 @@ the routing signature (stage decomposition, intra-range dependencies,
 boundary-overhead operands, chunk-duration cache keys) and
 :class:`PlanCaches` memoizes the signature-independent numbers (compute
 chunk durations, boundary overheads) plus finished pipeline simulations
-keyed by the realized all-to-all chunk durations.  Every path -- the
-one-shot :func:`pipeline_cost_ms` behind the reference DP, and the fast
-DP's :meth:`RangeContext.begin_cost` / :func:`resolve_pending` -- prices
-a candidate with the same chunk durations and the same scalar
-recurrence, :meth:`RangeContext.simulate_ms`, so caching can never
-change a predicted number: a cache hit returns the value the uncached
-evaluation would have produced, bit for bit.
+keyed by the realized all-to-all chunk durations.  There is one pricing
+method, :meth:`RangeContext.cost`: the one-shot :func:`pipeline_cost_ms`
+behind the reference DP calls it uncached, the fast DP with its
+:class:`PlanCaches`.  Both run the same chunk durations through the same
+scalar recurrence, :meth:`RangeContext.simulate_ms`, so caching can
+never change a predicted number: a cache hit returns the value the
+uncached evaluation would have produced, bit for bit.
 """
 
 from __future__ import annotations
@@ -191,22 +191,24 @@ class PlanCaches:
             DEFAULT_SIM_CACHE_SIZE, name="planner-pipe-sim"
         )
     )
-    #: batch evaluations of sim-cache misses (one per
-    #: :func:`resolve_pending` call) and the lanes -- owed ``(range,
-    #: parts)`` simulations -- they carried
-    batch_calls: int = 0
-    batch_lanes: int = 0
 
     def stats(self) -> dict:
         return {
             "chunk": self.chunk.stats(),
             "overhead": self.overhead.stats(),
             "sim": self.sim.stats(),
-            "batch": {
-                "calls": self.batch_calls,
-                "lanes": self.batch_lanes,
-            },
         }
+
+
+def _memoized(cache: LRUCache | None, key, compute):
+    """``compute()``, looked up in and stored to ``cache`` when given."""
+    if cache is None:
+        return compute()
+    value = cache.get(key)
+    if value is None:
+        value = compute()
+        cache.put(key, value)
+    return value
 
 
 class RangeContext:
@@ -427,102 +429,42 @@ class RangeContext:
                         end[i * parts + p] = comp_free
         return max(end)
 
-    def begin_cost(
+    def cost(
         self,
         parts: int,
         costs: CostEstimator,
-        consumers_after,
-        caches: PlanCaches,
-    ) -> "PendingCost":
-        """Price a candidate through the caches, deferring any missing
-        pipeline simulation.
+        consumers_after=None,
+        caches: PlanCaches | None = None,
+    ) -> PipelineCost:
+        """The paper's ``P(i, n, k)`` for this range.
 
-        A sim-cache miss leaves ``pipeline_ms = None`` for
-        :func:`resolve_pending`, which the DP calls once after pricing
-        every candidate.
+        With ``caches``, the chunk template, the finished simulation and
+        the boundary overhead are memoized; a hit returns the value the
+        uncached evaluation would have produced, bit for bit.
         """
         durs = self.chunk_durations(parts, costs, caches)
         # a finished simulation depends only on the range structure and
         # the duration vector; the non-a2a entries are pinned by (range,
         # parts), so keying by the realized all-to-all chunk durations
         # makes the entry self-invalidating under drift
-        sim_key = (
-            self.start,
-            self.end,
-            parts,
-            tuple(durs[i] for i in self.a2a_idx),
+        pipeline_ms = _memoized(
+            None if caches is None else caches.sim,
+            (self.start, self.end, parts, tuple(durs[i] for i in self.a2a_idx)),
+            lambda: self.simulate_ms(durs, parts),
         )
-        pipeline_ms = caches.sim.get(sim_key)
         overhead = 0.0
         if consumers_after is not None:
-            oh_key = (self.start, self.end, parts)
-            overhead = caches.overhead.get(oh_key)
-            if overhead is None:
-                overhead = self.boundary_overhead_ms(
-                    parts, costs, consumers_after
-                )
-                caches.overhead.put(oh_key, overhead)
-        return PendingCost(
-            ctx=self,
-            parts=parts,
-            durs=durs,
-            sim_key=sim_key,
-            pipeline_ms=pipeline_ms,
-            overhead_ms=overhead,
-        )
-
-    def cost(
-        self, parts: int, costs: CostEstimator, consumers_after=None
-    ) -> PipelineCost:
-        """The paper's ``P(i, n, k)`` for this range, evaluated uncached."""
-        durs = self.chunk_durations(parts, costs, None)
-        pipeline_ms = self.simulate_ms(durs, parts)
-        overhead = 0.0
-        if consumers_after is not None:
-            overhead = self.boundary_overhead_ms(parts, costs, consumers_after)
+            overhead = _memoized(
+                None if caches is None else caches.overhead,
+                (self.start, self.end, parts),
+                lambda: self.boundary_overhead_ms(parts, costs, consumers_after),
+            )
         return PipelineCost(
             total_ms=pipeline_ms + overhead,
             pipeline_ms=pipeline_ms,
             overhead_ms=overhead,
             num_stages=len(self.stages),
         )
-
-
-@dataclass
-class PendingCost:
-    """One DP candidate priced through the caches, with its pipeline
-    simulation possibly still owed (``pipeline_ms is None`` until
-    :func:`resolve_pending` evaluates the misses)."""
-
-    ctx: RangeContext
-    parts: int
-    durs: list[float]
-    sim_key: tuple
-    pipeline_ms: float | None
-    overhead_ms: float
-
-    def cost(self) -> PipelineCost:
-        return PipelineCost(
-            total_ms=self.pipeline_ms + self.overhead_ms,
-            pipeline_ms=self.pipeline_ms,
-            overhead_ms=self.overhead_ms,
-            num_stages=len(self.ctx.stages),
-        )
-
-
-def resolve_pending(missing: list[PendingCost], caches: PlanCaches) -> None:
-    """Run every owed pipeline simulation and cache its result.
-
-    Each lane runs :meth:`RangeContext.simulate_ms`, and results are
-    ``put`` in list order -- the order the DP priced the candidates.
-    """
-    if not missing:
-        return
-    caches.batch_calls += 1
-    caches.batch_lanes += len(missing)
-    for pend in missing:
-        pend.pipeline_ms = pend.ctx.simulate_ms(pend.durs, pend.parts)
-        caches.sim.put(pend.sim_key, pend.pipeline_ms)
 
 
 def pipeline_cost_ms(

@@ -110,7 +110,7 @@ def _type_from_json(obj: dict) -> TensorType:
             dtype=DType(obj["dtype"]),
             dims=tuple(Dim(d) for d in obj["dims"]),
         )
-    except (KeyError, ValueError, TypeError) as err:
+    except (KeyError, ValueError, TypeError, OverflowError) as err:
         raise SerializationError(f"bad serialized type {obj!r}: {err}") from err
 
 
@@ -151,7 +151,7 @@ def _instruction_from_json(obj: dict) -> Instruction:
         )
     except SerializationError:
         raise
-    except (KeyError, ValueError, TypeError) as err:
+    except (KeyError, ValueError, TypeError, OverflowError) as err:
         raise SerializationError(
             f"bad serialized instruction {obj!r}: {err}"
         ) from err
@@ -212,6 +212,10 @@ def program_from_json(obj: dict, check: bool = True) -> Program:
             vid = int(vid)
             if vid in p.values:
                 raise SerializationError(f"duplicate value id {vid}")
+            if type(tidx) is not int or not 0 <= tidx < len(types):
+                raise SerializationError(
+                    f"value {vid} has bad type index {tidx!r}"
+                )
             p.values[vid] = Value(vid, types[tidx], str(name))
         p.instructions = [_instruction_from_json(io) for io in obj["instructions"]]
         p.inputs = [int(v) for v in obj["inputs"]]
@@ -221,7 +225,7 @@ def program_from_json(obj: dict, check: bool = True) -> Program:
         p.grads = {int(k): int(v) for k, v in obj["grads"]}
     except SerializationError:
         raise
-    except (KeyError, ValueError, TypeError) as err:
+    except (KeyError, ValueError, TypeError, OverflowError) as err:
         raise SerializationError(f"malformed serialized program: {err}") from err
 
     # future values must allocate above every deserialized id, and the

@@ -193,13 +193,12 @@ class GroundTruthCost:
         if self.config.padded_a2a or not instr.attrs.get("irregular", False):
             return None
         buf_t = program.type_of(instr.inputs[0])
-        e, c, h = buf_t.shape
-        tokens = int(instr.attrs.get("tokens", e * c))
+        e, capacity, h = buf_t.shape
+        tokens = int(instr.attrs.get("tokens", e * capacity))
         layer_key = instr.attrs.get("moe_layer", instr.origin or instr.uid)
         fraction = 1.0
         if instr.partition is not None:
             fraction = 1.0 / instr.partition[1]
-        capacity = c if fraction == 1.0 else int(np.ceil(c))
         draw = (layer_key, self.config.cluster.num_gpus, e, tokens, capacity)
         return draw, fraction, h * buf_t.dtype.nbytes
 

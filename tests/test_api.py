@@ -15,12 +15,16 @@ Covers the ISSUE 5 acceptance criteria:
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     PLAN_SCHEMA_VERSION,
+    Plan,
     PlanError,
     PlanPolicy,
     PlanSchemaError,
@@ -42,6 +46,45 @@ def scenario():
 @pytest.fixture(scope="module")
 def compiled(scenario):
     return compile(scenario)
+
+
+@pytest.fixture(scope="module")
+def hot_doc():
+    """A skew-aware plan document (it carries routing signatures)."""
+    plan = compile(Scenario.preset("tiny/a100x8-hot"))
+    return json.loads(json.dumps(plan.to_dict()))
+
+
+#: what a mutation may plant anywhere in a plan document
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats()
+    | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+def mutate(doc, data) -> None:
+    """Walk ``doc`` down a drawn path and delete or replace one node."""
+    node = doc
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        if not keys:
+            return
+        key = data.draw(st.sampled_from(keys))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+            continue
+        if data.draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = data.draw(JSON_VALUES)
+        return
 
 
 class TestScenario:
@@ -240,6 +283,41 @@ class TestPlanErrors:
             load_plan(path)
 
 
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            (("scenario", "model"), 1.5),
+            (("signatures", 0, 1), None),
+            (("program", "values", 0, 2), 10**6),
+            # -1 would index the last type, which value 1 validates under
+            (("program", "values", 1, 2), -1),
+            (("program", "types", 0, "shape", 0), float("inf")),
+        ],
+    )
+    def test_ill_typed_fields_rejected(self, hot_doc, path, value):
+        doc = copy.deepcopy(hot_doc)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(PlanError):
+            Plan.from_dict(doc)
+        with pytest.raises(PlanError):  # the lazy path decodes later
+            Plan.from_dict(doc, materialize=False).program
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_mutated_documents_raise_only_plan_errors(self, hot_doc, data):
+        """Any single deleted or replaced node either decodes or raises
+        PlanError (PlanSchemaError included) -- never anything else."""
+        doc = copy.deepcopy(hot_doc)
+        mutate(doc, data)
+        try:
+            Plan.from_dict(doc)
+        except PlanError:
+            pass
+
+
 class TestPlanStore:
     def test_put_get_round_trip(self, compiled, tmp_path):
         store = PlanStore(tmp_path)
@@ -350,6 +428,20 @@ class TestPlanStore:
         # the bad entry was replaced; the next lookup is warm again
         healed = compile(scenario, store=PlanStore(tmp_path))
         assert healed.from_store
+
+    def test_ill_typed_entry_degrades_to_replan(self, tmp_path):
+        """A stored entry whose JSON parses but holds a wrongly typed
+        field is corrupt too: compile() warns and re-plans."""
+        hot = Scenario.preset("tiny/a100x8-hot")
+        cold = compile(hot, store=PlanStore(tmp_path))
+        (path,) = PlanStore(tmp_path).entries()
+        obj = json.loads(path.read_text())
+        obj["scenario"]["model"] = 1.5
+        path.write_text(json.dumps(obj))
+        with pytest.warns(UserWarning, match="re-planning"):
+            again = compile(hot, store=PlanStore(tmp_path))
+        assert not again.from_store
+        assert again.predicted_iteration_ms == cold.predicted_iteration_ms
 
     def test_corrupt_entry_raises_not_garbage(self, compiled, tmp_path):
         store = PlanStore(tmp_path)

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles.cluster_reference import simulate_cluster_reference
 
-from repro.core import LancetOptimizer, plan_partitions
+from repro.core import LancetOptimizer
 from repro.faults import (
     FaultInjector,
     FaultSchedule,
@@ -255,45 +255,3 @@ class TestTimelineReductionStability:
             == tl.total_time_of({"all_to_all"})
         )
 
-
-class TestLaneEngineDifferential:
-    """The DP defers its sim-cache misses -- ``(range, parts)`` lanes --
-    to one ``resolve_pending`` call per plan."""
-
-    def test_planner_reports_batch_counters(self):
-        """LancetReport.cache_stats carries the batch-hit counters, and a
-        plan actually routes its sim misses through the batch."""
-        graph = build_grid_graph(2, 4, 4, 64)
-        cluster = ClusterSpec.for_gpus("a100", 4)
-        opt = LancetOptimizer(cluster)
-        _, report = opt.optimize(graph)
-        stats = report.cache_stats
-        assert stats["planner_batch"]["calls"] >= 1
-        assert (
-            stats["planner_batch"]["lanes"]
-            == stats["planner_sim"]["misses"]
-        )
-
-    def test_warm_drift_replan_still_batches(self):
-        """After routing drift, the re-priced candidates go through the
-        lane batch too (the warm path the throughput target cares about)."""
-        graph = build_grid_graph(2, 4, 4, 64)
-        cluster = ClusterSpec.for_gpus("a100", 4)
-        opt = LancetOptimizer(cluster)
-        opt.optimize(graph)
-        state = opt.planner_state
-        calls_before = state.caches.batch_calls
-        lanes_before = state.caches.batch_lanes
-        opt.observe_routing(
-            graph,
-            SyntheticRoutingModel(
-                seed=11, concentration=0.5, hot_experts=1, hot_boost=0.6
-            ),
-        )
-        result = plan_partitions(graph.program, opt.costs, state=state)
-        assert result.warm_start and result.num_pipeline_sims > 0
-        assert state.caches.batch_calls == calls_before + 1
-        assert (
-            state.caches.batch_lanes - lanes_before
-            == result.num_pipeline_sims
-        )
