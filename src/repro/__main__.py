@@ -293,6 +293,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 def _cmd_serve_stats(args: argparse.Namespace) -> int:
     from .api import PlanStore
     from .api.plan import PlanError
+    from .api.store import SIGNATURE_INDEX
 
     try:
         # read-only: stats over a missing root is a well-formed empty
@@ -301,7 +302,7 @@ def _cmd_serve_stats(args: argparse.Namespace) -> int:
     except PlanError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    buckets = store._read_signature_index()
+    buckets = store._read_sidecar(SIGNATURE_INDEX)
     payload = {
         "root": str(store.root),
         "exists": store.root.is_dir(),

@@ -23,7 +23,6 @@ share the exact same workload-identity and planning logic:
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 
 from ..ir import Program
@@ -31,28 +30,9 @@ from ..models import ModelGraph
 from ..runtime.cluster import ClusterSpec
 from ..runtime.device import COMPILED, FrameworkProfile
 from .fingerprint import graph_fingerprint
-from .plan import Plan, PlanError, PlanPolicy
+from .plan import Plan, PlanPolicy
 from .scenario import Scenario
-from .store import PlanStore
-
-
-def _store_lookup(lookup, *args, **kwargs):
-    """Run a store lookup, degrading store problems to a cache miss.
-
-    A corrupt entry or one written under a newer schema (by another
-    fleet member) must not make compilation impossible -- the planner
-    can always recompute, and the subsequent ``put`` replaces the bad
-    entry.  The problem is surfaced as a warning rather than swallowed;
-    direct ``PlanStore.get`` / ``Plan.load`` callers still get the
-    exception.
-    """
-    try:
-        return lookup(*args, **kwargs)
-    except PlanError as err:
-        warnings.warn(
-            f"plan store lookup failed ({err}); re-planning", stacklevel=3
-        )
-        return None
+from .store import PlanStore, store_call
 
 
 def _observed_signatures(program: Program, scenario: Scenario, cluster) -> dict | None:
@@ -97,6 +77,21 @@ class ResolvedWorkload:
     #: .StageMap.request_dict` shape) -- ``None`` for flat workloads.
     #: Folded into store keys; drives the staged planning branch.
     pipeline: dict | None = None
+
+    @property
+    def identity(self) -> dict:
+        """The store identity: keyword arguments of
+        :meth:`~repro.api.store.PlanStore.get` and ``nearest`` (the
+        trainer's plan identity, with the pipeline request in place of
+        an expert placement, which a resolved workload never carries)."""
+        return {
+            "fingerprint": self.fingerprint,
+            "cluster": self.cluster,
+            "policy": self.policy,
+            "framework": self.framework,
+            "signatures": self.signatures,
+            "pipeline": self.pipeline,
+        }
 
     @property
     def program(self) -> Program:
@@ -297,7 +292,9 @@ def compile(
     store:
         Plan cache consulted before planning and updated after; a warm
         hit skips the planner entirely (``plan.from_store`` is True and
-        no :class:`~repro.core.LancetOptimizer` is constructed).
+        no :class:`~repro.core.LancetOptimizer` is constructed).  A
+        corrupt entry or a store I/O error costs a warned re-plan, never
+        the compile (:func:`~repro.api.store.store_call`).
     signatures:
         Explicit per-layer routing signatures to plan against
         (overrides the scenario-derived observation).
@@ -316,9 +313,7 @@ def compile(
     ):
         # fast path: a pure scenario's store key is memoized, so a warm
         # lookup needs no graph build, no fingerprint, no observation
-        plan = _store_lookup(
-            store.lookup_scenario, scenario, policy, framework
-        )
+        plan = store_call(store.lookup_scenario, scenario, policy, framework)
         if plan is not None:
             return plan
 
@@ -330,21 +325,13 @@ def compile(
         framework=framework,
     )
     if store is not None:
-        plan = _store_lookup(
-            store.get,
-            resolved.fingerprint,
-            resolved.cluster,
-            resolved.policy,
-            resolved.framework,
-            resolved.signatures,
-            pipeline=resolved.pipeline,
-        )
+        plan = store_call(store.get, **resolved.identity)
         if plan is not None:
             return plan
 
     plan = plan_resolved(resolved, check=check)
     if store is not None:
-        store.put(plan, index_scenario=resolved.scenario_pure)
+        store_call(store.put, plan, index_scenario=resolved.scenario_pure)
     return plan
 
 

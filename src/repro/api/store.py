@@ -12,20 +12,28 @@ share an entry.  :func:`plan_key` derives the key from its parts and
 :meth:`repro.serving.PlanServer.publish` and the in-memory plan cache
 of :class:`~repro.train.ReoptimizingTrainer` all key through them.
 
+``compile()``, :class:`repro.serving.PlanServer` and the re-planning
+trainer read and write the store through :func:`store_call`, the one
+degrader of store errors (direct ``PlanStore.get`` callers still get
+the exception).
+
 Layout: one ``<digest>.plan.json`` per entry under the store root, plus
-two sidecar memos -- ``scenario_index.json`` mapping scenario identities
-to entry digests (the memo that lets ``compile(scenario, store=...)``
-answer a warm lookup without even building the graph) and
+two sidecar memos, read and written through one pair of methods --
+``scenario_index.json`` mapping :func:`scenario_key` digests to entry
+digests (the memo that lets ``compile(scenario, store=...)`` answer a
+warm lookup without even building the graph) and
 ``signature_index.json`` mapping each *base* identity (everything but
 the signature bucket) to the buckets stored for it, which is what
 nearest-signature serving (:meth:`PlanStore.nearest`,
 :class:`repro.serving.PlanServer`) walks on an exact-bucket miss.
 
-Concurrency: entry writes are atomic (write-to-temp + rename), and every
-sidecar read-modify-write (index updates, eviction) runs under an
-exclusive ``flock`` on ``<root>/.lock``, so any number of server workers
-or fleet processes can share one store directory -- concurrent writers
-at worst duplicate planning work, never corrupt an entry or an index.
+Concurrency: every write -- entries (write-to-temp + rename), sidecar
+read-modify-writes, eviction -- runs under an exclusive ``flock`` on
+``<root>/.lock``, so any number of server workers or fleet processes
+can share one store directory -- concurrent writers at worst duplicate
+planning work, never corrupt an entry or an index.  A writer killed
+before its rename leaves a ``*.tmp`` orphan that :meth:`PlanStore.clear`
+removes.
 
 Reads of entries this process already loaded are served from an
 in-memory cache validated by *content fingerprint* (SHA-256 of the file
@@ -49,6 +57,7 @@ import json
 import math
 import os
 import pathlib
+import time
 import warnings
 
 try:  # POSIX; on platforms without fcntl the lock degrades to a no-op
@@ -72,6 +81,46 @@ from .scenario import Scenario
 #: quantization (decimal digits) of signature loads in store keys --
 #: matches the ReoptimizingTrainer plan-cache default
 DEFAULT_KEY_DIGITS = 2
+
+#: sidecar memos under the store root (see the module docstring)
+SCENARIO_INDEX = "scenario_index.json"
+SIGNATURE_INDEX = "signature_index.json"
+
+
+def store_call(
+    call, *args, retries=0, backoff_s=0.01, on_retry=None, on_error=None, **kw
+):
+    """Run one store lookup or put; a broken store costs a re-plan,
+    never the caller.
+
+    A :class:`PlanError` (corrupt or foreign-schema entry, which the
+    caller's next ``put`` replaces) degrades at once.  An ``OSError``
+    is retried ``retries`` times with exponential backoff from
+    ``backoff_s`` (``on_retry(err)`` each time), then degrades
+    (``on_error(err)``).  Degrading warns and returns ``None``: a miss
+    for a lookup, a skipped write for a put.  Hits are returned as is.
+    """
+    for attempt in range(retries + 1):
+        try:
+            return call(*args, **kw)
+        except PlanError as err:
+            warnings.warn(
+                f"plan store entry unusable ({err}); re-planning", stacklevel=2
+            )
+            return None
+        except OSError as err:
+            if attempt < retries:
+                if on_retry is not None:
+                    on_retry(err)
+                time.sleep(backoff_s * 2.0**attempt)
+                continue
+            if on_error is not None:
+                on_error(err)
+            warnings.warn(
+                f"plan store unavailable ({err}); continuing without it",
+                stacklevel=2,
+            )
+            return None
 
 
 def _plan_identity(plan: Plan) -> dict:
@@ -189,6 +238,29 @@ def plan_key(
         fingerprint, cluster, policy, framework, placement, pipeline
     )
     payload["signatures"] = signature_bucket(signatures, digits)
+    return canonical_digest(payload)
+
+
+def scenario_key(
+    scenario: Scenario,
+    policy: PlanPolicy,
+    framework: FrameworkProfile,
+    cluster: ClusterSpec | None = None,
+    signatures: dict | None = None,
+    digits: int = DEFAULT_KEY_DIGITS,
+) -> str:
+    """Digest of a scenario request (the plan server's coalescing key);
+    overrides enter only when given, so a pure scenario's digest is the
+    key :data:`SCENARIO_INDEX` files it under."""
+    payload = {
+        "scenario": scenario.to_dict(),
+        "policy": policy.to_dict(),
+        "framework": framework_to_json(framework),
+    }
+    if cluster is not None:
+        payload["cluster"] = cluster_to_json(cluster)
+    if signatures is not None:
+        payload["signatures"] = signature_bucket(signatures, digits)
     return canonical_digest(payload)
 
 
@@ -417,17 +489,35 @@ class PlanStore:
         scenario compile would not reproduce).
         """
         key = self.key_of(plan)
-        path = plan.save(self.path_for(key))
-        self._memory.pop(key, None)
-        self.stats["puts"] += 1
         with self._locked():
-            self._index_signatures(plan, key)
+            # the entry lands under the lock too, so another writer's
+            # eviction can never remove it before it is indexed
+            path = plan.save(self.path_for(key))
+            self._memory.pop(key, None)
+            self.stats["puts"] += 1
+            index = self._read_sidecar(SIGNATURE_INDEX)
+            family = index.setdefault(self.base_key_for(**_plan_identity(plan)), {})
+            family[key] = signature_bucket(plan.signatures, self.digits)
+            self._write_sidecar(SIGNATURE_INDEX, index)
             if index_scenario and plan.scenario is not None:
-                self._index_scenario(
-                    plan.scenario, plan.policy, plan.framework, key
-                )
+                index = self._read_sidecar(SCENARIO_INDEX)
+                index[scenario_key(plan.scenario, plan.policy, plan.framework)] = key
+                self._write_sidecar(SCENARIO_INDEX, index)
             self._evict_locked(protect=key)
         return path
+
+    def _read_sidecar(self, name: str) -> dict:
+        """One sidecar memo (:data:`SCENARIO_INDEX` or
+        :data:`SIGNATURE_INDEX`); missing or unreadable is empty."""
+        try:
+            return json.loads((self.root / name).read_text())
+        except (OSError, json.JSONDecodeError):
+            return {}
+
+    def _write_sidecar(self, name: str, index: dict) -> None:
+        atomic_write_text(
+            self.root / name, json.dumps(index, indent=1, sort_keys=True)
+        )
 
     # -- scenario index ------------------------------------------------------
     #
@@ -437,40 +527,6 @@ class PlanStore:
     # memoizes scenario identity -> entry digest on every put; a warm
     # ``compile(scenario, store=...)`` then costs one JSON read total.
 
-    @property
-    def _index_path(self) -> pathlib.Path:
-        return self.root / "scenario_index.json"
-
-    def _scenario_key(
-        self, scenario: Scenario, policy: PlanPolicy, framework: FrameworkProfile
-    ) -> str:
-        return canonical_digest(
-            {
-                "scenario": scenario.to_dict(),
-                "policy": policy.to_dict(),
-                "framework": framework_to_json(framework),
-            }
-        )
-
-    def _read_index(self) -> dict:
-        try:
-            return json.loads(self._index_path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return {}
-
-    def _index_scenario(
-        self,
-        scenario: Scenario,
-        policy: PlanPolicy,
-        framework: FrameworkProfile,
-        key: str,
-    ) -> None:
-        index = self._read_index()
-        index[self._scenario_key(scenario, policy, framework)] = key
-        atomic_write_text(
-            self._index_path, json.dumps(index, indent=1, sort_keys=True)
-        )
-
     def lookup_scenario(
         self,
         scenario: Scenario,
@@ -478,8 +534,8 @@ class PlanStore:
         framework: FrameworkProfile,
     ) -> Plan | None:
         """Warm plan for a scenario identity, or ``None``."""
-        key = self._read_index().get(
-            self._scenario_key(scenario, policy, framework)
+        key = self._read_sidecar(SCENARIO_INDEX).get(
+            scenario_key(scenario, policy, framework)
         )
         plan = self._load(key) if key else None
         if plan is not None:
@@ -497,26 +553,6 @@ class PlanStore:
     # an exact-bucket miss with the *closest* stored plan immediately
     # while the exact re-plan runs in the background.
 
-    @property
-    def _signature_index_path(self) -> pathlib.Path:
-        return self.root / "signature_index.json"
-
-    def _read_signature_index(self) -> dict:
-        try:
-            return json.loads(self._signature_index_path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return {}
-
-    def _index_signatures(self, plan: Plan, key: str) -> None:
-        index = self._read_signature_index()
-        base = self.base_key_for(**_plan_identity(plan))
-        family = index.setdefault(base, {})
-        family[key] = signature_bucket(plan.signatures, self.digits)
-        atomic_write_text(
-            self._signature_index_path,
-            json.dumps(index, indent=1, sort_keys=True),
-        )
-
     def neighbors(
         self,
         fingerprint: str,
@@ -532,7 +568,7 @@ class PlanStore:
         base = self.base_key_for(
             fingerprint, cluster, policy, framework, placement, pipeline
         )
-        return dict(self._read_signature_index().get(base, {}))
+        return dict(self._read_sidecar(SIGNATURE_INDEX).get(base, {}))
 
     def nearest(
         self,
@@ -625,27 +661,22 @@ class PlanStore:
     def _prune_indexes(self) -> None:
         """Drop index entries whose plan file no longer exists."""
         live = {p.name for p in self.root.glob("*.plan.json")}
-        index = self._read_index()
+
+        def alive(key: str) -> bool:
+            return self.path_for(key).name in live
+
+        index = self._read_sidecar(SCENARIO_INDEX)
+        pruned = {k: v for k, v in index.items() if alive(v)}
+        if pruned != index:
+            self._write_sidecar(SCENARIO_INDEX, pruned)
+        index = self._read_sidecar(SIGNATURE_INDEX)
         pruned = {
-            k: v for k, v in index.items() if f"{v[:32]}.plan.json" in live
+            base: keep
+            for base, family in index.items()
+            if (keep := {k: b for k, b in family.items() if alive(k)})
         }
         if pruned != index:
-            atomic_write_text(
-                self._index_path, json.dumps(pruned, indent=1, sort_keys=True)
-            )
-        sig_index = self._read_signature_index()
-        sig_pruned = {}
-        for base, family in sig_index.items():
-            keep = {
-                k: b for k, b in family.items() if f"{k[:32]}.plan.json" in live
-            }
-            if keep:
-                sig_pruned[base] = keep
-        if sig_pruned != sig_index:
-            atomic_write_text(
-                self._signature_index_path,
-                json.dumps(sig_pruned, indent=1, sort_keys=True),
-            )
+            self._write_sidecar(SIGNATURE_INDEX, pruned)
 
     # -- maintenance ---------------------------------------------------------
 
@@ -661,15 +692,13 @@ class PlanStore:
         return len(self.entries())
 
     def clear(self) -> None:
-        """Delete every entry (and the sidecar indexes)."""
+        """Delete every entry, the sidecar indexes, and any ``*.tmp``
+        orphan a writer killed before its rename left behind."""
         with self._locked():
-            for path in self.entries():
-                path.unlink()
-            for sidecar in (self._index_path, self._signature_index_path):
-                try:
-                    sidecar.unlink()
-                except OSError:
-                    pass
+            for path in [*self.entries(), *self.root.glob("*.tmp")]:
+                path.unlink(missing_ok=True)
+            for name in (SCENARIO_INDEX, SIGNATURE_INDEX):
+                (self.root / name).unlink(missing_ok=True)
         self._memory.clear()
 
     def __repr__(self) -> str:

@@ -9,12 +9,14 @@ does that with three mechanisms layered over
 :func:`repro.api.compile`'s resolve/plan split:
 
 request coalescing
-    Every request reduces to a canonical identity key (the PR 5
-    fingerprint tuple -- scenario/policy/framework, or graph
-    fingerprint/cluster/policy/signature bucket).  Concurrent requests
-    with the same key share one in-flight planner run: the first
-    arrival plans, the rest subscribe to its future.  A burst of N
-    identical cold requests triggers exactly one planner run.
+    Every request reduces to a canonical identity key: the store's
+    :func:`~repro.api.store.scenario_key` for scenario requests (for a
+    pure scenario, the very key the store's scenario index files it
+    under) or :func:`~repro.api.store.plan_key` for graph/program
+    requests.  Concurrent requests with the same key share one
+    in-flight planner run: the first arrival plans, the rest subscribe
+    to its future.  A burst of N identical cold requests triggers
+    exactly one planner run.
 
 nearest-signature serving
     On an exact-bucket miss the server consults the store's signature
@@ -37,21 +39,23 @@ telemetry
     counters into one JSON-friendly snapshot (the ``serve stats`` CLI).
 
 graceful degradation (ISSUE 8; see ``docs/RELIABILITY.md``)
-    The request path never takes the service down with it.  Transient
-    store I/O errors are retried with bounded exponential backoff and
-    then degrade to a miss.  Planner runs are bounded by per-request
-    deadlines (``deadline_s``) and a planner timeout
-    (``planner_timeout_s``): a timed-out run is *abandoned but not
-    killed* -- it lands later as a late publish that warms the caches.
-    Repeated planner failures trip a :class:`CircuitBreaker`
-    (closed -> open -> half-open), and once it is open -- or a deadline
-    is blown -- requests are answered from a tiered fallback chain,
-    **exact -> nearest -> stale -> baseline**, instead of erroring:
-    the unbounded-radius *stale* tier serves any structurally valid
-    plan of the same base identity, and the *baseline* tier wraps the
-    unoptimized program in a plan, which is always constructible
-    without the planner.  ``ServeResult.origin`` names the tier that
-    answered.
+    The request path never takes the service down with it.  Store
+    lookups and puts go through :func:`repro.api.store.store_call`, the
+    degrader ``compile()`` and the trainer share: a corrupt entry is a
+    warned miss, transient I/O errors are retried with bounded
+    exponential backoff and then degrade to a warned miss (or skipped
+    write).  Planner runs are bounded by per-request deadlines
+    (``deadline_s``) and a planner timeout (``planner_timeout_s``): a
+    timed-out run is *abandoned but not killed* -- it lands later as a
+    late publish that warms the caches.  Repeated planner failures trip
+    a :class:`CircuitBreaker` (closed -> open -> half-open), and once it
+    is open -- or a deadline is blown -- requests are answered from a
+    tiered fallback chain, **exact -> nearest -> stale -> baseline**,
+    instead of erroring: the unbounded-radius *stale* tier serves any
+    structurally valid plan of the same base identity, and the
+    *baseline* tier wraps the unoptimized program in a plan, which is
+    always constructible without the planner.  ``ServeResult.origin``
+    names the tier that answered.
 """
 
 from __future__ import annotations
@@ -63,12 +67,11 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass
 
-from ..api.codec import cluster_to_json, framework_to_json
 from ..api.compiler import plan_resolved, resolve_workload
-from ..api.fingerprint import canonical_digest, graph_fingerprint
+from ..api.fingerprint import graph_fingerprint
 from ..api.plan import Plan, PlanError, PlanPolicy
 from ..api.scenario import Scenario
-from ..api.store import PlanStore, signature_bucket
+from ..api.store import PlanStore, scenario_key, store_call
 from ..core.cache import LRUCache
 from ..runtime.device import COMPILED, FrameworkProfile
 
@@ -258,7 +261,8 @@ class PlanServer:
     store_retries / retry_backoff_s:
         Transient ``OSError`` from store I/O is retried up to
         ``store_retries`` times with exponential backoff starting at
-        ``retry_backoff_s`` (then degrades to a miss).
+        ``retry_backoff_s`` (then degrades to a warned miss, or a
+        skipped write; see :func:`~repro.api.store.store_call`).
     breaker_threshold / breaker_cooldown_s:
         :class:`CircuitBreaker` configuration: consecutive planner
         failures before opening, and the open-state cooldown before a
@@ -358,21 +362,14 @@ class PlanServer:
 
         Scenario requests key on the declarative spec -- no graph build
         needed, so submission stays cheap; graph/program requests key on
-        the store's canonical fingerprint tuple.
+        the store's canonical plan key.
         """
         policy = policy or self.policy
         framework = framework or self.framework
         if isinstance(workload, Scenario):
-            return canonical_digest(
-                {
-                    "scenario": workload.to_dict(),
-                    "cluster": cluster_to_json(cluster) if cluster else None,
-                    "policy": policy.to_dict(),
-                    "framework": framework_to_json(framework),
-                    "signatures": signature_bucket(
-                        signatures, self.store.digits
-                    ),
-                }
+            return scenario_key(
+                workload, policy, framework, cluster, signatures,
+                self.store.digits,
             )
         if cluster is None:
             raise TypeError("graph/program requests require an explicit cluster")
@@ -488,67 +485,34 @@ class PlanServer:
             self._inflight.pop(key, None)
         future.set_result(result)
 
-    def _store_lookup(self, lookup, *args, **kwargs):
-        """A store problem must degrade to a miss, not take the serving
-        path down.
+    def _count(self, counter: str) -> None:
+        with self._lock:
+            self.counters[counter] += 1
 
-        Corrupt entries / foreign schemas (:class:`PlanError`) degrade
-        immediately -- the planner's ``put`` replaces the bad entry.
-        Transient I/O errors (``OSError``) are retried up to
-        ``store_retries`` times with exponential backoff starting at
-        ``retry_backoff_s``, then degrade to a miss too.
-        """
-        delay = self.retry_backoff_s
-        for attempt in range(self.store_retries + 1):
-            try:
-                return lookup(*args, **kwargs)
-            except PlanError:
-                return None
-            except OSError:
-                if attempt == self.store_retries:
-                    with self._lock:
-                        self.counters["store_errors"] += 1
-                    return None
-                with self._lock:
-                    self.counters["store_retries"] += 1
-                time.sleep(delay)
-                delay *= 2.0
-
-    def _store_put(self, plan, index_scenario: bool = False) -> None:
-        """Publish with the same bounded retry; a store that cannot be
-        written must not fail the request that produced the plan."""
-        delay = self.retry_backoff_s
-        for attempt in range(self.store_retries + 1):
-            try:
-                self.store.put(plan, index_scenario=index_scenario)
-                return
-            except OSError:
-                if attempt == self.store_retries:
-                    with self._lock:
-                        self.counters["put_errors"] += 1
-                    return
-                with self._lock:
-                    self.counters["store_retries"] += 1
-                time.sleep(delay)
-                delay *= 2.0
+    def _store_call(self, call, *args, errors: str = "store_errors", **kw):
+        """:func:`~repro.api.store.store_call` under this server's retry
+        budget, counting retries and exhausted calls (``errors``)."""
+        return store_call(
+            call,
+            *args,
+            retries=self.store_retries,
+            backoff_s=self.retry_backoff_s,
+            on_retry=lambda _err: self._count("store_retries"),
+            on_error=lambda _err: self._count(errors),
+            **kw,
+        )
 
     def _lookup_or_plan(
         self, key, workload, cluster, policy, signatures, framework,
         deadline=None,
     ) -> ServeResult:
         # 1. scenario fast path: warm answer without building a graph
-        scenario_pure = (
-            isinstance(workload, Scenario)
-            and cluster is None
-            and signatures is None
-        )
-        if scenario_pure:
-            plan = self._store_lookup(
+        if isinstance(workload, Scenario) and cluster is None and signatures is None:
+            plan = self._store_call(
                 self.store.lookup_scenario, workload, policy, framework
             )
             if plan is not None:
-                with self._lock:
-                    self.counters["store_hits"] += 1
+                self._count("store_hits")
                 return ServeResult(plan=plan, origin="store", key=key)
 
         resolved = resolve_workload(
@@ -559,31 +523,17 @@ class PlanServer:
             framework=framework,
         )
         # 2. exact signature bucket
-        plan = self._store_lookup(
-            self.store.get,
-            resolved.fingerprint,
-            resolved.cluster,
-            resolved.policy,
-            resolved.framework,
-            resolved.signatures,
-            pipeline=resolved.pipeline,
-        )
+        plan = self._store_call(self.store.get, **resolved.identity)
         if plan is not None:
-            with self._lock:
-                self.counters["store_hits"] += 1
+            self._count("store_hits")
             return ServeResult(plan=plan, origin="store", key=key)
 
         # 3. nearest bucket now + exact re-plan in the background
         if self.nearest:
-            near = self._store_lookup(
+            near = self._store_call(
                 self.store.nearest,
-                resolved.fingerprint,
-                resolved.cluster,
-                resolved.policy,
-                resolved.framework,
-                resolved.signatures,
-                self.max_distance,
-                pipeline=resolved.pipeline,
+                **resolved.identity,
+                max_distance=self.max_distance,
             )
             if near is not None:
                 neighbor, distance = near
@@ -601,32 +551,27 @@ class PlanServer:
         # 4. cold: run the planner and publish -- unless the deadline is
         # already blown or the circuit breaker refuses, in which case the
         # degraded tiers (stale -> baseline) answer instead of erroring
-        with self._lock:
-            self.counters["misses"] += 1
+        self._count("misses")
         reason = None
         if deadline is not None and time.monotonic() >= deadline:
-            with self._lock:
-                self.counters["deadline_hits"] += 1
+            self._count("deadline_hits")
             reason = "deadline"
         elif not self.breaker.allow():
-            with self._lock:
-                self.counters["breaker_short_circuits"] += 1
+            self._count("breaker_short_circuits")
             reason = "breaker_open"
         else:
             try:
                 plan = self._plan_with_budget(key, resolved, deadline)
                 return ServeResult(plan=plan, origin="planned", key=key)
             except _PlannerTimeout:
-                with self._lock:
-                    self.counters["planner_timeouts"] += 1
+                self._count("planner_timeouts")
                 self.breaker.record_failure()
                 reason = "planner_timeout"
             except Exception:
                 # planner failures raise (pre-ISSUE-8 semantics) until
                 # repeated failures open the breaker; the breaker state
                 # was already updated by _plan_and_publish
-                with self._lock:
-                    self.counters["planner_failures"] += 1
+                self._count("planner_failures")
                 if not self.fallback:
                     raise
                 if self.breaker.state == "closed":
@@ -644,9 +589,13 @@ class PlanServer:
             self.breaker.record_failure()
             raise
         self.breaker.record_success()
-        with self._lock:
-            self.counters["planner_runs"] += 1
-        self._store_put(plan, index_scenario=resolved.scenario_pure)
+        self._count("planner_runs")
+        self._store_call(
+            self.store.put,
+            plan,
+            index_scenario=resolved.scenario_pure,
+            errors="put_errors",
+        )
         return plan
 
     def _plan_with_budget(self, key, resolved, deadline) -> Plan:
@@ -714,20 +663,12 @@ class PlanServer:
         (deadline blown, run timed out, repeated failures).  Never
         raises: the baseline tier is always constructible.
         """
-        stale = self._store_lookup(
-            self.store.nearest,
-            resolved.fingerprint,
-            resolved.cluster,
-            resolved.policy,
-            resolved.framework,
-            resolved.signatures,
-            math.inf,
-            pipeline=resolved.pipeline,
+        stale = self._store_call(
+            self.store.nearest, **resolved.identity, max_distance=math.inf
         )
         if stale is not None:
             plan, distance = stale
-            with self._lock:
-                self.counters["stale_hits"] += 1
+            self._count("stale_hits")
             if reason == "deadline" and self.breaker.state == "closed":
                 # the planner is healthy, only this request ran out of
                 # time: heal the bucket in the background
@@ -739,8 +680,7 @@ class PlanServer:
                 distance=distance,
                 reason=reason,
             )
-        with self._lock:
-            self.counters["baseline_plans"] += 1
+        self._count("baseline_plans")
         plan = self._baseline_plan(resolved, reason)
         if reason == "deadline" and self.breaker.state == "closed":
             self._spawn_hot_swap(key, resolved, plan, None)
@@ -838,7 +778,9 @@ class PlanServer:
         :class:`~repro.train.ReoptimizingTrainer` re-plan) through the
         server: written to the shared store and installed in the memory
         cache, so subsequent requests for its identity are warm."""
-        self._store_put(plan, index_scenario=index_scenario)
+        self._store_call(
+            self.store.put, plan, index_scenario=index_scenario, errors="put_errors"
+        )
         key = self.store.key_of(plan)
         with self._lock:
             if self._memory is not None:

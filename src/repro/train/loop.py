@@ -25,10 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..api.compiler import _store_lookup
 from ..api.fingerprint import graph_fingerprint
 from ..api.plan import Plan, PlanPolicy
-from ..api.store import plan_key
+from ..api.store import plan_key, store_call
 from ..core.cache import LRUCache
 from ..faults.injector import derive_degraded
 from ..faults.model import FaultSpec
@@ -638,9 +637,10 @@ class ReoptimizingTrainer(Trainer):
         cached = self._plan_cache.get(key)
         stored = None
         if cached is None and self.store is not None:
-            # a corrupt entry, or one a newer build in the fleet wrote,
-            # degrades to a miss: training must never abort on it
-            stored = _store_lookup(_decoded_get, self.store, ident)
+            # a corrupt entry, one a newer build in the fleet wrote, or
+            # a store I/O error degrades to a miss: training never
+            # aborts on the shared cache
+            stored = store_call(_decoded_get, self.store, ident)
         wall, warm = 0.0, False
         if cached is not None:
             source, (program, predicted) = "memory", cached
@@ -669,10 +669,7 @@ class ReoptimizingTrainer(Trainer):
                 )
                 # through the server, the plan also lands in its memory
                 # cache: every other client is warm for it immediately
-                if self.server is not None:
-                    self.server.publish(plan)
-                else:
-                    self.store.put(plan)
+                store_call(self.server.publish if self.server else self.store.put, plan)
         self._plan_cache.put(key, (program, predicted))
         event = ReplanEvent(
             step=step,

@@ -55,6 +55,28 @@ def hot_doc():
     return json.loads(json.dumps(plan.to_dict()))
 
 
+@pytest.fixture(scope="module", params=["flat", "staged", "placed"])
+def plan_doc(request, hot_doc, tiny_graph, small_cluster, tiny_swapped_placement):
+    """Plan documents of every shape decoding must survive: the flat
+    skew-aware plan, a staged plan (``pipeline`` section) and a plan
+    carrying a non-identity expert placement (``placement`` section)."""
+    if request.param == "flat":
+        return hot_doc
+    if request.param == "staged":
+        plan = compile(Scenario.preset("tiny/a100x8-pp2x4"))
+    else:
+        unplaced = compile(tiny_graph.program, small_cluster)
+        plan = Plan(
+            program=unplaced.program,
+            cluster=unplaced.cluster,
+            policy=unplaced.policy,
+            fingerprint=unplaced.fingerprint,
+            predicted_iteration_ms=unplaced.predicted_iteration_ms,
+            placement=tiny_swapped_placement,
+        )
+    return json.loads(json.dumps(plan.to_dict()))
+
+
 #: what a mutation may plant anywhere in a plan document
 JSON_VALUES = st.recursive(
     st.none()
@@ -307,10 +329,10 @@ class TestPlanErrors:
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
-    def test_mutated_documents_raise_only_plan_errors(self, hot_doc, data):
+    def test_mutated_documents_raise_only_plan_errors(self, plan_doc, data):
         """Any single deleted or replaced node either decodes or raises
         PlanError (PlanSchemaError included) -- never anything else."""
-        doc = copy.deepcopy(hot_doc)
+        doc = copy.deepcopy(plan_doc)
         mutate(doc, data)
         try:
             Plan.from_dict(doc)
@@ -505,6 +527,18 @@ class TestWarmCompileSkipsPlanner:
         warm = compile(scenario, store=PlanStore(tmp_path))
         assert warm.from_store
         assert warm.cluster == scenario.build_cluster()
+
+    def test_scenario_index_key_is_pinned(self, tmp_path):
+        """Stores already on disk keep hitting: the scenario index key a
+        pure scenario compile writes never changes."""
+        from repro.api.store import SCENARIO_INDEX, scenario_key
+
+        sc = Scenario.preset("tiny/a100x8")
+        plan = compile(sc, store=PlanStore(tmp_path))
+        index = json.loads((tmp_path / SCENARIO_INDEX).read_text())
+        pinned = "07fa5ebc697f19d5a67132a281ef7d4728314e687d03aa72a54553af72b7363a"
+        assert list(index) == [pinned]
+        assert scenario_key(sc, PlanPolicy(), plan.framework) == pinned
 
     def test_fingerprint_path_also_warm(self, scenario, tmp_path, monkeypatch):
         """Graph workloads (no scenario index) still hit via the

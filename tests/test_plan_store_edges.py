@@ -11,7 +11,9 @@ filesystem's mtime granularity.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import random
 import threading
 
 import pytest
@@ -23,6 +25,7 @@ from repro.api import (
     compile,
     signature_bucket,
 )
+from repro.api.store import SCENARIO_INDEX, SIGNATURE_INDEX
 
 SC = Scenario.preset("tiny/a100x8")
 
@@ -108,6 +111,63 @@ class TestConcurrentWriters:
         assert len(family) == 3
 
 
+def _drill_worker(root, plans, seed, crash) -> None:
+    """One drill process: random puts and gets on the shared store,
+    decoding every hit.  The crashing worker dies between its first
+    temp write and the rename, holding the store lock."""
+    if crash:
+        os.replace = lambda src, dst: os._exit(3)
+    store = PlanStore(root, max_entries=2)
+    rng = random.Random(seed)
+    for _ in range(30):
+        store.put(rng.choice(plans))
+        hit = _get(store, rng.choice(plans))
+        if hit is not None:
+            assert hit.program.instructions  # decodes: no torn read
+    os._exit(0)
+
+
+@pytest.mark.chaos
+class TestMultiProcessDrill:
+    def test_processes_share_one_bounded_store(self, tmp_path, plans):
+        """Real processes racing puts, gets and evictions on one root,
+        one of them killed mid-write: the indexes still match the
+        directory, reads decode or miss, the bound holds, and
+        ``clear()`` removes the dead writer's temp-file orphan."""
+        ctx = multiprocessing.get_context("fork")
+        workers = [
+            ctx.Process(
+                target=_drill_worker, args=(tmp_path, plans, seed, seed == 0)
+            )
+            for seed in range(4)
+        ]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+        assert [w.exitcode for w in workers] == [3, 0, 0, 0]
+
+        store = PlanStore(tmp_path, max_entries=2)
+        live = {p.name for p in store.entries()}
+        assert 1 <= len(live) <= 2
+        indexed = {
+            store.path_for(key).name
+            for family in store._read_sidecar(SIGNATURE_INDEX).values()
+            for key in family
+        }
+        assert indexed == live
+        assert {
+            store.path_for(key).name
+            for key in store._read_sidecar(SCENARIO_INDEX).values()
+        } <= live
+        for plan in plans:
+            hit = _get(store, plan)
+            assert hit is None or hit.program.instructions
+        assert list(tmp_path.glob("*.plan.json*.tmp"))  # the crashed write
+        store.clear()
+        assert {p.name for p in tmp_path.iterdir()} <= {".lock"}
+
+
 class TestEviction:
     def test_max_entries_evicts_lru_and_prunes_indexes(
         self, tmp_path, plans
@@ -122,7 +182,7 @@ class TestEviction:
         assert _get(store, plans[2]) is not None
         # no index entry may point at the evicted file
         live = {p.name for p in store.entries()}
-        for family in store._read_signature_index().values():
+        for family in store._read_sidecar(SIGNATURE_INDEX).values():
             for key in family:
                 assert f"{key[:32]}.plan.json" in live
 

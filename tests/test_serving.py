@@ -129,7 +129,10 @@ class TestCompileMany:
 
     def test_returns_plans_in_input_order(self, store):
         drifted = SC.with_(routing_seed=7)
-        plans = compile_many([SC, drifted, SC], store=store)
+        # nearest serving off: had SC's plan reached the store first,
+        # the drifted request could be answered from SC's bucket (and
+        # carry SC's scenario); TestNearestServing pins that path
+        plans = compile_many([SC, drifted, SC], store=store, nearest=False)
         assert len(plans) == 3
         assert plans[0].scenario == SC
         assert plans[1].scenario == drifted

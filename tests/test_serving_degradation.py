@@ -237,6 +237,47 @@ class TestStoreFaults:
         assert server.counters["store_errors"] > 0
         assert server.counters["errors"] == 0
 
+    def test_compile_survives_store_io_errors(
+        self, tmp_path, tiny_graph, small_cluster
+    ):
+        """compile() degrades a store I/O error to a warned re-plan
+        (and a skipped put) instead of raising it."""
+        from repro.api import compile
+
+        flaky = FlakyStore(
+            PlanStore(tmp_path / "plans"),
+            seed=0,
+            error_rate=0.99,
+            max_consecutive=50,
+        )
+        with pytest.warns(UserWarning, match="plan store unavailable"):
+            plan = compile(tiny_graph.program, small_cluster, store=flaky)
+        assert plan is not None and not plan.from_store
+        assert flaky.injected_errors == 2  # the lookup and the put
+
+    def test_trainer_survives_store_io_errors(self, tmp_path, small_cluster):
+        """A re-planning trainer over a flaky shared store finishes its
+        steps: store I/O errors are misses and skipped publishes."""
+        from repro import GPT2MoEConfig, build_training_graph
+        from repro.core import LancetOptimizer
+        from repro.train import ReoptimizingTrainer
+
+        flaky = FlakyStore(PlanStore(tmp_path / "plans"), seed=1, error_rate=0.5)
+        graph = build_training_graph(
+            GPT2MoEConfig.tiny(), batch=4, seq=8, num_gpus=2
+        )
+        trainer = ReoptimizingTrainer(
+            graph,
+            LancetOptimizer(small_cluster),
+            drift_threshold=0.0,
+            seed=0,
+            store=flaky,
+        )
+        with pytest.warns(UserWarning, match="plan store unavailable"):
+            results = trainer.run(3)
+        assert len(results) == 3
+        assert flaky.injected_errors > 0
+
     def test_flock_failure_degrades_to_lockless_with_one_warning(
         self, tmp_path, monkeypatch
     ):
@@ -278,10 +319,11 @@ class TestCorruptEntryHealing:
             server.serve(SC)
         assert self._corrupt_all_entries(PlanStore(root)) >= 1
         # a fresh server (cold caches) over the corrupted store: the
-        # PlanError degrades to a miss, the planner re-plans, and the
-        # put replaces the corrupted entry
+        # PlanError degrades to a warned miss (as in compile()), the
+        # planner re-plans, and the put replaces the corrupted entry
         with PlanServer(PlanStore(root)) as server:
-            result = server.serve(SC)
+            with pytest.warns(UserWarning, match="re-planning"):
+                result = server.serve(SC)
             assert result.origin == "planned"
             assert server.counters["errors"] == 0
         # the heal is durable: yet another cold server reads it warm
