@@ -38,13 +38,14 @@ from .plan import (
     PlanSchemaError,
 )
 from .scenario import Scenario, available_presets
-from .store import PlanStore, bucket_distance, signature_bucket
+from .store import PlanIdentity, PlanStore, bucket_distance, signature_bucket
 
 __all__ = [
     "PLAN_SCHEMA",
     "PLAN_SCHEMA_VERSION",
     "Plan",
     "PlanError",
+    "PlanIdentity",
     "PlanPolicy",
     "PlanSchemaError",
     "PlanStore",

@@ -32,7 +32,7 @@ from ..runtime.device import COMPILED, FrameworkProfile
 from .fingerprint import graph_fingerprint
 from .plan import Plan, PlanPolicy
 from .scenario import Scenario
-from .store import PlanStore, store_call
+from .store import PlanIdentity, PlanStore, store_call
 
 
 def _observed_signatures(program: Program, scenario: Scenario, cluster) -> dict | None:
@@ -79,19 +79,17 @@ class ResolvedWorkload:
     pipeline: dict | None = None
 
     @property
-    def identity(self) -> dict:
-        """The store identity: keyword arguments of
-        :meth:`~repro.api.store.PlanStore.get` and ``nearest`` (the
-        trainer's plan identity, with the pipeline request in place of
-        an expert placement, which a resolved workload never carries)."""
-        return {
-            "fingerprint": self.fingerprint,
-            "cluster": self.cluster,
-            "policy": self.policy,
-            "framework": self.framework,
-            "signatures": self.signatures,
-            "pipeline": self.pipeline,
-        }
+    def identity(self) -> PlanIdentity:
+        """The identity the store is consulted under (never carries an
+        expert placement)."""
+        return PlanIdentity(
+            self.fingerprint,
+            self.cluster,
+            self.policy,
+            self.framework,
+            self.signatures,
+            pipeline=self.pipeline,
+        )
 
     @property
     def program(self) -> Program:
@@ -325,7 +323,7 @@ def compile(
         framework=framework,
     )
     if store is not None:
-        plan = store_call(store.get, **resolved.identity)
+        plan = store_call(store.get, resolved.identity)
         if plan is not None:
             return plan
 

@@ -1,21 +1,22 @@
 """Disk-backed plan cache shared across processes.
 
-A :class:`PlanStore` maps *what was planned* -- the canonical key
-``(graph fingerprint, cluster spec, framework, policy, signature
-bucket)`` -- to a saved :class:`~repro.api.plan.Plan`, so that a second
-process (or a fleet of trainers) gets a warm plan for the price of a
-JSON read instead of a planner run.  Keys contain nothing process-local
-(see :mod:`repro.api.fingerprint`); signatures enter the key in their
-quantized bucket form, so realizations that would yield the same plan
-share an entry.  :func:`plan_key` derives the key from its parts and
-:meth:`PlanStore.key_of` from a plan; ``put``,
-:meth:`repro.serving.PlanServer.publish` and the in-memory plan cache
-of :class:`~repro.train.ReoptimizingTrainer` all key through them.
+A :class:`PlanStore` maps *what was planned* -- a :class:`PlanIdentity`
+``(graph fingerprint, cluster spec, policy, framework, signatures,
+placement, pipeline request)`` -- to a saved :class:`~repro.api.plan.Plan`,
+so that a second process (or a fleet of trainers) gets a warm plan for
+the price of a JSON read instead of a planner run.  Keys contain nothing
+process-local (see :mod:`repro.api.fingerprint`); signatures enter the
+key in their quantized bucket form, so realizations that would yield the
+same plan share an entry.  Every plan-cache key is derived from one
+:class:`PlanIdentity`: ``PlanIdentity.of(plan)`` is what ``put`` files a
+plan under, ``identity.key(digits)`` the entry key, and
+``identity.base_key()`` the signature-free family key.
 
 ``compile()``, :class:`repro.serving.PlanServer` and the re-planning
-trainer read and write the store through :func:`store_call`, the one
-degrader of store errors (direct ``PlanStore.get`` callers still get
-the exception).
+trainer look plans up under a :class:`PlanIdentity` (the trainer's
+in-memory plan cache keys on it too) and read and write the store
+through :func:`store_call`, the one degrader of store errors (direct
+``PlanStore.get`` callers still get the exception).
 
 Layout: one ``<digest>.plan.json`` per entry under the store root, plus
 two sidecar memos, read and written through one pair of methods --
@@ -59,6 +60,7 @@ import os
 import pathlib
 import time
 import warnings
+from dataclasses import dataclass
 
 try:  # POSIX; on platforms without fcntl the lock degrades to a no-op
     import fcntl
@@ -123,21 +125,6 @@ def store_call(
             return None
 
 
-def _plan_identity(plan: Plan) -> dict:
-    """Every key component of a plan except its signatures: the one
-    place a plan's identity is read off the plan itself."""
-    stage_map = getattr(plan, "stage_map", None)
-    return {
-        "fingerprint": plan.fingerprint,
-        "cluster": plan.cluster,
-        "policy": plan.policy,
-        "framework": plan.framework,
-        "placement": plan.placement,
-        # the pipeline *request* of a staged plan (None for flat plans)
-        "pipeline": stage_map.request_dict() if stage_map is not None else None,
-    }
-
-
 def signature_bucket(signatures: dict | None, digits: int = DEFAULT_KEY_DIGITS):
     """Quantized, canonical form of a signature mapping for cache keys
     (``None`` -- the uniform approximation -- buckets as ``None``)."""
@@ -189,56 +176,74 @@ def bucket_distance(a, b) -> float:
     return worst
 
 
-def _base_payload(
-    fingerprint: str,
-    cluster: ClusterSpec,
-    policy: PlanPolicy,
-    framework: FrameworkProfile,
-    placement=None,
-    pipeline=None,
-) -> dict:
-    payload = {
-        "fingerprint": fingerprint,
-        "cluster": cluster_to_json(cluster),
-        "framework": framework_to_json(framework),
-        "policy": policy.to_dict(),
-    }
-    if placement is not None:
-        # placement-free keys stay byte-identical to pre-placement
-        # stores (existing entries keep resolving); a placement
-        # qualifies the key by its content fingerprint so plans for
-        # different expert layouts can never collide
-        from ..placement import placement_map_fingerprint
+@dataclass(frozen=True)
+class PlanIdentity:
+    """What identifies a plan: the one value every plan-cache key --
+    the store's entry and base keys, the server's graph-request key,
+    the trainer's plan-cache key -- is derived from."""
 
-        payload["placement"] = placement_map_fingerprint(placement)
-    if pipeline is not None:
-        # same optional-key pattern for staged plans: the *request*
-        # (stages/microbatches/schedule) is part of the identity --
-        # two schedules over the same graph must never share an
-        # entry -- while chosen boundaries are planner output
-        payload["pipeline"] = dict(pipeline)
-    return payload
+    fingerprint: str
+    cluster: ClusterSpec
+    policy: PlanPolicy
+    framework: FrameworkProfile
+    #: per-layer routing signatures (keys use their quantized bucket)
+    signatures: dict | None = None
+    #: expert placement map (keys use its content fingerprint)
+    placement: dict | None = None
+    #: the pipeline *request* of a staged plan (None for flat plans)
+    pipeline: dict | None = None
 
+    @classmethod
+    def of(cls, plan: Plan) -> PlanIdentity:
+        """The identity a plan is filed under: the one place it is read
+        off the plan itself."""
+        stage_map = plan.stage_map
+        return cls(
+            plan.fingerprint,
+            plan.cluster,
+            plan.policy,
+            plan.framework,
+            plan.signatures,
+            plan.placement,
+            stage_map.request_dict() if stage_map is not None else None,
+        )
 
-def plan_key(
-    fingerprint: str,
-    cluster: ClusterSpec,
-    policy: PlanPolicy,
-    framework: FrameworkProfile,
-    signatures: dict | None = None,
-    placement=None,
-    pipeline=None,
-    *,
-    digits: int = DEFAULT_KEY_DIGITS,
-) -> str:
-    """Digest of the canonical plan key: what :class:`PlanStore` files
-    entries under, and what the trainer's in-memory plan cache keys on.
-    The whole cluster spec enters the key, not just its name."""
-    payload = _base_payload(
-        fingerprint, cluster, policy, framework, placement, pipeline
-    )
-    payload["signatures"] = signature_bucket(signatures, digits)
-    return canonical_digest(payload)
+    def _payload(self) -> dict:
+        payload = {
+            "fingerprint": self.fingerprint,
+            "cluster": cluster_to_json(self.cluster),
+            "framework": framework_to_json(self.framework),
+            "policy": self.policy.to_dict(),
+        }
+        if self.placement is not None:
+            # placement-free keys stay byte-identical to pre-placement
+            # stores (existing entries keep resolving); a placement
+            # qualifies the key by its content fingerprint so plans for
+            # different expert layouts can never collide
+            from ..placement import placement_map_fingerprint
+
+            payload["placement"] = placement_map_fingerprint(self.placement)
+        if self.pipeline is not None:
+            # same optional-key pattern for staged plans: the *request*
+            # (stages/microbatches/schedule) is part of the identity --
+            # two schedules over the same graph must never share an
+            # entry -- while chosen boundaries are planner output
+            payload["pipeline"] = dict(self.pipeline)
+        return payload
+
+    def base_key(self) -> str:
+        """Digest of the signature-free identity: the family of entries
+        that differ only in their routing-signature bucket."""
+        return canonical_digest(self._payload())
+
+    def key(self, digits: int = DEFAULT_KEY_DIGITS) -> str:
+        """Digest of the canonical plan key: what :class:`PlanStore`
+        files entries under (at its ``digits``), and what the trainer's
+        in-memory plan cache keys on.  The whole cluster spec enters the
+        key, not just its name."""
+        payload = self._payload()
+        payload["signatures"] = signature_bucket(self.signatures, digits)
+        return canonical_digest(payload)
 
 
 def scenario_key(
@@ -325,44 +330,6 @@ class PlanStore:
 
     # -- keys ----------------------------------------------------------------
 
-    def key_for(
-        self,
-        fingerprint: str,
-        cluster: ClusterSpec,
-        policy: PlanPolicy,
-        framework: FrameworkProfile,
-        signatures: dict | None = None,
-        placement=None,
-        pipeline=None,
-    ) -> str:
-        """Digest of the canonical cache key (see :func:`plan_key`)."""
-        return plan_key(
-            fingerprint, cluster, policy, framework, signatures, placement,
-            pipeline, digits=self.digits,
-        )
-
-    def key_of(self, plan: Plan) -> str:
-        """The key a plan is filed under (what :meth:`put` writes and a
-        :meth:`get` of the same identity reads)."""
-        return self.key_for(signatures=plan.signatures, **_plan_identity(plan))
-
-    def base_key_for(
-        self,
-        fingerprint: str,
-        cluster: ClusterSpec,
-        policy: PlanPolicy,
-        framework: FrameworkProfile,
-        placement=None,
-        pipeline=None,
-    ) -> str:
-        """Digest of the signature-free identity: the family of entries
-        that differ only in their routing-signature bucket."""
-        return canonical_digest(
-            _base_payload(
-                fingerprint, cluster, policy, framework, placement, pipeline
-            )
-        )
-
     def path_for(self, key: str) -> pathlib.Path:
         return self.root / f"{key[:32]}.plan.json"
 
@@ -411,27 +378,14 @@ class PlanStore:
 
     # -- lookups -------------------------------------------------------------
 
-    def get(
-        self,
-        fingerprint: str,
-        cluster: ClusterSpec,
-        policy: PlanPolicy,
-        framework: FrameworkProfile,
-        signatures: dict | None = None,
-        placement=None,
-        pipeline=None,
-    ) -> Plan | None:
-        """Warm plan for a key, or ``None`` on a miss.
+    def get(self, identity: PlanIdentity) -> Plan | None:
+        """Warm plan for an identity, or ``None`` on a miss.
 
         Loaded plans are lazy (the program decodes on first access);
         corrupted entries raise :class:`~repro.api.plan.PlanError`
         rather than deserializing garbage.
         """
-        key = self.key_for(
-            fingerprint, cluster, policy, framework, signatures, placement,
-            pipeline,
-        )
-        plan = self._load(key)
+        plan = self._load(identity.key(self.digits))
         self.stats["hits" if plan is not None else "misses"] += 1
         return plan
 
@@ -488,7 +442,8 @@ class PlanStore:
         overrides -- cluster, explicit signatures -- that a plain
         scenario compile would not reproduce).
         """
-        key = self.key_of(plan)
+        identity = PlanIdentity.of(plan)
+        key = identity.key(self.digits)
         with self._locked():
             # the entry lands under the lock too, so another writer's
             # eviction can never remove it before it is indexed
@@ -496,7 +451,7 @@ class PlanStore:
             self._memory.pop(key, None)
             self.stats["puts"] += 1
             index = self._read_sidecar(SIGNATURE_INDEX)
-            family = index.setdefault(self.base_key_for(**_plan_identity(plan)), {})
+            family = index.setdefault(identity.base_key(), {})
             family[key] = signature_bucket(plan.signatures, self.digits)
             self._write_sidecar(SIGNATURE_INDEX, index)
             if index_scenario and plan.scenario is not None:
@@ -553,33 +508,14 @@ class PlanStore:
     # an exact-bucket miss with the *closest* stored plan immediately
     # while the exact re-plan runs in the background.
 
-    def neighbors(
-        self,
-        fingerprint: str,
-        cluster: ClusterSpec,
-        policy: PlanPolicy,
-        framework: FrameworkProfile,
-        placement=None,
-        pipeline=None,
-    ) -> dict[str, object]:
+    def neighbors(self, identity: PlanIdentity) -> dict[str, object]:
         """All stored ``{entry key: signature bucket}`` for one base
         identity (every plan of this graph/cluster/policy/framework/
         placement/pipeline-request, across routing buckets)."""
-        base = self.base_key_for(
-            fingerprint, cluster, policy, framework, placement, pipeline
-        )
-        return dict(self._read_sidecar(SIGNATURE_INDEX).get(base, {}))
+        return dict(self._read_sidecar(SIGNATURE_INDEX).get(identity.base_key(), {}))
 
     def nearest(
-        self,
-        fingerprint: str,
-        cluster: ClusterSpec,
-        policy: PlanPolicy,
-        framework: FrameworkProfile,
-        signatures: dict | None = None,
-        max_distance: float = 0.25,
-        placement=None,
-        pipeline=None,
+        self, identity: PlanIdentity, max_distance: float = 0.25
     ) -> tuple[Plan, float] | None:
         """Closest stored plan of the same base identity, by signature
         bucket (see :func:`bucket_distance`), within ``max_distance``.
@@ -589,11 +525,9 @@ class PlanStore:
         missed on :meth:`get` simply won't see one.  Counted as
         ``nearest_hits`` (plus a ``hits`` entry) in :meth:`stats`.
         """
-        target = signature_bucket(signatures, self.digits)
+        target = signature_bucket(identity.signatures, self.digits)
         best_key, best_d = None, math.inf
-        for key, bucket in self.neighbors(
-            fingerprint, cluster, policy, framework, placement, pipeline
-        ).items():
+        for key, bucket in self.neighbors(identity).items():
             d = bucket_distance(target, bucket)
             if d < best_d:
                 best_key, best_d = key, d

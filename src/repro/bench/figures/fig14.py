@@ -67,9 +67,15 @@ def run(
         ],
         title="Fig. 14 - cost model prediction accuracy",
     )
+    max_err = max(r["abs_pct_error"] for r in rows)
     notes = {
         "avg_pct_error": avg_err,
-        "max_pct_error": max(r["abs_pct_error"] for r in rows),
+        "max_pct_error": max_err,
         "paper_avg_pct_error": 3.83,
+        # simulated errors (deterministic), lower is better
+        "regression_metrics": {
+            "avg_pct_error": avg_err,
+            "max_pct_error": max_err,
+        },
     }
     return FigureResult("fig14", "cost model accuracy", rows, table, notes)

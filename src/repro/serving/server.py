@@ -12,8 +12,9 @@ request coalescing
     Every request reduces to a canonical identity key: the store's
     :func:`~repro.api.store.scenario_key` for scenario requests (for a
     pure scenario, the very key the store's scenario index files it
-    under) or :func:`~repro.api.store.plan_key` for graph/program
-    requests.  Concurrent requests with the same key share one
+    under) or, for graph/program requests, the entry key of its
+    :class:`~repro.api.store.PlanIdentity` (the key the store would file
+    the plan under).  Concurrent requests with the same key share one
     in-flight planner run: the first arrival plans, the rest subscribe
     to its future.  A burst of N identical cold requests triggers
     exactly one planner run.
@@ -71,7 +72,7 @@ from ..api.compiler import plan_resolved, resolve_workload
 from ..api.fingerprint import graph_fingerprint
 from ..api.plan import Plan, PlanError, PlanPolicy
 from ..api.scenario import Scenario
-from ..api.store import PlanStore, scenario_key, store_call
+from ..api.store import PlanIdentity, PlanStore, scenario_key, store_call
 from ..core.cache import LRUCache
 from ..runtime.device import COMPILED, FrameworkProfile
 
@@ -373,9 +374,9 @@ class PlanServer:
             )
         if cluster is None:
             raise TypeError("graph/program requests require an explicit cluster")
-        return self.store.key_for(
+        return PlanIdentity(
             graph_fingerprint(workload), cluster, policy, framework, signatures
-        )
+        ).key(self.store.digits)
 
     # -- the request path ----------------------------------------------------
 
@@ -523,7 +524,7 @@ class PlanServer:
             framework=framework,
         )
         # 2. exact signature bucket
-        plan = self._store_call(self.store.get, **resolved.identity)
+        plan = self._store_call(self.store.get, resolved.identity)
         if plan is not None:
             self._count("store_hits")
             return ServeResult(plan=plan, origin="store", key=key)
@@ -532,7 +533,7 @@ class PlanServer:
         if self.nearest:
             near = self._store_call(
                 self.store.nearest,
-                **resolved.identity,
+                resolved.identity,
                 max_distance=self.max_distance,
             )
             if near is not None:
@@ -664,7 +665,7 @@ class PlanServer:
         raises: the baseline tier is always constructible.
         """
         stale = self._store_call(
-            self.store.nearest, **resolved.identity, max_distance=math.inf
+            self.store.nearest, resolved.identity, max_distance=math.inf
         )
         if stale is not None:
             plan, distance = stale
@@ -781,7 +782,7 @@ class PlanServer:
         self._store_call(
             self.store.put, plan, index_scenario=index_scenario, errors="put_errors"
         )
-        key = self.store.key_of(plan)
+        key = PlanIdentity.of(plan).key(self.store.digits)
         with self._lock:
             if self._memory is not None:
                 self._memory.put(key, plan)

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..api.fingerprint import graph_fingerprint
 from ..api.plan import Plan, PlanPolicy
-from ..api.store import plan_key, store_call
+from ..api.store import PlanIdentity, store_call
 from ..core.cache import LRUCache
 from ..faults.injector import derive_degraded
 from ..faults.model import FaultSpec
@@ -62,9 +62,9 @@ def _check_plan_matches(plan: Plan, graph: ModelGraph) -> None:
         )
 
 
-def _decoded_get(store, ident: dict) -> Plan | None:
+def _decoded_get(store, ident: PlanIdentity) -> Plan | None:
     """``store.get``, decoding the program now: corrupt sections miss."""
-    plan = store.get(**ident)
+    plan = store.get(ident)
     if plan is not None:
         plan.program
     return plan
@@ -196,7 +196,8 @@ class ReplanEvent:
     step: int
     trigger: str
     source: str
-    #: :func:`~repro.api.store.plan_key` the plan was looked up under
+    #: plan-cache key the plan was looked up under
+    #: (``PlanIdentity.key(cache_digits)``)
     key: str
     #: name of the :class:`~repro.runtime.cluster.ClusterSpec` planned for
     cluster: str
@@ -246,7 +247,7 @@ class ReoptimizingTrainer(Trainer):
         cached schedule instead of paying the optimizer wall time again.
     plan_cache_size:
         LRU bound of the plan cache (keyed on
-        :func:`~repro.api.store.plan_key`).  A long run visits an
+        :meth:`~repro.api.store.PlanIdentity.key`).  A long run visits an
         unbounded stream of distinct signatures, so the cache must be
         bounded; hits/misses/evictions are exposed via
         :attr:`plan_cache_stats`.
@@ -610,19 +611,17 @@ class ReoptimizingTrainer(Trainer):
 
     # -- the re-plan sequence ----------------------------------------------------
 
-    def _identity(self) -> dict:
-        """Plan-store identity of the plan the current target and
-        observation call for (the arguments of
-        :func:`~repro.api.store.plan_key`)."""
+    def _identity(self) -> PlanIdentity:
+        """Plan identity the current target and observation call for."""
         opt = self.optimizer
-        return {
-            "fingerprint": self._fingerprint,
-            "cluster": opt.cluster,
-            "policy": PlanPolicy.from_optimizer(opt),
-            "framework": opt.framework,
-            "signatures": dict(self._observed) or None,
-            "placement": opt.placement,
-        }
+        return PlanIdentity(
+            self._fingerprint,
+            opt.cluster,
+            PlanPolicy.from_optimizer(opt),
+            opt.framework,
+            dict(self._observed) or None,
+            opt.placement,
+        )
 
     def _replan(
         self, step: int, trigger: str, drift: float = 0.0, context=None
@@ -633,7 +632,7 @@ class ReoptimizingTrainer(Trainer):
         published back), price it (fault and recovery only), install it,
         and record the event."""
         ident = self._identity()
-        key = plan_key(**ident, digits=self.cache_digits)
+        key = ident.key(self.cache_digits)
         cached = self._plan_cache.get(key)
         stored = None
         if cached is None and self.store is not None:
@@ -652,7 +651,7 @@ class ReoptimizingTrainer(Trainer):
         else:
             source = "planned"
             t0 = time.perf_counter()
-            self.optimizer.set_routing_signatures(ident["signatures"])
+            self.optimizer.set_routing_signatures(ident.signatures)
             # the optimizer re-plans incrementally: its PlannerState
             # carries every signature-independent DP table over from
             # the previous plan, so only the drifted pricing is redone
@@ -665,7 +664,12 @@ class ReoptimizingTrainer(Trainer):
                     program=program,
                     predicted_iteration_ms=predicted,
                     planner=report.summary_dict(),
-                    **ident,
+                    fingerprint=ident.fingerprint,
+                    cluster=ident.cluster,
+                    policy=ident.policy,
+                    framework=ident.framework,
+                    signatures=ident.signatures,
+                    placement=ident.placement,
                 )
                 # through the server, the plan also lands in its memory
                 # cache: every other client is warm for it immediately
@@ -676,7 +680,7 @@ class ReoptimizingTrainer(Trainer):
             trigger=trigger,
             source=source,
             key=key,
-            cluster=ident["cluster"].name,
+            cluster=ident.cluster.name,
             predicted_ms=predicted,
             wall_seconds=wall,
             drift=drift,

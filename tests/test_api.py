@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import copy
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from repro.api import (
     PLAN_SCHEMA_VERSION,
     Plan,
     PlanError,
+    PlanIdentity,
     PlanPolicy,
     PlanSchemaError,
     PlanStore,
@@ -344,13 +346,7 @@ class TestPlanStore:
     def test_put_get_round_trip(self, compiled, tmp_path):
         store = PlanStore(tmp_path)
         store.put(compiled)
-        hit = store.get(
-            compiled.fingerprint,
-            compiled.cluster,
-            compiled.policy,
-            compiled.framework,
-            compiled.signatures,
-        )
+        hit = store.get(PlanIdentity.of(compiled))
         assert hit is not None and hit.from_store
         assert hit.predicted_iteration_ms == compiled.predicted_iteration_ms
         assert store.stats["hits"] == 1
@@ -360,13 +356,7 @@ class TestPlanStore:
         sees entries written by the first."""
         PlanStore(tmp_path).put(compiled)
         other = PlanStore(tmp_path)
-        hit = other.get(
-            compiled.fingerprint,
-            compiled.cluster,
-            compiled.policy,
-            compiled.framework,
-            compiled.signatures,
-        )
+        hit = other.get(PlanIdentity.of(compiled))
         assert hit is not None
         # and it simulates identically to the in-process plan
         assert hit.simulate().makespan == compiled.simulate().makespan
@@ -388,13 +378,6 @@ class TestPlanStore:
 
         store = PlanStore(tmp_path)
         store.put(compiled)
-        query = {
-            "fingerprint": compiled.fingerprint,
-            "cluster": compiled.cluster,
-            "policy": compiled.policy,
-            "framework": compiled.framework,
-            "signatures": compiled.signatures,
-        }
         changed = {
             "fingerprint": "sha256:" + "0" * 64,
             "cluster": ClusterSpec.for_gpus("v100", 8),
@@ -402,17 +385,8 @@ class TestPlanStore:
             "signatures": {0: RoutingSignature(load=(9.0,) * 8)},
             "framework": TUTEL,
         }
-        query[mutate] = changed[mutate]
-        assert (
-            store.get(
-                query["fingerprint"],
-                query["cluster"],
-                query["policy"],
-                query["framework"],
-                query["signatures"],
-            )
-            is None
-        )
+        query = replace(PlanIdentity.of(compiled), **{mutate: changed[mutate]})
+        assert store.get(query) is None
         assert store.stats["misses"] == 1
 
     def test_nearby_signatures_share_a_bucket(self, compiled, tmp_path):
@@ -429,10 +403,10 @@ class TestPlanStore:
             signatures=base,
             store=store,
         )
-        args = (plan.fingerprint, plan.cluster, plan.policy, plan.framework)
-        assert store.get(*args, base) is not None
-        assert store.get(*args, near) is not None
-        assert store.get(*args, far) is None
+        ident = PlanIdentity.of(plan)
+        assert store.get(replace(ident, signatures=base)) is not None
+        assert store.get(replace(ident, signatures=near)) is not None
+        assert store.get(replace(ident, signatures=far)) is None
 
     def test_compile_degrades_corrupt_entry_to_replan(
         self, compiled, scenario, tmp_path
@@ -471,13 +445,7 @@ class TestPlanStore:
         path.write_text('{"schema": "repro.api/plan", "schema_version"')
         fresh = PlanStore(tmp_path)
         with pytest.raises(PlanError, match="corrupt"):
-            fresh.get(
-                compiled.fingerprint,
-                compiled.cluster,
-                compiled.policy,
-                compiled.framework,
-                compiled.signatures,
-            )
+            fresh.get(PlanIdentity.of(compiled))
 
     def test_clear_and_len(self, compiled, tmp_path):
         store = PlanStore(tmp_path)
@@ -485,6 +453,44 @@ class TestPlanStore:
         assert len(store) == 1
         store.clear()
         assert len(store) == 0
+
+
+class TestPlanIdentity:
+    """Every caller looks a plan up under the key ``put`` files it
+    under: ``PlanIdentity.of(plan).key(store.digits)``."""
+
+    @pytest.mark.parametrize("preset", ["tiny/a100x8-hot", "tiny/a100x8-pp2x4"])
+    def test_compile_looks_up_where_put_files(self, tmp_path, preset):
+        from repro.api.compiler import resolve_workload
+
+        store = PlanStore(tmp_path)
+        plan = compile(Scenario.preset(preset), store=store)
+        lookup = resolve_workload(Scenario.preset(preset)).identity
+        key = PlanIdentity.of(plan).key(store.digits)
+        assert lookup.key(store.digits) == key
+        assert store.path_for(key).exists()
+        assert store.get(lookup) is not None
+
+    def test_trainer_replan_key_is_the_published_key(
+        self, tmp_path, tiny_graph, small_cluster, tiny_swapped_placement
+    ):
+        from repro.core import LancetOptimizer
+        from repro.train import ReoptimizingTrainer
+
+        optimizer = LancetOptimizer(small_cluster)
+        optimizer.set_placement(tiny_swapped_placement)
+        store = PlanStore(tmp_path)
+        trainer = ReoptimizingTrainer(
+            tiny_graph, optimizer, drift_threshold=0.0, seed=0, store=store
+        )
+        trainer.run(2)
+        planned = [e for e in trainer.events if e.source == "planned"]
+        assert planned and all(e.trigger == "drift" for e in planned)
+        assert trainer.cache_digits == store.digits
+        for event in planned:
+            published = Plan.load(store.path_for(event.key))
+            assert published.placement == trainer.optimizer.placement
+            assert PlanIdentity.of(published).key(store.digits) == event.key
 
 
 class TestWarmCompileSkipsPlanner:
@@ -539,6 +545,35 @@ class TestWarmCompileSkipsPlanner:
         pinned = "07fa5ebc697f19d5a67132a281ef7d4728314e687d03aa72a54553af72b7363a"
         assert list(index) == [pinned]
         assert scenario_key(sc, PlanPolicy(), plan.framework) == pinned
+
+    @pytest.mark.parametrize(
+        "preset, entry, base",
+        [
+            (
+                "tiny/a100x8",
+                "17b3ac9fb7cdc7e6b91ddfbf9682416980ceaf2bcb29adcd612723527a5dbd8e",
+                "3518995bc7da8de143aa87eeeaf07ea2798896c83286b9ca3d1591b8561cd7bf",
+            ),
+            (
+                "tiny/a100x8-pp2x4",
+                "35129da81c0385bac5728fd59e59e75123e19055f201a1d792f9bf4f45bc970f",
+                "f3425c527bf06754e3861cc7c7e1eed3e8552dc1da11b5ba1a137e73faa9648b",
+            ),
+        ],
+    )
+    def test_entry_and_base_keys_are_pinned(self, tmp_path, preset, entry, base):
+        """Stores already on disk keep hitting: the entry key and the
+        signature-free base key a scenario compile files its plan under
+        never change (flat and staged)."""
+        from repro.api.store import SIGNATURE_INDEX
+
+        store = PlanStore(tmp_path)
+        plan = compile(Scenario.preset(preset), store=store)
+        index = json.loads((tmp_path / SIGNATURE_INDEX).read_text())
+        assert {b: list(family) for b, family in index.items()} == {base: [entry]}
+        assert store.path_for(entry).exists()
+        ident = PlanIdentity.of(plan)
+        assert (ident.key(store.digits), ident.base_key()) == (entry, base)
 
     def test_fingerprint_path_also_warm(self, scenario, tmp_path, monkeypatch):
         """Graph workloads (no scenario index) still hit via the

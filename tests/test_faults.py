@@ -427,7 +427,7 @@ class TestFaultContextTelemetry:
         # the plan up by nearest signature bucket rather than exact key
         import math
 
-        hit = store.nearest(**trainer._identity(), max_distance=math.inf)
+        hit = store.nearest(trainer._identity(), max_distance=math.inf)
         assert hit is not None
         ctx = hit[0].planner["fault_context"]
         assert ctx["trigger"] == "fault"

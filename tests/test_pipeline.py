@@ -525,38 +525,22 @@ class TestStagedAPI:
     def test_store_folds_pipeline_request_into_keys(
         self, scenario, plan, tmp_path
     ):
-        from repro.api import PlanStore
+        from dataclasses import replace
+
+        from repro.api import PlanIdentity, PlanStore
 
         store = PlanStore(tmp_path / "store")
         store.put(plan)
-        policy = PlanPolicy()
-        warm = store.get(
-            plan.fingerprint,
-            plan.cluster,
-            policy,
-            plan.framework,
-            plan.signatures,
-            pipeline=plan.stage_map.request_dict(),
-        )
+        ident = replace(PlanIdentity.of(plan), policy=PlanPolicy())
+        assert ident.pipeline == plan.stage_map.request_dict()
+        warm = store.get(ident)
         assert warm is not None and warm.from_store
         assert warm.stage_map == plan.stage_map
         # same fingerprint/cluster/policy, no pipeline request: miss
-        assert (
-            store.get(
-                plan.fingerprint, plan.cluster, policy,
-                plan.framework, plan.signatures,
-            )
-            is None
-        )
+        assert store.get(replace(ident, pipeline=None)) is None
         # a different schedule is a different key
         other = dict(plan.stage_map.request_dict(), schedule="gpipe")
-        assert (
-            store.get(
-                plan.fingerprint, plan.cluster, policy,
-                plan.framework, plan.signatures, pipeline=other,
-            )
-            is None
-        )
+        assert store.get(replace(ident, pipeline=other)) is None
 
     def test_compile_through_store_warm_hit(self, scenario, tmp_path):
         from repro.api import PlanStore

@@ -30,7 +30,6 @@ import pytest
 
 from repro.api import Plan, Scenario, compile
 from repro.api.codec import signature_from_json, signature_to_json
-from repro.api.store import plan_key
 from repro.core import LancetOptimizer
 from repro.placement import (
     GREEDY_BOUND,
@@ -703,11 +702,9 @@ class TestTrainerMigration:
             ident = trainer._identity()
             key = trainer.events[-1].key
             assert key in trainer._plan_cache
-            assert key == plan_key(**ident, digits=trainer.cache_digits)
-            unplaced = plan_key(
-                **{**ident, "placement": None}, digits=trainer.cache_digits
-            )
-            assert key != unplaced
+            assert key == ident.key(trainer.cache_digits)
+            unplaced = dataclasses.replace(ident, placement=None)
+            assert key != unplaced.key(trainer.cache_digits)
 
 
 def build_training_graph_for(num_gpus: int):

@@ -20,6 +20,7 @@ import pytest
 
 from repro.api import (
     PlanError,
+    PlanIdentity,
     PlanStore,
     Scenario,
     compile,
@@ -40,13 +41,7 @@ def plans():
 
 
 def _get(store, plan):
-    return store.get(
-        plan.fingerprint,
-        plan.cluster,
-        plan.policy,
-        plan.framework,
-        plan.signatures,
-    )
+    return store.get(PlanIdentity.of(plan))
 
 
 class TestConcurrentWriters:
@@ -80,9 +75,7 @@ class TestConcurrentWriters:
         loaded = _get(store, plan)
         assert loaded is not None
         assert loaded.program.instructions  # decodes cleanly
-        family = store.neighbors(
-            plan.fingerprint, plan.cluster, plan.policy, plan.framework
-        )
+        family = store.neighbors(PlanIdentity.of(plan))
         assert len(family) == 1
 
     def test_concurrent_writers_distinct_keys_keep_all_entries(
@@ -102,12 +95,7 @@ class TestConcurrentWriters:
         store = PlanStore(tmp_path)
         assert len(store) == 3
         # the locked index updates must not lose each other's buckets
-        family = store.neighbors(
-            plans[0].fingerprint,
-            plans[0].cluster,
-            plans[0].policy,
-            plans[0].framework,
-        )
+        family = store.neighbors(PlanIdentity.of(plans[0]))
         assert len(family) == 3
 
 
@@ -265,19 +253,15 @@ class TestPlacementKeys:
             placement=placement,
         )
         store = PlanStore(tmp_path)
-        args = (base.fingerprint, base.cluster, base.policy, base.framework)
-        assert store.key_for(
-            *args, base.signatures
-        ) != store.key_for(*args, base.signatures, placed.placement)
-        assert store.base_key_for(*args) != store.base_key_for(
-            *args, placed.placement
-        )
+        unplaced_id, placed_id = PlanIdentity.of(base), PlanIdentity.of(placed)
+        assert unplaced_id.key() != placed_id.key()
+        assert unplaced_id.base_key() != placed_id.base_key()
 
         store.put(base)
         store.put(placed)
         assert len(store) == 2  # no collision
-        unplaced_hit = store.get(*args, base.signatures)
-        placed_hit = store.get(*args, base.signatures, placed.placement)
+        unplaced_hit = store.get(unplaced_id)
+        placed_hit = store.get(placed_id)
         assert unplaced_hit is not None and unplaced_hit.placement is None
         assert placed_hit is not None
         assert placed_hit.placement == {None: placement}
@@ -314,11 +298,7 @@ class TestMemoryCacheStaleness:
         # what a coarse-mtime filesystem would report anyway
         os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
 
-        reloaded = store._load(
-            store.key_for(
-                a.fingerprint, a.cluster, a.policy, a.framework, a.signatures
-            )
-        )
+        reloaded = store._load(PlanIdentity.of(a).key(store.digits))
         assert signature_bucket(reloaded.signatures) == signature_bucket(
             b.signatures
         )

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import PlanPolicy, PlanStore, Scenario, graph_fingerprint
+from repro.api import (
+    PlanIdentity,
+    PlanPolicy,
+    PlanStore,
+    Scenario,
+    graph_fingerprint,
+)
 from repro.serving import (
     NEAREST_PREDICTED_GAP_BOUND,
     PlanServer,
@@ -204,13 +210,13 @@ class TestTrainerIntegration:
                 pytest.skip("no drift on this realization")
             # the publish path installs the plan in the server's memory
             # cache under its canonical store key
-            key = store.key_for(
+            key = PlanIdentity(
                 graph_fingerprint(tiny_graph.program),
                 small_cluster,
                 PlanPolicy.from_optimizer(trainer.optimizer),
                 trainer.optimizer.framework,
                 trainer.plan_signatures,
-            )
+            ).key(store.digits)
             assert server._memory.get(key) is not None
 
     def test_publish_files_placed_plans_under_their_placed_key(
@@ -234,7 +240,8 @@ class TestTrainerIntegration:
         )
         with PlanServer(store) as server:
             server.publish(placed)
-            assert server._memory.get(store.key_of(placed)) is placed
+            key = PlanIdentity.of(placed).key(store.digits)
+            assert server._memory.get(key) is placed
             result = server.serve(tiny_graph.program, small_cluster)
         assert result.origin == "planned"
         assert result.plan.placement is None

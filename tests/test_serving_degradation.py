@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.api import PlanError, PlanStore, Scenario
+from repro.api import PlanError, PlanIdentity, PlanStore, Scenario
 from repro.api.compiler import plan_resolved, resolve_workload
 from repro.faults import FlakyPlanner, FlakyStore
 from repro.serving import PlanServer
@@ -297,13 +297,7 @@ class TestStoreFaults:
         with warnings_mod.catch_warnings():
             warnings_mod.simplefilter("error")
             store.put(plan)
-        assert store.get(
-            plan.fingerprint,
-            plan.cluster,
-            plan.policy,
-            plan.framework,
-            plan.signatures,
-        ) is not None
+        assert store.get(PlanIdentity.of(plan)) is not None
 
 
 class TestCorruptEntryHealing:
