@@ -28,6 +28,13 @@ def _expect(obj, kind: type, what: str):
     return obj
 
 
+def field_dict(obj) -> dict:
+    """A flat dataclass's fields as a dict, in declaration order: what
+    ``dataclasses.asdict`` returns for one whose fields all hold
+    primitives, without its recursive deep copy."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
 def cluster_to_json(cluster: ClusterSpec) -> dict:
     # asdict recurses into the nested GPUSpec dataclass
     return dataclasses.asdict(cluster)
@@ -41,7 +48,7 @@ def cluster_from_json(obj: dict) -> ClusterSpec:
 
 
 def framework_to_json(framework: FrameworkProfile) -> dict:
-    return dataclasses.asdict(framework)
+    return field_dict(framework)
 
 
 def framework_from_json(obj: dict) -> FrameworkProfile:

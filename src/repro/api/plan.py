@@ -32,7 +32,7 @@ import json
 import os
 import pathlib
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from ..ir import Program, SerializationError, program_from_json, program_to_json
 from ..runtime.cluster import ClusterSpec
@@ -40,6 +40,7 @@ from ..runtime.device import COMPILED, FrameworkProfile
 from .codec import (
     cluster_from_json,
     cluster_to_json,
+    field_dict,
     framework_from_json,
     framework_to_json,
     signatures_from_json,
@@ -125,7 +126,7 @@ class PlanPolicy:
     max_range_groups: int | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return field_dict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PlanPolicy":

@@ -19,10 +19,11 @@ plus the miniature ``tiny`` model used by tests and CI)::
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 from ..models import GPT2MoEConfig, ModelGraph, build_training_graph
 from ..runtime import ClusterSpec, SyntheticRoutingModel
+from .codec import field_dict
 
 #: default sequence length of the paper's experiments (Sec. 7)
 PAPER_SEQ = 512
@@ -199,7 +200,7 @@ class Scenario:
     # -- identity / serialization -------------------------------------------
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return field_dict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Scenario":

@@ -246,6 +246,14 @@ class PlanIdentity:
         return canonical_digest(payload)
 
 
+#: pure-scenario digests by ``(id(scenario), id(policy), id(framework))``;
+#: each value pins its three objects, so no other object can take one
+#: of their ids while the entry lives (see :func:`scenario_key`)
+_SCENARIO_DIGESTS: dict[tuple[int, int, int], tuple] = {}
+#: entries held before the memo is emptied
+_SCENARIO_DIGESTS_MAX = 1024
+
+
 def scenario_key(
     scenario: Scenario,
     policy: PlanPolicy,
@@ -256,7 +264,21 @@ def scenario_key(
 ) -> str:
     """Digest of a scenario request (the plan server's coalescing key);
     overrides enter only when given, so a pure scenario's digest is the
-    key :data:`SCENARIO_INDEX` files it under."""
+    key :data:`SCENARIO_INDEX` files it under.
+
+    A pure scenario's digest is memoized by the identity of its three
+    (frozen) objects, so a repeated request -- every memory hit of a
+    :class:`~repro.serving.PlanServer` -- costs one dict lookup.  The
+    memo is exact: equality would not be, since ``hot_boost=1`` and
+    ``1.0``, or ``0.0`` and ``-0.0``, compare equal but serialize to
+    different digests.
+    """
+    pure = cluster is None and signatures is None
+    if pure:
+        memo_key = (id(scenario), id(policy), id(framework))
+        hit = _SCENARIO_DIGESTS.get(memo_key)
+        if hit is not None:
+            return hit[0]
     payload = {
         "scenario": scenario.to_dict(),
         "policy": policy.to_dict(),
@@ -266,7 +288,12 @@ def scenario_key(
         payload["cluster"] = cluster_to_json(cluster)
     if signatures is not None:
         payload["signatures"] = signature_bucket(signatures, digits)
-    return canonical_digest(payload)
+    digest = canonical_digest(payload)
+    if pure:
+        if len(_SCENARIO_DIGESTS) >= _SCENARIO_DIGESTS_MAX:
+            _SCENARIO_DIGESTS.clear()  # atomic, so safe across threads
+        _SCENARIO_DIGESTS[memo_key] = (digest, scenario, policy, framework)
+    return digest
 
 
 class PlanStore:

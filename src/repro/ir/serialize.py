@@ -77,11 +77,11 @@ def _encode_attr(value):
 
 def _decode_attr(value):
     if isinstance(value, dict):
-        if set(value) == {_TUPLE_TAG}:
-            return tuple(_decode_attr(v) for v in value[_TUPLE_TAG])
+        if _TUPLE_TAG in value and len(value) == 1:
+            return tuple(map(_decode_attr, value[_TUPLE_TAG]))
         return {k: _decode_attr(v) for k, v in value.items()}
     if isinstance(value, list):
-        return [_decode_attr(v) for v in value]
+        return list(map(_decode_attr, value))
     return value
 
 
@@ -134,23 +134,26 @@ def _instruction_to_json(instr: Instruction) -> dict:
     return obj
 
 
+#: ``InstrKind`` by serialized value
+_KINDS = {kind.value: kind for kind in InstrKind}
+
+
 def _instruction_from_json(obj: dict) -> Instruction:
     try:
         op = str(obj["op"])
         get_op(op)  # unknown ops fail here, not deep inside a pass
         partition = obj.get("partition")
+        origin = obj.get("origin")
         return Instruction(
             op=op,
-            inputs=tuple(int(v) for v in obj["inputs"]),
-            outputs=tuple(int(v) for v in obj["outputs"]),
+            inputs=tuple(map(int, obj["inputs"])),
+            outputs=tuple(map(int, obj["outputs"])),
             attrs=_decode_attr(obj.get("attrs", {})),
-            kind=InstrKind(obj["kind"]),
+            kind=_KINDS[obj["kind"]],
             uid=int(obj["uid"]),
-            partition=tuple(int(v) for v in partition) if partition else None,
-            origin=int(obj["origin"]) if obj.get("origin") is not None else None,
+            partition=tuple(map(int, partition)) if partition else None,
+            origin=int(origin) if origin is not None else None,
         )
-    except SerializationError:
-        raise
     except (KeyError, ValueError, TypeError, OverflowError) as err:
         raise SerializationError(
             f"bad serialized instruction {obj!r}: {err}"

@@ -493,6 +493,40 @@ class TestPlanIdentity:
             assert PlanIdentity.of(published).key(store.digits) == event.key
 
 
+#: ``(field, values, digests)``: two ``tiny/a100x8`` variants that compare
+#: equal but serialize apart, with their pinned scenario keys (the first
+#: case only keys: ``hot_boost=1`` is outside ``[0, 1)`` and never compiles)
+EQUAL_BUT_DISTINCT = [
+    pytest.param(
+        "hot_boost",
+        (1, 1.0),
+        (
+            "321232af7b34effffb0e69d6967d463c14ae7a1255ff30cd12591756d3b5ea2f",
+            "75f4dd00339f013a496b521a2810c4a34cdfac26406381ebb519a86a2cb149c7",
+        ),
+        id="hot_boost-int-vs-float",
+    ),
+    pytest.param(
+        "hot_boost",
+        (0.0, -0.0),
+        (
+            "07fa5ebc697f19d5a67132a281ef7d4728314e687d03aa72a54553af72b7363a",
+            "e894cb64431a4f1864391fc39c847515741a34ff292cb283ab574b935c7d9399",
+        ),
+        id="hot_boost-signed-zero",
+    ),
+    pytest.param(
+        "concentration",
+        (16, 16.0),
+        (
+            "f9a943514234626f22a7b7029934288f2d01780964457846d1082c4fd764bb83",
+            "07fa5ebc697f19d5a67132a281ef7d4728314e687d03aa72a54553af72b7363a",
+        ),
+        id="concentration-int-vs-float",
+    ),
+]
+
+
 class TestWarmCompileSkipsPlanner:
     def test_store_hit_never_constructs_an_optimizer(
         self, scenario, tmp_path, monkeypatch
@@ -545,6 +579,82 @@ class TestWarmCompileSkipsPlanner:
         pinned = "07fa5ebc697f19d5a67132a281ef7d4728314e687d03aa72a54553af72b7363a"
         assert list(index) == [pinned]
         assert scenario_key(sc, PlanPolicy(), plan.framework) == pinned
+
+    @pytest.mark.parametrize("field, values, digests", EQUAL_BUT_DISTINCT)
+    def test_equal_scenarios_keep_their_own_keys(self, field, values, digests):
+        """Scenarios that compare equal but serialize differently keep
+        their pinned, distinct scenario keys however the key is cached."""
+        from repro.api.store import scenario_key
+        from repro.runtime.device import COMPILED
+
+        scenarios = [
+            Scenario.preset("tiny/a100x8").with_(**{field: v}) for v in values
+        ]
+        assert scenarios[0] == scenarios[1] and digests[0] != digests[1]
+        for sc, digest in zip(scenarios, digests):
+            assert scenario_key(sc, PlanPolicy(), COMPILED) == digest
+
+    def test_scenario_key_memo_is_bounded_and_thread_safe(self):
+        """Threads keying more scenarios than the memo holds, with a
+        short switch interval, each get every scenario's own digest."""
+        import sys
+        import threading
+        from dataclasses import asdict
+
+        import repro.api.store as store_mod
+        from repro.api.fingerprint import canonical_digest
+        from repro.runtime.device import COMPILED
+
+        policy = PlanPolicy()
+        base = Scenario.preset("tiny/a100x8")
+        per_thread = store_mod._SCENARIO_DIGESTS_MAX // 2
+        work = [
+            [base.with_(routing_seed=t * per_thread + i) for i in range(per_thread)]
+            for t in range(4)
+        ]
+        wrong = []
+
+        def key_all(scenarios):
+            for sc in scenarios * 2:
+                expected = canonical_digest({
+                    "scenario": asdict(sc),
+                    "policy": asdict(policy),
+                    "framework": asdict(COMPILED),
+                })
+                if store_mod.scenario_key(sc, policy, COMPILED) != expected:
+                    wrong.append(sc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=key_all, args=(w,)) for w in work]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert len(store_mod._SCENARIO_DIGESTS) <= store_mod._SCENARIO_DIGESTS_MAX
+
+    @pytest.mark.parametrize("field, values, digests", EQUAL_BUT_DISTINCT[1:])
+    def test_equal_scenarios_find_their_own_entries(
+        self, tmp_path, field, values, digests
+    ):
+        """Each of two equal-but-distinct scenarios compiled into a store
+        files and then finds its own scenario-index entry."""
+        from repro.api.store import SCENARIO_INDEX
+
+        for i, (value, digest) in enumerate(zip(values, digests)):
+            sc = Scenario.preset("tiny/a100x8").with_(**{field: value})
+            store = PlanStore(tmp_path / str(i))
+            plan = compile(sc, store=store)
+            index = json.loads((store.root / SCENARIO_INDEX).read_text())
+            assert list(index) == [digest]
+            found = store.lookup_scenario(sc, plan.policy, plan.framework)
+            assert found is not None
+            assert repr(getattr(found.scenario, field)) == repr(value)
 
     @pytest.mark.parametrize(
         "preset, entry, base",

@@ -173,6 +173,31 @@ class TestErrors:
         with pytest.raises(SerializationError, match="attr"):
             program_to_json(p)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("kind", "sideways"),
+            ("kind", ["dw"]),
+            ("inputs", ["x"]),
+            ("outputs", None),
+            ("uid", "u"),
+            ("partition", [1, "x"]),
+            ("origin", [3]),
+            ("attrs", {"t": {"__tuple__": 5}}),
+        ],
+    )
+    def test_malformed_instruction_fields_rejected(self, field, value):
+        obj = program_to_json(tiny_graph().program)
+        obj["instructions"][0][field] = value
+        with pytest.raises(SerializationError, match="bad serialized instruction"):
+            program_from_json(obj)
+
+    def test_duplicate_value_id_rejected(self):
+        obj = program_to_json(tiny_graph().program)
+        obj["values"].append(list(obj["values"][0]))
+        with pytest.raises(SerializationError, match="duplicate value id"):
+            program_from_json(obj)
+
     def test_validation_catches_inconsistent_program(self):
         obj = program_to_json(tiny_graph().program)
         # point an instruction at a value that does not exist

@@ -53,6 +53,25 @@ class TestCoalescing:
         assert result.origin == "store"
         assert result.plan.from_store
 
+    def test_memory_hits_digest_the_request_key_once(self, store, monkeypatch):
+        """A memory hit costs a dict lookup: 100 repeats of one scenario
+        hash its request key at most once."""
+        import repro.api.store as store_mod
+
+        digests = []
+        real = store_mod.canonical_digest
+
+        def counting(payload):
+            digests.append(payload)
+            return real(payload)
+
+        with PlanServer(store) as server:
+            server.serve(SC)
+            monkeypatch.setattr(store_mod, "canonical_digest", counting)
+            results = [server.submit(SC).result() for _ in range(100)]
+        assert {r.origin for r in results} == {"memory"}
+        assert len(digests) <= 1
+
     def test_closed_server_rejects_requests(self, store):
         server = PlanServer(store)
         server.close()
