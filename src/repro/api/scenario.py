@@ -19,6 +19,7 @@ plus the miniature ``tiny`` model used by tests and CI)::
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 from ..models import GPT2MoEConfig, ModelGraph, build_training_graph
@@ -224,7 +225,10 @@ class Scenario:
         return presets[name]
 
 
+@functools.cache
 def _presets() -> dict[str, Scenario]:
+    """The preset table, built once: scenarios are frozen, so callers
+    share the objects (and the scenario-key memo hits on them)."""
     out: dict[str, Scenario] = {}
     for model in ("GPT2-S-MoE", "GPT2-L-MoE"):
         for cluster in ("a100", "v100"):

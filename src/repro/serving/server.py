@@ -5,58 +5,52 @@ warm :class:`~repro.api.PlanStore` read costs a fraction of one.  A
 serving layer that wants to answer *millions* of compile requests
 therefore has exactly one job: make sure the planner runs as rarely --
 and as far off the request path -- as possible.  :class:`PlanServer`
-does that with three mechanisms layered over
-:func:`repro.api.compile`'s resolve/plan split:
+does that over :func:`repro.api.compile`'s resolve/plan split:
 
-request coalescing
+coalescing: one request future and one planner run per key
     Every request reduces to a canonical identity key: the store's
     :func:`~repro.api.store.scenario_key` for scenario requests (for a
     pure scenario, the very key the store's scenario index files it
     under) or, for graph/program requests, the entry key of its
-    :class:`~repro.api.store.PlanIdentity` (the key the store would file
-    the plan under).  Concurrent requests with the same key share one
-    in-flight planner run: the first arrival plans, the rest subscribe
-    to its future.  A burst of N identical cold requests triggers
-    exactly one planner run.
+    :class:`~repro.api.store.PlanIdentity`.  Identical concurrent
+    requests share one request future, registered synchronously in
+    :meth:`PlanServer.submit`.  Every planner run is registered under
+    its key too and runs on the server's planner pool: cold requests,
+    the exact re-plan behind a nearest answer and requests that gave up
+    on a run all share the key's one in-flight run, and one completion
+    path books it (store and memory-cache put, counters, breaker).
 
 nearest-signature serving
-    On an exact-bucket miss the server consults the store's signature
-    index for the *closest* stored plan of the same base identity
-    (:func:`repro.api.store.bucket_distance`, bounded by
-    ``max_distance``).  The neighbor is returned immediately -- Lancet
-    plans degrade smoothly in signature distance, so a close bucket's
-    schedule is near-optimal -- while the exact re-plan runs in the
-    background and is **hot-swapped** into the store (and the server's
-    memory cache) on completion.  Subsequent identical requests coalesce
-    onto the in-flight re-plan or hit the swapped entry.
+    On an exact-bucket miss the server answers at once with the
+    *closest* stored plan of the same base identity
+    (:func:`repro.api.store.bucket_distance`, within ``max_distance``)
+    -- Lancet plans degrade smoothly in signature distance -- while the
+    key's exact planner run goes on in the background and is
+    **hot-swapped** into the store and memory cache when it lands.
 
 telemetry
     Every decision increments a counter (`requests`, `coalesced`,
     `memory_hits`, `store_hits`, `nearest_hits`, `planner_runs`,
-    `hot_swaps`, ...), in the same observable-counter style as
-    ``LancetReport.cache_stats``; hot swaps additionally append a
-    :class:`HotSwapEvent` recording the served-vs-exact predicted gap.
-    :meth:`PlanServer.stats` merges server, memory-cache and store
-    counters into one JSON-friendly snapshot (the ``serve stats`` CLI).
+    `hot_swaps`, ...); hot swaps also append a :class:`HotSwapEvent`
+    recording the served-vs-exact predicted gap.  :meth:`PlanServer.stats`
+    merges server, memory-cache and store counters into one
+    JSON-friendly snapshot (the ``serve stats`` CLI).
 
-graceful degradation (ISSUE 8; see ``docs/RELIABILITY.md``)
-    The request path never takes the service down with it.  Store
-    lookups and puts go through :func:`repro.api.store.store_call`, the
+graceful degradation (see ``docs/RELIABILITY.md``)
+    Store calls go through :func:`repro.api.store.store_call`, the
     degrader ``compile()`` and the trainer share: a corrupt entry is a
-    warned miss, transient I/O errors are retried with bounded
-    exponential backoff and then degrade to a warned miss (or skipped
-    write).  Planner runs are bounded by per-request deadlines
-    (``deadline_s``) and a planner timeout (``planner_timeout_s``): a
-    timed-out run is *abandoned but not killed* -- it lands later as a
-    late publish that warms the caches.  Repeated planner failures trip
-    a :class:`CircuitBreaker` (closed -> open -> half-open), and once it
-    is open -- or a deadline is blown -- requests are answered from a
-    tiered fallback chain, **exact -> nearest -> stale -> baseline**,
-    instead of erroring: the unbounded-radius *stale* tier serves any
-    structurally valid plan of the same base identity, and the
-    *baseline* tier wraps the unoptimized program in a plan, which is
-    always constructible without the planner.  ``ServeResult.origin``
-    names the tier that answered.
+    warned miss; transient I/O errors are retried with bounded backoff,
+    then become a warned miss (or skipped write).  A cold request waits
+    on its key's run for at most what is left of the run's
+    ``planner_timeout_s`` and of its own ``deadline_s``; if it stops
+    waiting it falls back, and the run keeps going and lands later as a
+    late publish.  Runs that fail or outlive the planner timeout trip a
+    :class:`CircuitBreaker` (closed -> open -> half-open); a request's
+    own deadline never does.  Fallback answers walk the chain
+    **exact -> nearest -> stale -> baseline**: *stale* is the closest
+    same-identity plan at unbounded distance, *baseline* the
+    unoptimized program wrapped in a plan, always constructible.
+    ``ServeResult.origin`` names the tier that answered.
 """
 
 from __future__ import annotations
@@ -66,7 +60,7 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..api.compiler import plan_resolved, resolve_workload
 from ..api.fingerprint import graph_fingerprint
@@ -90,8 +84,21 @@ DEFAULT_MAX_DISTANCE = 0.25
 NEAREST_PREDICTED_GAP_BOUND = 0.25
 
 
-class _PlannerTimeout(Exception):
-    """Internal: a planner run exceeded its time budget."""
+@dataclass(eq=False)
+class _PlannerRun:
+    """One planner run for one request key, shared by every request that
+    needs it (see :meth:`PlanServer._planner_run`)."""
+
+    #: the server's planner timeout when the run started
+    timeout_s: float | None
+    future: Future | None = None
+    started: float = field(default_factory=time.monotonic)
+    #: requests waiting on it: a run that lands with none is a late
+    #: publish, one that fails with none an error nobody else saw
+    waiters: int = 0
+    #: (predicted ms, distance) of the nearest answer it will replace
+    served: tuple[float, float] | None = None
+    judged: bool = False  # the breaker has recorded its outcome
 
 
 class CircuitBreaker:
@@ -101,8 +108,8 @@ class CircuitBreaker:
     for ``cooldown_s``; after the cooldown one *half-open* trial run is
     admitted -- success closes the breaker, failure re-opens it (and
     restarts the cooldown).  Thread-safe; the :class:`PlanServer`
-    consults it before every cold planner run and serves the fallback
-    chain while it refuses.
+    consults it before it starts a cold request's planner run and serves
+    the fallback chain while it refuses.
     """
 
     def __init__(self, threshold: int = 3, cooldown_s: float = 30.0) -> None:
@@ -121,12 +128,15 @@ class CircuitBreaker:
     def state(self) -> str:
         """``"closed"``, ``"open"``, or ``"half_open"``."""
         with self._lock:
-            if self._opened_at is None:
-                return "closed"
-            if self._trial_inflight:
-                return "half_open"
-            elapsed = time.monotonic() - self._opened_at
-            return "half_open" if elapsed >= self.cooldown_s else "open"
+            return self._state()
+
+    def _state(self) -> str:  # the caller holds the lock
+        if self._opened_at is None:
+            return "closed"
+        if self._trial_inflight:
+            return "half_open"
+        elapsed = time.monotonic() - self._opened_at
+        return "half_open" if elapsed >= self.cooldown_s else "open"
 
     def allow(self) -> bool:
         """May a planner run proceed right now?
@@ -164,11 +174,13 @@ class CircuitBreaker:
                 self._opened_at = time.monotonic()
 
     def snapshot(self) -> dict:
-        return {
-            "state": self.state,
-            "consecutive_failures": self._failures,
-            "trips": self.trips,
-        }
+        """State, failure streak and trips, read in one lock hold."""
+        with self._lock:
+            return {
+                "state": self._state(),
+                "consecutive_failures": self._failures,
+                "trips": self.trips,
+            }
 
 
 @dataclass
@@ -231,10 +243,11 @@ class PlanServer:
     policy / framework:
         Defaults applied to requests that don't specify their own.
     max_workers:
-        Planner thread-pool width (default: executor default).  Planner
-        runs are CPU-bound Python, so this bounds memory pressure more
-        than it buys parallel speedup; coalescing is what provides the
-        throughput.
+        Width of the request pool and of the planner pool (default:
+        executor default).  Planner runs are CPU-bound Python, so this
+        bounds memory pressure more than it buys parallel speedup;
+        coalescing is what provides the throughput.  The pools are
+        separate, so a request never waits on a run queued behind it.
     memory_cache_size:
         Entries in the server's in-process plan cache (0 disables it).
         This layer makes the warm path free of disk I/O; it is refreshed
@@ -252,22 +265,22 @@ class PlanServer:
         uses :func:`repro.api.compiler.plan_resolved`; the chaos
         harness injects :class:`repro.faults.FlakyPlanner` here.
     deadline_s:
-        Default per-request deadline (seconds).  A request that cannot
-        reach the planner before its deadline is answered from the
-        fallback chain instead of waiting.  ``None`` = no deadline.
+        Default per-request deadline (seconds).  A request whose planner
+        run has not landed by its deadline is answered from the fallback
+        chain instead of waiting.  ``None`` = no deadline.
     planner_timeout_s:
-        Budget for one cold planner run.  A run exceeding it is
-        abandoned (the request falls back) but allowed to finish in the
-        background, landing as a late publish.  ``None`` = unbounded.
+        Budget for one planner run.  A run exceeding it counts as a
+        breaker failure and its requests fall back, but it finishes in
+        the background, landing as a late publish.  ``None`` = unbounded.
     store_retries / retry_backoff_s:
         Transient ``OSError`` from store I/O is retried up to
         ``store_retries`` times with exponential backoff starting at
         ``retry_backoff_s`` (then degrades to a warned miss, or a
         skipped write; see :func:`~repro.api.store.store_call`).
     breaker_threshold / breaker_cooldown_s:
-        :class:`CircuitBreaker` configuration: consecutive planner
-        failures before opening, and the open-state cooldown before a
-        half-open trial.
+        :class:`CircuitBreaker` configuration: consecutive failed or
+        timed-out planner runs before opening, and the open-state
+        cooldown before a half-open trial.
     fallback:
         Enable the degraded serving tiers (stale / baseline).  When
         False, deadline misses, planner timeouts, and breaker-refused
@@ -312,39 +325,31 @@ class PlanServer:
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="plan-server"
         )
+        self._planner_pool = ThreadPoolExecutor(
+            max_workers=max_workers, thread_name_prefix="plan-server-planner"
+        )
         self._lock = threading.Lock()
-        #: request key -> in-flight Future[ServeResult]; also holds
-        #: background hot-swap re-plans under "swap:<key>" and abandoned
-        #: timed-out planner runs under "late:<key>"
+        #: request key -> in-flight Future[ServeResult]
         self._inflight: dict[str, Future] = {}
+        #: request key -> its one in-flight planner run
+        self._runs: dict[str, _PlannerRun] = {}
         self._memory = (
             LRUCache(memory_cache_size, name="server-memory")
             if memory_cache_size
             else None
         )
-        self.counters = {
-            "requests": 0,
-            "coalesced": 0,
-            "memory_hits": 0,
-            "store_hits": 0,
-            "nearest_hits": 0,
-            "planner_runs": 0,
-            "misses": 0,
-            "hot_swaps": 0,
-            "published": 0,
-            "errors": 0,
-            # degraded-mode telemetry (ISSUE 8)
-            "deadline_hits": 0,
-            "planner_timeouts": 0,
-            "planner_failures": 0,
-            "late_plans": 0,
-            "store_retries": 0,
-            "store_errors": 0,
-            "put_errors": 0,
-            "breaker_short_circuits": 0,
-            "stale_hits": 0,
-            "baseline_plans": 0,
-        }
+        self.counters = dict.fromkeys(
+            (
+                "requests", "coalesced", "memory_hits", "store_hits",
+                "nearest_hits", "planner_runs", "misses", "hot_swaps",
+                "published", "errors",
+                # degraded-mode telemetry
+                "deadline_hits", "planner_timeouts", "planner_failures",
+                "late_plans", "store_retries", "store_errors", "put_errors",
+                "breaker_short_circuits", "stale_hits", "baseline_plans",
+            ),
+            0,
+        )
         #: completed hot swaps, in completion order
         self.events: list[HotSwapEvent] = []
         self._closed = False
@@ -395,10 +400,10 @@ class PlanServer:
         Identical concurrent requests coalesce: the key is registered
         synchronously here, so every submission after the first --
         regardless of worker scheduling -- subscribes to the in-flight
-        run instead of starting its own.
+        request instead of starting its own.
 
         ``deadline_s`` (default: the server's ``deadline_s``) bounds how
-        long this request may wait on a cold planner run before it is
+        long this request may wait on its key's planner run before it is
         answered from the fallback chain instead.
         """
         if self._closed:
@@ -473,15 +478,11 @@ class PlanServer:
             future.set_exception(err)
             return
         with self._lock:
-            # nearest answers were cached before their hot swap was
-            # spawned (the swap's exact plan must never be overwritten
-            # by the staler neighbor); degraded-tier answers (stale /
-            # baseline) must not poison the warm path -- each such
-            # request re-walks the ladder until a real plan lands;
-            # everything else is cached here
-            if self._memory is not None and result.origin not in (
-                "nearest", "stale", "baseline"
-            ):
+            # store hits are cached here; a planner run caches its own
+            # plan when it lands, a nearest answer is cached before its
+            # run is registered (the exact plan must win), and degraded
+            # answers (stale / baseline) must not poison the warm path
+            if self._memory is not None and result.origin == "store":
                 self._memory.put(key, result.plan)
             self._inflight.pop(key, None)
         future.set_result(result)
@@ -529,7 +530,7 @@ class PlanServer:
             self._count("store_hits")
             return ServeResult(plan=plan, origin="store", key=key)
 
-        # 3. nearest bucket now + exact re-plan in the background
+        # 3. nearest bucket now + the exact planner run in the background
         if self.nearest:
             near = self._store_call(
                 self.store.nearest,
@@ -540,129 +541,65 @@ class PlanServer:
                 neighbor, distance = near
                 with self._lock:
                     self.counters["nearest_hits"] += 1
-                    # cache the neighbor *before* the swap can land, so
+                    # cache the neighbor *before* the run can land, so
                     # the exact plan always wins the memory-cache race
                     if self._memory is not None:
                         self._memory.put(key, neighbor)
-                self._spawn_hot_swap(key, resolved, neighbor, distance)
+                self._planner_run(
+                    key, resolved,
+                    served=(neighbor.predicted_iteration_ms, distance),
+                )
                 return ServeResult(
                     plan=neighbor, origin="nearest", key=key, distance=distance
                 )
 
-        # 4. cold: run the planner and publish -- unless the deadline is
-        # already blown or the circuit breaker refuses, in which case the
-        # degraded tiers (stale -> baseline) answer instead of erroring
+        # 4. cold: wait on the key's planner run for at most what is left
+        # of its planner timeout and of the request deadline; a request
+        # that stops waiting, or that the breaker refuses a new run, is
+        # answered by the degraded tiers (stale -> baseline) instead
         self._count("misses")
-        reason = None
-        if deadline is not None and time.monotonic() >= deadline:
-            self._count("deadline_hits")
-            reason = "deadline"
-        elif not self.breaker.allow():
+        run = self._planner_run(key, resolved, wait=True)
+        if run is None:
             self._count("breaker_short_circuits")
             reason = "breaker_open"
         else:
+            budget, reason = None, "planner_timeout"
+            if run.timeout_s is not None:
+                budget = run.started + run.timeout_s - time.monotonic()
+            if deadline is not None:
+                left = deadline - time.monotonic()
+                if budget is None or left < budget:
+                    budget, reason = left, "deadline"
             try:
-                plan = self._plan_with_budget(key, resolved, deadline)
+                plan = self._await_run(key, run, budget)
                 return ServeResult(plan=plan, origin="planned", key=key)
-            except _PlannerTimeout:
-                self._count("planner_timeouts")
-                self.breaker.record_failure()
-                reason = "planner_timeout"
+            except FuturesTimeout:
+                if reason == "deadline":
+                    self._count("deadline_hits")
+                else:
+                    self._count("planner_timeouts")
+                    self._judge(run, failed=True)
             except Exception:
-                # planner failures raise (pre-ISSUE-8 semantics) until
-                # repeated failures open the breaker; the breaker state
-                # was already updated by _plan_and_publish
+                # planner failures raise until repeated failures open the
+                # breaker; the run's completion already recorded this one
                 self._count("planner_failures")
-                if not self.fallback:
-                    raise
-                if self.breaker.state == "closed":
+                if not self.fallback or self.breaker.state == "closed":
                     raise
                 reason = "planner_error"
         if not self.fallback:
             raise PlanError(f"planner unavailable ({reason}) for {key}")
         return self._serve_degraded(key, resolved, reason)
 
-    def _plan_and_publish(self, resolved) -> Plan:
-        planner = self._planner if self._planner is not None else plan_resolved
-        try:
-            plan = planner(resolved, check=self.check)
-        except BaseException:
-            self.breaker.record_failure()
-            raise
-        self.breaker.record_success()
-        self._count("planner_runs")
-        self._store_call(
-            self.store.put,
-            plan,
-            index_scenario=resolved.scenario_pure,
-            errors="put_errors",
-        )
-        return plan
-
-    def _plan_with_budget(self, key, resolved, deadline) -> Plan:
-        """One cold planner run, bounded by the request deadline and the
-        server's planner timeout.
-
-        Without a budget this is a plain in-worker run.  With one, the
-        run happens on a dedicated thread the worker waits on: on
-        timeout the run is *abandoned* (raises :class:`_PlannerTimeout`
-        so the request falls back) but keeps going in the background --
-        its plan lands in the store and memory cache as a late publish
-        (``late_plans``), healing subsequent requests.
-        """
-        budget = self.planner_timeout_s
-        if deadline is not None:
-            remaining = deadline - time.monotonic()
-            budget = remaining if budget is None else min(budget, remaining)
-        if budget is None:
-            return self._plan_and_publish(resolved)
-        if budget <= 0:
-            raise _PlannerTimeout(key)
-
-        done: Future = Future()
-        late_key = f"late:{key}"
-        with self._lock:
-            self._inflight[late_key] = done
-        abandoned = threading.Event()
-
-        def run() -> None:
-            try:
-                plan = self._plan_and_publish(resolved)
-            except BaseException as err:
-                with self._lock:
-                    if abandoned.is_set():
-                        self.counters["errors"] += 1
-                    self._inflight.pop(late_key, None)
-                done.set_exception(err)
-                if abandoned.is_set():
-                    done.exception()  # consumed: nobody awaits a late run
-                return
-            with self._lock:
-                if abandoned.is_set():
-                    self.counters["late_plans"] += 1
-                    if self._memory is not None:
-                        self._memory.put(key, plan)
-                self._inflight.pop(late_key, None)
-            done.set_result(plan)
-
-        threading.Thread(
-            target=run, name="plan-server-timed", daemon=True
-        ).start()
-        try:
-            return done.result(timeout=budget)
-        except FuturesTimeout:
-            abandoned.set()
-            raise _PlannerTimeout(key) from None
-
-    # -- degraded serving tiers (ISSUE 8) -------------------------------------
+    # -- degraded serving tiers ----------------------------------------------
 
     def _serve_degraded(self, key, resolved, reason) -> ServeResult:
         """The stale -> baseline tail of the fallback chain.
 
         Reached only after the healthy tiers (memory, exact store,
         nearest-within-radius) missed and the planner was unavailable
-        (deadline blown, run timed out, repeated failures).  Never
-        raises: the baseline tier is always constructible.
+        (deadline blown, run timed out, repeated failures).  A run this
+        request stopped waiting on keeps going and heals the bucket.
+        Never raises: the baseline tier is always constructible.
         """
         stale = self._store_call(
             self.store.nearest, resolved.identity, max_distance=math.inf
@@ -670,21 +607,12 @@ class PlanServer:
         if stale is not None:
             plan, distance = stale
             self._count("stale_hits")
-            if reason == "deadline" and self.breaker.state == "closed":
-                # the planner is healthy, only this request ran out of
-                # time: heal the bucket in the background
-                self._spawn_hot_swap(key, resolved, plan, distance)
             return ServeResult(
-                plan=plan,
-                origin="stale",
-                key=key,
-                distance=distance,
+                plan=plan, origin="stale", key=key, distance=distance,
                 reason=reason,
             )
         self._count("baseline_plans")
         plan = self._baseline_plan(resolved, reason)
-        if reason == "deadline" and self.breaker.state == "closed":
-            self._spawn_hot_swap(key, resolved, plan, None)
         return ServeResult(plan=plan, origin="baseline", key=key, reason=reason)
 
     def _baseline_plan(self, resolved, reason) -> Plan:
@@ -720,57 +648,87 @@ class PlanServer:
             meta={"baseline": True, "fallback_reason": reason},
         )
 
-    # -- background hot swap -------------------------------------------------
+    # -- planner runs ----------------------------------------------------------
 
-    def _spawn_hot_swap(self, key, resolved, neighbor, distance) -> None:
-        """Kick off the exact re-plan behind a nearest-signature answer.
+    def _planner_run(self, key, resolved, *, wait=False, served=None):
+        """The in-flight planner run of ``key``, started if none is.
 
-        Registered in ``_inflight`` under a swap key so that a storm of
-        requests landing in the same missing bucket spawns exactly one
-        background planner run.
+        A cold request (``wait=True``) joins it as a waiter, and starts
+        one only if the breaker admits it (else ``None``).  A nearest
+        answer (``served``) always does: its landing is a hot swap.
         """
-        swap_key = f"swap:{key}"
         with self._lock:
-            if swap_key in self._inflight or self._closed:
-                return
-            swap_future: Future = Future()
-            self._inflight[swap_key] = swap_future
-        self._pool.submit(
-            self._hot_swap_into,
-            swap_future,
-            swap_key,
-            key,
-            resolved,
-            neighbor.predicted_iteration_ms,
-            distance,
-        )
+            run = self._runs.get(key)
+            if run is None:
+                if wait and not self.breaker.allow():
+                    return None
+                run = _PlannerRun(self.planner_timeout_s)
+                run.future = self._planner_pool.submit(
+                    self._plan_into, key, run, resolved
+                )
+                self._runs[key] = run
+            run.waiters += wait
+            if served is not None and run.served is None:
+                run.served = served
+        return run
 
-    def _hot_swap_into(
-        self, future, swap_key, key, resolved, served_predicted_ms, distance
-    ) -> None:
-        t0 = time.perf_counter()
+    def _await_run(self, key, run, budget) -> Plan:
+        """Wait on ``run`` for at most ``budget`` seconds (``None`` = no
+        bound); raises ``FuturesTimeout`` once the request gives up."""
         try:
-            plan = self._plan_and_publish(resolved)
-        except BaseException as err:
+            return run.future.result(
+                timeout=None if budget is None else max(budget, 0.0)
+            )
+        except FuturesTimeout:
             with self._lock:
-                self.counters["errors"] += 1
-                self._inflight.pop(swap_key, None)
-            future.set_exception(err)
-            return
-        event = HotSwapEvent(
-            key=key,
-            distance=distance,
-            served_predicted_ms=served_predicted_ms,
-            exact_predicted_ms=plan.predicted_iteration_ms,
-            seconds=time.perf_counter() - t0,
-        )
+                if self._runs.get(key) is run:  # still running: give up
+                    run.waiters -= 1
+                    raise
+        return run.future.result()  # it landed as the wait ran out
+
+    def _judge(self, run, failed: bool) -> None:
+        """Record ``run``'s outcome with the breaker, once per run."""
         with self._lock:
+            judged, run.judged = run.judged, True
+        if not judged and failed:
+            self.breaker.record_failure()
+        elif not judged:
+            self.breaker.record_success()
+
+    def _plan_into(self, key, run, resolved) -> Plan:
+        """Planner-pool task of one run, and the one place that books
+        its outcome: breaker, store and memory-cache put, counters."""
+        planner = self._planner if self._planner is not None else plan_resolved
+        try:
+            plan = planner(resolved, check=self.check)
+            seconds = time.monotonic() - run.started
+            self._judge(
+                run, failed=run.timeout_s is not None and seconds > run.timeout_s
+            )
+            self._store_call(
+                self.store.put, plan, index_scenario=resolved.scenario_pure,
+                errors="put_errors",
+            )
+        except BaseException:
+            self._judge(run, failed=True)
+            with self._lock:
+                self.counters["errors"] += not run.waiters
+                del self._runs[key]
+            raise
+        with self._lock:
+            self.counters["planner_runs"] += 1
             if self._memory is not None:
                 self._memory.put(key, plan)
-            self.counters["hot_swaps"] += 1
-            self.events.append(event)
-            self._inflight.pop(swap_key, None)
-        future.set_result(event)
+            if run.served is not None:
+                served_ms, distance = run.served
+                self.counters["hot_swaps"] += 1
+                self.events.append(HotSwapEvent(
+                    key, distance, served_ms, plan.predicted_iteration_ms, seconds
+                ))
+            elif not run.waiters:
+                self.counters["late_plans"] += 1
+            del self._runs[key]
+        return plan
 
     # -- publishing (trainer integration) ------------------------------------
 
@@ -791,13 +749,14 @@ class PlanServer:
     # -- lifecycle / observability -------------------------------------------
 
     def drain(self, timeout: float | None = None) -> None:
-        """Block until every in-flight request and background hot swap
-        has completed (makes telemetry deterministic for tests/benches).
+        """Block until every in-flight request and planner run has
+        completed (makes telemetry deterministic for tests/benches).
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             with self._lock:
                 pending = list(self._inflight.values())
+                pending += [run.future for run in self._runs.values()]
             if not pending:
                 return
             for f in pending:
@@ -810,11 +769,12 @@ class PlanServer:
                     pass
 
     def close(self, wait: bool = True) -> None:
-        """Drain (optionally) and shut the worker pool down."""
+        """Drain (optionally) and shut the worker pools down."""
         if wait:
             self.drain()
         self._closed = True
         self._pool.shutdown(wait=wait)
+        self._planner_pool.shutdown(wait=wait)
 
     def __enter__(self) -> "PlanServer":
         return self
@@ -834,7 +794,7 @@ class PlanServer:
                 "store": dict(self.store.stats),
                 "store_entries": len(self.store),
                 "store_bytes": self.store.total_bytes(),
-                "inflight": len(self._inflight),
+                "inflight": len(self._inflight) + len(self._runs),
                 "hot_swap_events": [
                     {
                         "distance": e.distance,

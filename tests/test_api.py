@@ -125,6 +125,9 @@ class TestScenario:
         assert sc.resolved_seq() == 512
         assert sc.build_cluster().num_gpus == 16
 
+    def test_preset_is_built_once_and_shared(self):
+        assert Scenario.preset("tiny/a100x8") is Scenario.preset("tiny/a100x8")
+
     def test_unknown_preset_and_model_rejected(self):
         with pytest.raises(ValueError, match="preset"):
             Scenario.preset("gpt3/tpu")

@@ -72,6 +72,30 @@ class TestCoalescing:
         assert {r.origin for r in results} == {"memory"}
         assert len(digests) <= 1
 
+    def test_preset_memory_hits_digest_the_request_key_once(
+        self, store, monkeypatch
+    ):
+        """A client that looks its scenario up by preset name on every
+        request gets the one shared preset object, so the request key
+        memo hits: 100 repeats hash the key at most once."""
+        import repro.api.store as store_mod
+
+        digests = []
+        real = store_mod.canonical_digest
+
+        def counting(payload):
+            digests.append(payload)
+            return real(payload)
+
+        with PlanServer(store) as server:
+            server.serve(Scenario.preset("tiny/a100x8"))
+            monkeypatch.setattr(store_mod, "canonical_digest", counting)
+            results = [
+                server.serve(Scenario.preset("tiny/a100x8")) for _ in range(100)
+            ]
+        assert {r.origin for r in results} == {"memory"}
+        assert len(digests) <= 1
+
     def test_closed_server_rejects_requests(self, store):
         server = PlanServer(store)
         server.close()

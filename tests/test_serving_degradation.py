@@ -156,6 +156,84 @@ class TestPlannerTimeouts:
             _wait_for(lambda: server.counters["late_plans"] >= 2)
 
 
+class TestOneRunPerKey:
+    """Cold requests, late publishes and heals of one key share its one
+    in-flight planner run."""
+
+    def test_back_to_back_timeouts_share_one_run(self, store):
+        planner = FlakyPlanner(plan_resolved, delay_s=0.5)
+        with PlanServer(
+            store, planner=planner, planner_timeout_s=0.01
+        ) as server:
+            first = server.serve(SC)
+            second = server.serve(SC)
+            assert first.reason == second.reason == "planner_timeout"
+            server.drain()
+            assert planner.calls == server.counters["planner_runs"] == 1
+            assert server.counters["late_plans"] == 1
+
+    def test_deadline_request_joins_the_timed_out_run(self, store):
+        planner = FlakyPlanner(plan_resolved, delay_s=0.5)
+        with PlanServer(
+            store, planner=planner, planner_timeout_s=0.01
+        ) as server:
+            assert server.serve(SC).origin == "baseline"
+            assert server.serve(SC, deadline_s=0.0).origin == "baseline"
+            server.drain()
+            assert planner.calls == server.counters["planner_runs"] == 1
+
+    def test_client_deadlines_do_not_open_the_breaker(self, store):
+        """A request that stops waiting because of its own deadline says
+        nothing about the planner: the breaker stays closed."""
+        planner = FlakyPlanner(plan_resolved, delay_s=0.3)
+        probes = [SC.with_(routing_seed=s) for s in range(3)]
+        with PlanServer(store, planner=planner, breaker_threshold=3) as server:
+            results = [server.serve(p, deadline_s=0.05) for p in probes]
+            assert [r.reason for r in results] == ["deadline"] * 3
+            assert server.breaker.state == "closed"
+            assert server.counters["planner_timeouts"] == 0
+            assert server.counters["deadline_hits"] == 3
+            later = server.serve(probes[0])
+            assert later.origin in ("planned", "memory")
+            server.drain()
+        assert server.breaker.snapshot()["consecutive_failures"] == 0
+
+    def test_failed_heal_counts_as_an_error(self, store):
+        """A run that fails with no request waiting on it is counted in
+        ``errors``: nobody else will see its exception."""
+        planner = FlakyPlanner(plan_resolved, outage=(1, 10**9))
+        with PlanServer(store, planner=planner) as server:
+            assert server.serve(SC).origin == "planned"
+            assert server.serve(SC.with_(routing_seed=5)).origin == "nearest"
+            server.drain()
+            assert server.counters["errors"] == 1
+            assert server.counters["hot_swaps"] == 0
+            assert server.stats()["inflight"] == 0
+
+    def test_single_worker_server_answers_cold_requests(self, store):
+        """No deadlock at max_workers=1: a request never waits on a pool
+        task queued behind it, and no thread is started per request --
+        every run goes to the one pooled planner thread."""
+        threads = []
+
+        def planner(resolved, check=True):
+            threads.append(threading.current_thread())
+            return plan_resolved(resolved, check=check)
+
+        with PlanServer(
+            store,
+            planner=planner,
+            max_workers=1,
+            planner_timeout_s=60.0,
+            nearest=False,
+        ) as server:
+            results = [
+                server.serve(SC.with_(routing_seed=s)) for s in range(3)
+            ]
+        assert [r.origin for r in results] == ["planned"] * 3
+        assert len(threads) == 3 and len(set(threads)) == 1
+
+
 class TestBreakerServing:
     def test_failures_raise_while_closed_then_degrade_when_open(
         self, store
