@@ -61,8 +61,8 @@ def signature_to_json(sig: RoutingSignature) -> dict:
         obj["hier_load"] = list(sig.hier_load)
     if sig.expert_counts is not None:
         # count provenance (what makes a signature placement-remappable)
-        # must survive the round-trip: a trainer-published plan's
-        # signatures compare equal after reload
+        # must survive the round-trip: a stored re-plan's signatures
+        # compare equal after reload
         obj["expert_counts"] = [list(row) for row in sig.expert_counts]
         obj["bytes_per_token"] = sig.bytes_per_token
     return obj

@@ -77,18 +77,20 @@ class ResolvedWorkload:
     #: .StageMap.request_dict` shape) -- ``None`` for flat workloads.
     #: Folded into store keys; drives the staged planning branch.
     pipeline: dict | None = None
+    #: expert placement the plan assumes (graph/program requests only)
+    placement: dict | None = None
 
     @property
     def identity(self) -> PlanIdentity:
-        """The identity the store is consulted under (never carries an
-        expert placement)."""
+        """The identity the store is consulted under."""
         return PlanIdentity(
             self.fingerprint,
             self.cluster,
             self.policy,
             self.framework,
             self.signatures,
-            pipeline=self.pipeline,
+            self.placement,
+            self.pipeline,
         )
 
     @property
@@ -107,15 +109,22 @@ def resolve_workload(
     policy: PlanPolicy | None = None,
     signatures: dict | None = None,
     framework: FrameworkProfile = COMPILED,
+    placement=None,
 ) -> ResolvedWorkload:
     """Reduce any accepted workload to its canonical planning identity.
 
     For a :class:`Scenario` this builds the graph, derives the cluster,
     and (under a skew-aware policy) observes the scenario's routing
-    signatures; graphs/programs require an explicit ``cluster``.
+    signatures; graphs/programs require an explicit ``cluster`` and may
+    carry an expert ``placement`` (a scenario request with one raises
+    ``TypeError``).
     """
+    from ..placement import normalize_placement
+
     policy = policy or PlanPolicy()
     scenario = workload if isinstance(workload, Scenario) else None
+    if scenario is not None and placement is not None:
+        raise TypeError("scenario requests do not take an expert placement")
     # overrides make the result unreproducible from the scenario alone,
     # so such plans must never enter (or be served from) the scenario
     # index -- only the canonical fingerprint-keyed path applies
@@ -168,6 +177,7 @@ def resolve_workload(
         scenario=scenario,
         scenario_pure=scenario_pure,
         pipeline=pipeline,
+        placement=normalize_placement(placement),
     )
 
 
@@ -229,21 +239,32 @@ def _plan_resolved_staged(resolved: ResolvedWorkload, check: bool) -> Plan:
     )
 
 
-def plan_resolved(resolved: ResolvedWorkload, check: bool = True) -> Plan:
+def plan_resolved(
+    resolved: ResolvedWorkload, check: bool = True, optimizer=None
+) -> Plan:
     """Run the optimizer over a resolved workload and wrap the result.
 
-    This is the one place a :class:`~repro.core.LancetOptimizer` is
-    constructed on behalf of the facade; everything above it (store
-    lookups, coalescing, nearest-signature serving) is cache machinery.
-    Staged workloads (``resolved.pipeline`` set) route through the
-    pipeline boundary planner, which runs one optimizer per stage.
+    ``optimizer`` is a :class:`~repro.core.LancetOptimizer` built for
+    the resolved cluster, framework and policy -- a warm one re-plans
+    incrementally, bit-identically to a cold one; ``None`` builds a
+    fresh one.  Its placement and signatures are set from ``resolved``
+    (placement first: signatures are remapped through it).  Everything
+    above this function (store lookups, coalescing, nearest-signature
+    serving) is cache machinery.  Staged workloads (``resolved.pipeline``
+    set) route through the pipeline boundary planner, which runs one
+    optimizer per stage, so they take no ``optimizer``.
     """
     if resolved.pipeline is not None:
+        if optimizer is not None:
+            raise TypeError("staged workloads build one optimizer per stage")
         return _plan_resolved_staged(resolved, check=check)
     t0 = time.perf_counter()
-    optimizer = resolved.policy.make_optimizer(
-        resolved.cluster, resolved.framework, resolved.signatures
-    )
+    if optimizer is None:
+        optimizer = resolved.policy.make_optimizer(
+            resolved.cluster, resolved.framework
+        )
+    optimizer.set_placement(resolved.placement)
+    optimizer.set_routing_signatures(resolved.signatures)
     optimized, report = optimizer.optimize(resolved.source, check=check)
     compile_seconds = time.perf_counter() - t0
 
@@ -256,10 +277,14 @@ def plan_resolved(resolved: ResolvedWorkload, check: bool = True) -> Plan:
         fingerprint=resolved.fingerprint,
         predicted_iteration_ms=report.predicted_iteration_ms,
         framework=resolved.framework,
-        signatures=report.routing_signatures,
+        # filed under the request's own signatures and placement (not
+        # the placement-remapped ones the passes priced), so the
+        # request key is the entry key
+        signatures=resolved.signatures,
         scenario=resolved.scenario,
         planner=planner,
         report=report,
+        placement=resolved.placement,
     )
 
 

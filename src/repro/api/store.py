@@ -12,10 +12,10 @@ same plan share an entry.  Every plan-cache key is derived from one
 plan under, ``identity.key(digits)`` the entry key, and
 ``identity.base_key()`` the signature-free family key.
 
-``compile()``, :class:`repro.serving.PlanServer` and the re-planning
-trainer look plans up under a :class:`PlanIdentity` (the trainer's
-in-memory plan cache keys on it too) and read and write the store
-through :func:`store_call`, the one degrader of store errors (direct
+``compile()`` and :class:`repro.serving.PlanServer` (through which the
+re-planning trainer reaches the store) look plans up under a
+:class:`PlanIdentity` and read and write the store through
+:func:`store_call`, the one degrader of store errors (direct
 ``PlanStore.get`` callers still get the exception).
 
 Layout: one ``<digest>.plan.json`` per entry under the store root, plus
@@ -80,8 +80,8 @@ from .plan import (
 )
 from .scenario import Scenario
 
-#: quantization (decimal digits) of signature loads in store keys --
-#: matches the ReoptimizingTrainer plan-cache default
+#: quantization (decimal digits) of signature loads in store keys (and
+#: in ``ReplanEvent.key`` when a trainer plans without a server)
 DEFAULT_KEY_DIGITS = 2
 
 #: sidecar memos under the store root (see the module docstring)
@@ -180,7 +180,7 @@ def bucket_distance(a, b) -> float:
 class PlanIdentity:
     """What identifies a plan: the one value every plan-cache key --
     the store's entry and base keys, the server's graph-request key,
-    the trainer's plan-cache key -- is derived from."""
+    the trainer's ``ReplanEvent.key`` -- is derived from."""
 
     fingerprint: str
     cluster: ClusterSpec
@@ -238,9 +238,8 @@ class PlanIdentity:
 
     def key(self, digits: int = DEFAULT_KEY_DIGITS) -> str:
         """Digest of the canonical plan key: what :class:`PlanStore`
-        files entries under (at its ``digits``), and what the trainer's
-        in-memory plan cache keys on.  The whole cluster spec enters the
-        key, not just its name."""
+        files entries under (at its ``digits``).  The whole cluster spec
+        enters the key, not just its name."""
         payload = self._payload()
         payload["signatures"] = signature_bucket(self.signatures, digits)
         return canonical_digest(payload)

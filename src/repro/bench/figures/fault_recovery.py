@@ -21,14 +21,14 @@ fully deterministic drills:
   circuit breaker, and a half-open recovery: **every request must be
   answered** (zero unhandled exceptions) and the tier counters must
   prove the whole chain (deadline -> timeout -> breaker -> stale ->
-  baseline -> heal) actually fired.
+  baseline -> heal) actually fired.  The drill drains the server at
+  every phase boundary (and after each request of the degraded phase),
+  so background runs land in the same order on every run of a seed.
 
 See ``docs/RELIABILITY.md`` for the fault model behind the drills.
 """
 
 from __future__ import annotations
-
-import time
 
 from ...api import PlanStore, Scenario
 from ...api.compiler import plan_resolved
@@ -231,6 +231,7 @@ def _server_drill(seed: int, store_root) -> dict:
             serve(server, sc)
         for sc in warmup:  # warm repeats
             serve(server, sc)
+        server.drain()
 
         # 2. blown deadlines on far-away buckets: answered from the
         #    degraded tiers immediately, healed in the background
@@ -241,6 +242,7 @@ def _server_drill(seed: int, store_root) -> dict:
                          hot_boost=0.8 + 0.05 * i),
                 deadline_s=0.0,
             )
+        server.drain()
         # 3. a deadline miss with *no* same-identity plan stored at any
         #    distance: only the baseline tier can answer
         serve(
@@ -249,6 +251,7 @@ def _server_drill(seed: int, store_root) -> dict:
                      routing_seed=seed * 1000 + 200),
             deadline_s=0.0,
         )
+        server.drain()
 
         # 4. planner brown-out: every run stalls past its budget, so
         #    cold requests time out (no exceptions), trip the breaker,
@@ -258,12 +261,14 @@ def _server_drill(seed: int, store_root) -> dict:
         for i in range(5):
             serve(server, scenario(300 + i, gate="bpr"))
         assert server.breaker.state == "open", server.breaker.snapshot()
+        server.drain()  # the abandoned runs land as late publishes
 
         # 5. steady chaos while degraded: warm hits and fallback answers
         #    interleaved; still zero exceptions
         for i in range(8):
             serve(server, warmup[i % len(warmup)])
             serve(server, scenario(400 + i, gate="bpr"))
+            server.drain()
 
         # 6. heal: the planner recovers, the cooldown elapses, the
         #    half-open trial closes the breaker, cold planning resumes
@@ -282,12 +287,6 @@ def _server_drill(seed: int, store_root) -> dict:
         assert server.breaker.state == "closed"
 
         server.drain()
-        # give abandoned brown-out runs time to land as late publishes
-        deadline = time.monotonic() + 10.0
-        while server.counters["late_plans"] < 1:
-            if time.monotonic() > deadline:
-                break
-            time.sleep(0.01)
         counters = dict(server.counters)
         breaker = server.breaker.snapshot()
 

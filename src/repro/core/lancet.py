@@ -50,13 +50,6 @@ class LancetReport:
     #: (``{'flat': ..., 'hierarchical': ...}``); ``None`` when
     #: hierarchical collectives were disabled, so every a2a ran flat
     a2a_algorithms: dict | None = None
-    #: failure-aware re-planning telemetry (ISSUE 8): set by the
-    #: :class:`~repro.train.ReoptimizingTrainer` when this plan targets
-    #: a degraded cluster -- the triggering :class:`~repro.faults
-    #: .FaultEvent` / :class:`~repro.faults.RecoveryEvent` records,
-    #: estimated per-device slowdowns, and the degraded spec's identity.
-    #: ``None`` for plans compiled against a healthy cluster.
-    fault_context: dict | None = None
 
     @property
     def skew_aware(self) -> bool:
@@ -100,8 +93,6 @@ class LancetReport:
             out["partition_degrees"] = [p.parts for p in self.partition.plans]
         if self.a2a_algorithms is not None:
             out["a2a_algorithms"] = dict(self.a2a_algorithms)
-        if self.fault_context is not None:
-            out["fault_context"] = dict(self.fault_context)
         return out
 
 

@@ -98,7 +98,7 @@ class FlakyPlanner:
         self.calls = 0
         self.failures = 0
 
-    def __call__(self, resolved, check: bool = True):
+    def __call__(self, resolved, check: bool = True, optimizer=None):
         call = self.calls
         self.calls += 1
         in_outage = (
@@ -115,4 +115,4 @@ class FlakyPlanner:
             )
         if self.delay_s > 0:
             time.sleep(self.delay_s)
-        return self._planner(resolved, check=check)
+        return self._planner(resolved, check=check, optimizer=optimizer)

@@ -20,6 +20,13 @@ coalescing: one request future and one planner run per key
     on a run all share the key's one in-flight run, and one completion
     path books it (store and memory-cache put, counters, breaker).
 
+warm planner runs
+    A flat run checks an idle optimizer of its base identity (the plan
+    identity without signatures) out of a pool of at most
+    :data:`WARM_OPTIMIZERS`, so a re-plan for a new signature bucket --
+    a drifting trainer, a fault twin's second onset -- re-plans
+    incrementally, bit-identically to a cold plan.
+
 nearest-signature serving
     On an exact-bucket miss the server answers at once with the
     *closest* stored plan of the same base identity
@@ -38,7 +45,7 @@ telemetry
 
 graceful degradation (see ``docs/RELIABILITY.md``)
     Store calls go through :func:`repro.api.store.store_call`, the
-    degrader ``compile()`` and the trainer share: a corrupt entry is a
+    degrader ``compile()`` uses too: a corrupt entry is a
     warned miss; transient I/O errors are retried with bounded backoff,
     then become a warned miss (or skipped write).  A cold request waits
     on its key's run for at most what is left of the run's
@@ -60,6 +67,7 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
+from concurrent.futures import wait as wait_futures
 from dataclasses import dataclass, field
 
 from ..api.compiler import plan_resolved, resolve_workload
@@ -68,6 +76,7 @@ from ..api.plan import Plan, PlanError, PlanPolicy
 from ..api.scenario import Scenario
 from ..api.store import PlanIdentity, PlanStore, scenario_key, store_call
 from ..core.cache import LRUCache
+from ..placement import normalize_placement
 from ..runtime.device import COMPILED, FrameworkProfile
 
 #: default nearest-signature serving radius, in bucket-distance units
@@ -82,6 +91,20 @@ DEFAULT_MAX_DISTANCE = 0.25
 #: documented bound on the served-vs-exact predicted-time gap under the
 #: default ``max_distance`` (relative; enforced by the serving benchmark)
 NEAREST_PREDICTED_GAP_BOUND = 0.25
+
+#: idle warm optimizers kept across planner runs, all base identities
+#: together (each holds its planner's warm-start tables)
+WARM_OPTIMIZERS = 4
+
+
+def _decoded(lookup, *args, **kwargs):
+    """A store lookup whose plan (or ``(plan, distance)``) has its
+    program decoded now: a corrupt program section is then a warned miss
+    that a planner run heals, not an error in the client's hands."""
+    hit = lookup(*args, **kwargs)
+    if hit is not None:
+        (hit[0] if isinstance(hit, tuple) else hit).program
+    return hit
 
 
 @dataclass(eq=False)
@@ -251,7 +274,7 @@ class PlanServer:
     memory_cache_size:
         Entries in the server's in-process plan cache (0 disables it).
         This layer makes the warm path free of disk I/O; it is refreshed
-        on every publish/hot-swap through *this* server, so its staleness
+        on every planner run and hot swap of *this* server, so its staleness
         against writes by other processes is bounded by entry turnover.
     nearest:
         Enable nearest-signature serving.
@@ -261,7 +284,8 @@ class PlanServer:
     check:
         Validate the IR after planner passes (forwarded to the planner).
     planner:
-        The planner callable (``plan_resolved``-compatible).  ``None``
+        The planner callable (``plan_resolved``-compatible, called as
+        ``planner(resolved, check=..., optimizer=...)``).  ``None``
         uses :func:`repro.api.compiler.plan_resolved`; the chaos
         harness injects :class:`repro.faults.FlakyPlanner` here.
     deadline_s:
@@ -342,7 +366,7 @@ class PlanServer:
             (
                 "requests", "coalesced", "memory_hits", "store_hits",
                 "nearest_hits", "planner_runs", "misses", "hot_swaps",
-                "published", "errors",
+                "errors",
                 # degraded-mode telemetry
                 "deadline_hits", "planner_timeouts", "planner_failures",
                 "late_plans", "store_retries", "store_errors", "put_errors",
@@ -352,6 +376,10 @@ class PlanServer:
         )
         #: completed hot swaps, in completion order
         self.events: list[HotSwapEvent] = []
+        #: (base key, idle optimizer) pairs, least recently used first
+        self._warm: list[tuple[str, object]] = []
+        #: planner runs landed so far (see :meth:`_planner_run`)
+        self._landings = 0
         self._closed = False
 
     # -- identity ------------------------------------------------------------
@@ -363,16 +391,22 @@ class PlanServer:
         policy: PlanPolicy | None = None,
         signatures: dict | None = None,
         framework: FrameworkProfile | None = None,
+        placement=None,
     ) -> str:
         """Canonical identity of one request (the coalescing key).
 
         Scenario requests key on the declarative spec -- no graph build
         needed, so submission stays cheap; graph/program requests key on
-        the store's canonical plan key.
+        the store's canonical plan key, which is the key the planned
+        plan is filed under (expert ``placement`` included).
         """
         policy = policy or self.policy
         framework = framework or self.framework
         if isinstance(workload, Scenario):
+            if placement is not None:
+                raise TypeError(
+                    "scenario requests do not take an expert placement"
+                )
             return scenario_key(
                 workload, policy, framework, cluster, signatures,
                 self.store.digits,
@@ -380,7 +414,8 @@ class PlanServer:
         if cluster is None:
             raise TypeError("graph/program requests require an explicit cluster")
         return PlanIdentity(
-            graph_fingerprint(workload), cluster, policy, framework, signatures
+            graph_fingerprint(workload), cluster, policy, framework,
+            signatures, normalize_placement(placement),
         ).key(self.store.digits)
 
     # -- the request path ----------------------------------------------------
@@ -394,6 +429,7 @@ class PlanServer:
         signatures: dict | None = None,
         framework: FrameworkProfile | None = None,
         deadline_s: float | None = None,
+        placement=None,
     ) -> Future:
         """Enqueue one request; returns a ``Future[ServeResult]``.
 
@@ -404,7 +440,9 @@ class PlanServer:
 
         ``deadline_s`` (default: the server's ``deadline_s``) bounds how
         long this request may wait on its key's planner run before it is
-        answered from the fallback chain instead.
+        answered from the fallback chain instead.  ``placement`` (graph
+        and program requests only) is the expert placement to plan
+        under.
         """
         if self._closed:
             raise RuntimeError("PlanServer is closed")
@@ -415,7 +453,9 @@ class PlanServer:
         deadline = (
             None if deadline_s is None else time.monotonic() + deadline_s
         )
-        key = self.request_key(workload, cluster, policy, signatures, framework)
+        key = self.request_key(
+            workload, cluster, policy, signatures, framework, placement
+        )
         with self._lock:
             self.counters["requests"] += 1
             inflight = self._inflight.get(key)
@@ -433,16 +473,12 @@ class PlanServer:
                     return done
             future: Future = Future()
             self._inflight[key] = future
+        request = dict(
+            policy=policy, signatures=signatures, framework=framework,
+            placement=placement,
+        )
         self._pool.submit(
-            self._serve_into,
-            future,
-            key,
-            workload,
-            cluster,
-            policy,
-            signatures,
-            framework,
-            deadline,
+            self._serve_into, future, key, workload, cluster, request, deadline
         )
         return future
 
@@ -462,13 +498,12 @@ class PlanServer:
     # -- worker side ---------------------------------------------------------
 
     def _serve_into(
-        self, future, key, workload, cluster, policy, signatures, framework,
-        deadline=None,
+        self, future, key, workload, cluster, request, deadline=None
     ) -> None:
         t0 = time.perf_counter()
         try:
             result = self._lookup_or_plan(
-                key, workload, cluster, policy, signatures, framework, deadline
+                key, workload, cluster, request, deadline
             )
             result.latency_s = time.perf_counter() - t0
         except BaseException as err:
@@ -505,60 +540,55 @@ class PlanServer:
         )
 
     def _lookup_or_plan(
-        self, key, workload, cluster, policy, signatures, framework,
-        deadline=None,
+        self, key, workload, cluster, request, deadline=None
     ) -> ServeResult:
+        """Answer one request (``request``: the :func:`resolve_workload`
+        keywords) down the lookup ladder."""
         # 1. scenario fast path: warm answer without building a graph
-        if isinstance(workload, Scenario) and cluster is None and signatures is None:
+        pure = isinstance(workload, Scenario) and cluster is None
+        if pure and request["signatures"] is None:
             plan = self._store_call(
-                self.store.lookup_scenario, workload, policy, framework
+                self.store.lookup_scenario, workload, request["policy"],
+                request["framework"],
             )
             if plan is not None:
                 self._count("store_hits")
                 return ServeResult(plan=plan, origin="store", key=key)
 
-        resolved = resolve_workload(
-            workload,
-            cluster,
-            policy=policy,
-            signatures=signatures,
-            framework=framework,
-        )
-        # 2. exact signature bucket
-        plan = self._store_call(self.store.get, resolved.identity)
-        if plan is not None:
-            self._count("store_hits")
-            return ServeResult(plan=plan, origin="store", key=key)
+        resolved = resolve_workload(workload, cluster, **request)
+        while True:  # again if a run landed after the exact miss below
+            seen = self._landings
+            # 2. exact signature bucket
+            plan = self._store_call(_decoded, self.store.get, resolved.identity)
+            if plan is not None:
+                self._count("store_hits")
+                return ServeResult(plan=plan, origin="store", key=key)
 
-        # 3. nearest bucket now + the exact planner run in the background
-        if self.nearest:
-            near = self._store_call(
+            # 3. nearest bucket now + the exact planner run in the background
+            near = self.nearest and self._store_call(
+                _decoded,
                 self.store.nearest,
                 resolved.identity,
                 max_distance=self.max_distance,
             )
-            if near is not None:
-                neighbor, distance = near
-                with self._lock:
-                    self.counters["nearest_hits"] += 1
-                    # cache the neighbor *before* the run can land, so
-                    # the exact plan always wins the memory-cache race
-                    if self._memory is not None:
-                        self._memory.put(key, neighbor)
-                self._planner_run(
-                    key, resolved,
-                    served=(neighbor.predicted_iteration_ms, distance),
-                )
-                return ServeResult(
-                    plan=neighbor, origin="nearest", key=key, distance=distance
-                )
+            if near:
+                if self._planner_run(key, resolved, seen, served=near):
+                    neighbor, distance = near
+                    return ServeResult(
+                        plan=neighbor, origin="nearest", key=key,
+                        distance=distance,
+                    )
+                continue
 
-        # 4. cold: wait on the key's planner run for at most what is left
-        # of its planner timeout and of the request deadline; a request
-        # that stops waiting, or that the breaker refuses a new run, is
-        # answered by the degraded tiers (stale -> baseline) instead
+            # 4. cold: wait on the key's planner run for at most what is
+            # left of its planner timeout and of the request deadline; a
+            # request that stops waiting, or that the breaker refuses a
+            # new run, is answered by the degraded tiers (stale ->
+            # baseline) instead
+            run = self._planner_run(key, resolved, seen, wait=True)
+            if run is not None or self._landings == seen:
+                break
         self._count("misses")
-        run = self._planner_run(key, resolved, wait=True)
         if run is None:
             self._count("breaker_short_circuits")
             reason = "breaker_open"
@@ -650,17 +680,23 @@ class PlanServer:
 
     # -- planner runs ----------------------------------------------------------
 
-    def _planner_run(self, key, resolved, *, wait=False, served=None):
+    def _planner_run(self, key, resolved, seen, *, wait=False, served=None):
         """The in-flight planner run of ``key``, started if none is.
 
-        A cold request (``wait=True``) joins it as a waiter, and starts
-        one only if the breaker admits it (else ``None``).  A nearest
-        answer (``served``) always does: its landing is a hot swap.
+        ``None``, and no run started, if a run landed since the caller
+        read ``seen`` (the landing count) before its exact store miss:
+        the key's plan may be stored now, so the caller looks again.  A
+        cold request (``wait=True``) joins the run as a waiter, and
+        starts one only if the breaker admits it (else ``None``).  A
+        nearest answer (``served``: neighbor plan and distance) always
+        does: its landing is a hot swap.
         """
         with self._lock:
             run = self._runs.get(key)
             if run is None:
-                if wait and not self.breaker.allow():
+                if self._landings != seen or (
+                    wait and not self.breaker.allow()
+                ):
                     return None
                 run = _PlannerRun(self.planner_timeout_s)
                 run.future = self._planner_pool.submit(
@@ -668,8 +704,15 @@ class PlanServer:
                 )
                 self._runs[key] = run
             run.waiters += wait
-            if served is not None and run.served is None:
-                run.served = served
+            if served is not None:
+                neighbor, distance = served
+                self.counters["nearest_hits"] += 1
+                # cache the neighbor *before* the run can land, so the
+                # exact plan always wins the memory-cache race
+                if self._memory is not None:
+                    self._memory.put(key, neighbor)
+                if run.served is None:
+                    run.served = (neighbor.predicted_iteration_ms, distance)
         return run
 
     def _await_run(self, key, run, budget) -> Plan:
@@ -697,10 +740,17 @@ class PlanServer:
 
     def _plan_into(self, key, run, resolved) -> Plan:
         """Planner-pool task of one run, and the one place that books
-        its outcome: breaker, store and memory-cache put, counters."""
+        its outcome: breaker, store and memory-cache put, counters, and
+        the warm optimizer's return to the pool."""
         planner = self._planner if self._planner is not None else plan_resolved
+        base = optimizer = None
         try:
-            plan = planner(resolved, check=self.check)
+            if resolved.pipeline is None:  # staged runs plan per stage, cold
+                base = resolved.identity.base_key()
+                optimizer = self._checkout(base) or resolved.policy.make_optimizer(
+                    resolved.cluster, resolved.framework
+                )
+            plan = planner(resolved, check=self.check, optimizer=optimizer)
             seconds = time.monotonic() - run.started
             self._judge(
                 run, failed=run.timeout_s is not None and seconds > run.timeout_s
@@ -717,6 +767,7 @@ class PlanServer:
             raise
         with self._lock:
             self.counters["planner_runs"] += 1
+            self._landings += 1
             if self._memory is not None:
                 self._memory.put(key, plan)
             if run.served is not None:
@@ -728,29 +779,27 @@ class PlanServer:
             elif not run.waiters:
                 self.counters["late_plans"] += 1
             del self._runs[key]
+            if optimizer is not None:  # a failed run's optimizer is dropped
+                self._warm.append((base, optimizer))
+                del self._warm[:-WARM_OPTIMIZERS]
         return plan
 
-    # -- publishing (trainer integration) ------------------------------------
-
-    def publish(self, plan: Plan, index_scenario: bool = False) -> None:
-        """Publish an externally produced plan (e.g. a
-        :class:`~repro.train.ReoptimizingTrainer` re-plan) through the
-        server: written to the shared store and installed in the memory
-        cache, so subsequent requests for its identity are warm."""
-        self._store_call(
-            self.store.put, plan, index_scenario=index_scenario, errors="put_errors"
-        )
-        key = PlanIdentity.of(plan).key(self.store.digits)
+    def _checkout(self, base):
+        """Take the most recently used idle optimizer of base identity
+        ``base`` out of the warm pool (``None`` if there is none)."""
         with self._lock:
-            if self._memory is not None:
-                self._memory.put(key, plan)
-            self.counters["published"] += 1
+            for i in range(len(self._warm) - 1, -1, -1):
+                if self._warm[i][0] == base:
+                    return self._warm.pop(i)[1]
+        return None
 
     # -- lifecycle / observability -------------------------------------------
 
     def drain(self, timeout: float | None = None) -> None:
         """Block until every in-flight request and planner run has
         completed (makes telemetry deterministic for tests/benches).
+        Raises ``TimeoutError`` if work is still pending after
+        ``timeout`` seconds.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
@@ -759,14 +808,12 @@ class PlanServer:
                 pending += [run.future for run in self._runs.values()]
             if not pending:
                 return
-            for f in pending:
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic()
+            left = None if deadline is None else deadline - time.monotonic()
+            # failed futures count as done: their callers saw the error
+            if wait_futures(pending, timeout=left).not_done:
+                raise TimeoutError(
+                    f"PlanServer.drain: work still pending after {timeout} s"
                 )
-                try:
-                    f.result(timeout=remaining)
-                except Exception:  # surfaced to the original caller too
-                    pass
 
     def close(self, wait: bool = True) -> None:
         """Drain (optionally) and shut the worker pools down."""

@@ -20,15 +20,13 @@ moves.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..api.compiler import plan_resolved, resolve_workload
 from ..api.fingerprint import graph_fingerprint
 from ..api.plan import Plan, PlanPolicy
-from ..api.store import PlanIdentity, store_call
-from ..core.cache import LRUCache
 from ..faults.injector import derive_degraded
 from ..faults.model import FaultSpec
 from ..ir import Program
@@ -47,12 +45,8 @@ from .data import SyntheticCorpus
 
 
 def _check_plan_matches(plan: Plan, graph: ModelGraph) -> None:
-    """Refuse a plan compiled for a different graph.
-
-    A mismatched plan would install a wrong (or crashing) schedule and
-    -- worse, with a shared store -- publish re-plans under the wrong
-    fingerprint, poisoning every other trainer's cache.
-    """
+    """Refuse a plan compiled for a different graph: it would install a
+    wrong (or crashing) schedule."""
     actual = graph_fingerprint(graph.program)
     if plan.fingerprint != actual:
         raise ValueError(
@@ -60,14 +54,6 @@ def _check_plan_matches(plan: Plan, graph: ModelGraph) -> None:
             f"(plan fingerprint {plan.fingerprint[:23]}..., "
             f"this graph {actual[:23]}...); re-compile for this workload"
         )
-
-
-def _decoded_get(store, ident: PlanIdentity) -> Plan | None:
-    """``store.get``, decoding the program now: corrupt sections miss."""
-    plan = store.get(ident)
-    if plan is not None:
-        plan.program
-    return plan
 
 
 @dataclass
@@ -184,11 +170,13 @@ class ReplanEvent:
     """Record of one re-plan of the trainer's schedule.
 
     ``trigger`` says why it ran (``"drift"``, ``"fault"`` or
-    ``"recovery"``); ``source`` where the plan came from (``"memory"``:
-    the trainer's plan cache, ``"store"``: the shared
-    :class:`~repro.api.PlanStore`, ``"planned"``: the trainer's own
-    optimizer).  Drift re-plans install unconditionally; fault and
-    recovery swaps redistribute parameters, so they are priced with
+    ``"recovery"``); ``source`` where the plan came from: ``"planned"``
+    (a planner run: the trainer's own optimizer, or the server's), or a
+    :class:`~repro.serving.PlanServer` tier (``ServeResult.origin``):
+    ``"memory"``, ``"store"``, ``"nearest"`` -- or the degraded
+    ``"stale"`` / ``"baseline"``, which are never installed.  Drift
+    re-plans install every healthy answer; fault and recovery swaps
+    redistribute parameters, so they are priced with
     :func:`~repro.placement.migration_pays_off` and ``migrated`` records
     the verdict.
     """
@@ -196,19 +184,20 @@ class ReplanEvent:
     step: int
     trigger: str
     source: str
-    #: plan-cache key the plan was looked up under
-    #: (``PlanIdentity.key(cache_digits)``)
+    #: request key of the plan (its store entry key)
     key: str
     #: name of the :class:`~repro.runtime.cluster.ClusterSpec` planned for
     cluster: str
     #: predicted iteration time of the new schedule; for priced
     #: re-plans, as simulated on the target cluster for the pricing
     predicted_ms: float
-    #: wall time of the optimizer run (0.0 unless ``source="planned"``)
+    #: the planner run's ``compile_seconds`` (0.0 unless
+    #: ``source="planned"``)
     wall_seconds: float
     #: routing drift that triggered a drift re-plan (0.0 otherwise)
     drift: float = 0.0
-    #: whether the partition planner reused its warm-start state
+    #: whether the planner run reused warm-start state
+    #: (``plan.planner["warm_planned"]``; False unless planned)
     warm_start: bool = False
     #: whether the new schedule was installed
     migrated: bool = True
@@ -216,17 +205,21 @@ class ReplanEvent:
     predicted_stale_ms: float | None = None
     #: priced re-plans: one full all-reduce of the parameters there
     migration_cost_ms: float = 0.0
+    #: fault and recovery re-plans: the triggering fault / recovery
+    #: events, the estimated per-device slowdowns and the target
+    #: cluster's name (``None`` for drift re-plans)
+    context: dict | None = None
 
 
 class ReoptimizingTrainer(Trainer):
     """Trainer that re-plans the schedule as the routing or the cluster
     health shifts.
 
-    Every re-plan runs one sequence, whatever triggered it: look the
-    plan up (this trainer's plan cache, then the shared store, then the
-    trainer's own warm optimizer, whose fresh plans are published back),
-    price it (fault and recovery swaps only), install it, and record a
-    :class:`ReplanEvent` in :attr:`events`.
+    Every re-plan runs one sequence, whatever triggered it: ask for a
+    plan (the :class:`~repro.serving.PlanServer` if one is given, else
+    the trainer's own warm optimizer), price it (fault and recovery
+    swaps only), install it, and record a :class:`ReplanEvent` in
+    :attr:`events`.
 
     Parameters
     ----------
@@ -241,34 +234,21 @@ class ReoptimizingTrainer(Trainer):
         Re-optimize when any layer's observed signature drifts more than
         this from the signature the current plan was optimized for
         (see :meth:`RoutingSignature.drift_from`).
-    cache_digits:
-        Quantization of the signature bucket in plan-cache keys:
-        realizations whose loads round to the same values reuse the
-        cached schedule instead of paying the optimizer wall time again.
-    plan_cache_size:
-        LRU bound of the plan cache (keyed on
-        :meth:`~repro.api.store.PlanIdentity.key`).  A long run visits an
-        unbounded stream of distinct signatures, so the cache must be
-        bounded; hits/misses/evictions are exposed via
-        :attr:`plan_cache_stats`.
     plan:
         Optional pre-compiled :class:`~repro.api.Plan` to start from
         (e.g. a :class:`~repro.api.PlanStore` warm load): the initial
         optimizer run is skipped and the plan's schedule, prediction,
         and routing signatures are installed directly.
-    store:
-        Optional shared :class:`~repro.api.PlanStore`.  Consulted
-        (after the plan cache) before every optimizer run -- another
-        process may already have planned this identity -- and every
-        fresh re-plan is published back, so a fleet of trainers
-        amortizes planning work.
     server:
-        Optional :class:`~repro.serving.PlanServer`.  The trainer reads
-        through the server's store and publishes every fresh re-plan
-        via :meth:`~repro.serving.PlanServer.publish`, so the server's
-        memory cache (and hence every other client of that server) is
-        warm for the new signature bucket the moment the re-plan lands.
-        Implies ``store=server.store`` when no store is given.
+        Optional :class:`~repro.serving.PlanServer`.  Every re-plan is
+        then a :meth:`~repro.serving.PlanServer.serve` request for this
+        graph, target cluster, policy, observed signatures and expert
+        placement: the server's memory cache, shared store and
+        nearest-signature tier answer before its warm planner runs, and
+        whatever it plans is warm for every other client.  A nearest
+        answer is installed (its signatures are what later drift is
+        measured against, so the trainer re-plans until the exact plan
+        lands); a degraded answer never is.
     fault_detector:
         Optional :class:`~repro.faults.StragglerDetector`.  Feed it
         observed per-device compute times via
@@ -291,8 +271,8 @@ class ReoptimizingTrainer(Trainer):
         win over ``migration_horizon_steps``), emitting a
         :class:`~repro.placement.MigrationEvent` either way; accepted
         placements are installed into the Lancet optimizer (signatures
-        are remapped before pricing) and qualify the plan cache/store
-        keys.  Requires the placement optimizer's cluster to span the
+        are remapped before pricing) and qualify the plan's request
+        key.  Requires the placement optimizer's cluster to span the
         same device count as the numeric run (layers observed at a
         different width are skipped).  ``None`` (the default) disables
         placement entirely -- the control loop is unchanged.
@@ -307,13 +287,10 @@ class ReoptimizingTrainer(Trainer):
         graph: ModelGraph,
         optimizer,
         drift_threshold: float = 0.05,
-        cache_digits: int = 2,
-        plan_cache_size: int = 16,
         seed: int = 0,
         lr_corpus_alpha: float = 1.1,
         parallel: bool | None = None,
         plan: Plan | None = None,
-        store=None,
         server=None,
         fault_detector=None,
         migration_horizon_steps: int = 50,
@@ -339,11 +316,7 @@ class ReoptimizingTrainer(Trainer):
         #: telemetry of every priced placement-switch decision
         self.migration_events: list = []
         self.drift_threshold = drift_threshold
-        self.cache_digits = cache_digits
         self.server = server
-        if store is None and server is not None:
-            store = server.store
-        self.store = store
         if plan is not None:
             _check_plan_matches(plan, graph)
             if plan.cluster != optimizer.cluster:
@@ -361,8 +334,6 @@ class ReoptimizingTrainer(Trainer):
             program, report = optimizer.optimize(graph)
             predicted = report.predicted_iteration_ms
             initial_signatures = {}
-        #: structural fingerprint of the source graph (plan-key component)
-        self._fingerprint = graph_fingerprint(graph.program)
         super().__init__(
             graph,
             program=program,
@@ -373,11 +344,6 @@ class ReoptimizingTrainer(Trainer):
         #: signatures the *current* schedule was optimized for
         self.plan_signatures: dict[object, RoutingSignature] = initial_signatures
         self.predicted_ms = predicted
-        #: plan cache: canonical plan key -> (program, predicted_ms),
-        #: LRU-bounded (signatures form an unbounded key stream)
-        self._plan_cache: LRUCache = LRUCache(
-            plan_cache_size, name="plan-cache"
-        )
         #: every re-plan in order, whatever triggered it
         self.events: list[ReplanEvent] = []
         self._observed: dict[object, RoutingSignature] = {}
@@ -611,88 +577,54 @@ class ReoptimizingTrainer(Trainer):
 
     # -- the re-plan sequence ----------------------------------------------------
 
-    def _identity(self) -> PlanIdentity:
-        """Plan identity the current target and observation call for."""
-        opt = self.optimizer
-        return PlanIdentity(
-            self._fingerprint,
-            opt.cluster,
-            PlanPolicy.from_optimizer(opt),
-            opt.framework,
-            dict(self._observed) or None,
-            opt.placement,
-        )
-
     def _replan(
         self, step: int, trigger: str, drift: float = 0.0, context=None
     ) -> ReplanEvent:
-        """The one re-plan sequence.  Acquire a plan for the current
-        target and observation (the plan cache, then the shared store,
-        then this trainer's own warm optimizer, whose fresh plan is
-        published back), price it (fault and recovery only), install it,
-        and record the event."""
-        ident = self._identity()
-        key = ident.key(self.cache_digits)
-        cached = self._plan_cache.get(key)
-        stored = None
-        if cached is None and self.store is not None:
-            # a corrupt entry, one a newer build in the fleet wrote, or
-            # a store I/O error degrades to a miss: training never
-            # aborts on the shared cache
-            stored = store_call(_decoded_get, self.store, ident)
-        wall, warm = 0.0, False
-        if cached is not None:
-            source, (program, predicted) = "memory", cached
-        elif stored is not None:
-            # another process (or an earlier run) already planned this
-            # identity: reuse its schedule verbatim
-            source, program = "store", stored.program
-            predicted = stored.predicted_iteration_ms
+        """The one re-plan sequence.  Ask for a plan for the current
+        target and observation (the server, else this trainer's own warm
+        optimizer), price it (fault and recovery only), install it unless
+        it is a degraded answer, and record the event."""
+        opt = self.optimizer
+        request = dict(
+            policy=PlanPolicy.from_optimizer(opt),
+            signatures=dict(self._observed) or None,
+            framework=opt.framework,
+            placement=opt.placement,
+        )
+        if self.server is not None:
+            answer = self.server.serve(self.graph, opt.cluster, **request)
+            plan, source, key = answer.plan, answer.origin, answer.key
+            reason = answer.reason
         else:
-            source = "planned"
-            t0 = time.perf_counter()
-            self.optimizer.set_routing_signatures(ident.signatures)
             # the optimizer re-plans incrementally: its PlannerState
             # carries every signature-independent DP table over from
             # the previous plan, so only the drifted pricing is redone
-            program, report = self.optimizer.optimize(self.graph)
-            wall, warm = time.perf_counter() - t0, report.warm_planned
-            predicted = report.predicted_iteration_ms
-            report.fault_context = context
-            if self.store is not None:
-                plan = Plan(
-                    program=program,
-                    predicted_iteration_ms=predicted,
-                    planner=report.summary_dict(),
-                    fingerprint=ident.fingerprint,
-                    cluster=ident.cluster,
-                    policy=ident.policy,
-                    framework=ident.framework,
-                    signatures=ident.signatures,
-                    placement=ident.placement,
-                )
-                # through the server, the plan also lands in its memory
-                # cache: every other client is warm for it immediately
-                store_call(self.server.publish if self.server else self.store.put, plan)
-        self._plan_cache.put(key, (program, predicted))
+            resolved = resolve_workload(self.graph, opt.cluster, **request)
+            plan = plan_resolved(resolved, optimizer=opt)
+            source, key, reason = "planned", resolved.identity.key(), None
+        planned = source == "planned"
         event = ReplanEvent(
             step=step,
             trigger=trigger,
             source=source,
             key=key,
-            cluster=ident.cluster.name,
-            predicted_ms=predicted,
-            wall_seconds=wall,
+            cluster=opt.cluster.name,
+            predicted_ms=plan.predicted_iteration_ms,
+            wall_seconds=plan.planner["compile_seconds"] if planned else 0.0,
             drift=drift,
-            warm_start=warm,
+            warm_start=planned and bool(plan.planner.get("warm_planned")),
+            # a degraded answer (stale, baseline) is never installed
+            migrated=reason is None,
+            context=context,
         )
-        if trigger != "drift":
+        program = plan.program
+        if trigger != "drift" and event.migrated:
             # price the swap on the target cluster: steady-state win
             # over the installed schedule vs a one-off parameter
             # redistribution (one full all-reduce of the parameters)
             from ..runtime.simulate import SimulationConfig, simulate_program
 
-            opt, old = self.optimizer, self.program
+            old = self.program
             sim = SimulationConfig(cluster=opt.cluster, framework=opt.framework)
             event.predicted_stale_ms = simulate_program(old, config=sim).makespan
             event.predicted_ms = simulate_program(program, config=sim).makespan
@@ -705,8 +637,8 @@ class ReoptimizingTrainer(Trainer):
                 event.migration_cost_ms,
             )
         if event.migrated:
-            self._install_program(program, predicted)
-            self.plan_signatures = dict(self._observed)
+            self._install_program(program, plan.predicted_iteration_ms)
+            self.plan_signatures = dict(plan.signatures or {})
         self.events.append(event)
         return event
 
@@ -727,15 +659,10 @@ class ReoptimizingTrainer(Trainer):
 
     @property
     def reoptimization_seconds(self) -> float:
-        """Total wall time spent re-running the optimizer (plan-cache and
-        store hits are free)."""
+        """Total wall time of the planner runs behind the re-plans
+        (answers from the server's caches are free)."""
         return sum(e.wall_seconds for e in self.events)
 
     @property
     def num_reoptimizations(self) -> int:
         return len(self.events)
-
-    @property
-    def plan_cache_stats(self) -> dict:
-        """Hit/miss/eviction counters of the plan cache."""
-        return self._plan_cache.stats()

@@ -38,6 +38,7 @@ from repro.api import (
     load_plan,
 )
 from repro.runtime import ClusterSpec
+from repro.serving import PlanServer
 
 
 @pytest.fixture(scope="module")
@@ -483,13 +484,14 @@ class TestPlanIdentity:
         optimizer = LancetOptimizer(small_cluster)
         optimizer.set_placement(tiny_swapped_placement)
         store = PlanStore(tmp_path)
-        trainer = ReoptimizingTrainer(
-            tiny_graph, optimizer, drift_threshold=0.0, seed=0, store=store
-        )
-        trainer.run(2)
+        with PlanServer(store) as server:
+            trainer = ReoptimizingTrainer(
+                tiny_graph, optimizer, drift_threshold=0.0, seed=0,
+                server=server,
+            )
+            trainer.run(2)
         planned = [e for e in trainer.events if e.source == "planned"]
         assert planned and all(e.trigger == "drift" for e in planned)
-        assert trainer.cache_digits == store.digits
         for event in planned:
             published = Plan.load(store.path_for(event.key))
             assert published.placement == trainer.optimizer.placement
@@ -774,14 +776,15 @@ class TestTrainerIntegration:
         graph = build_training_graph(
             GPT2MoEConfig.tiny(), batch=4, seq=8, num_gpus=2
         )
-        a = ReoptimizingTrainer(
-            graph,
-            LancetOptimizer(cluster),
-            drift_threshold=0.0,
-            seed=0,
-            store=store,
-        )
-        a.run(2)
+        with PlanServer(store) as server:
+            a = ReoptimizingTrainer(
+                graph,
+                LancetOptimizer(cluster),
+                drift_threshold=0.0,
+                seed=0,
+                server=server,
+            )
+            a.run(2)
         assert len(store) >= 1
         for path in store.entries():
             path.write_text("garbage, not a plan")
@@ -789,20 +792,23 @@ class TestTrainerIntegration:
         graph_b = build_training_graph(
             GPT2MoEConfig.tiny(), batch=4, seq=8, num_gpus=2
         )
-        b = ReoptimizingTrainer(
-            graph_b,
-            LancetOptimizer(cluster),
-            drift_threshold=0.0,
-            seed=0,
-            store=PlanStore(tmp_path),
-        )
-        b.run(2)  # must not raise
+        with PlanServer(PlanStore(tmp_path)) as server:
+            b = ReoptimizingTrainer(
+                graph_b,
+                LancetOptimizer(cluster),
+                drift_threshold=0.0,
+                seed=0,
+                server=server,
+            )
+            with pytest.warns(UserWarning, match="re-planning"):
+                b.run(2)  # must not raise
         assert not any(e.source == "store" for e in b.events)
         assert a.loss_curve() == b.loss_curve()
 
     def test_fleet_shares_plans_through_store(self, tmp_path):
-        """Trainer A re-plans and publishes; trainer B re-uses A's plan
-        from the store (source "store") instead of running its own planner."""
+        """Trainer A's server plans and stores its re-plans; trainer B,
+        through its own server over the same store, re-uses A's plans
+        (source "store") instead of running a planner."""
         from repro import GPT2MoEConfig, build_training_graph
         from repro.core import LancetOptimizer
         from repro.train import ReoptimizingTrainer
@@ -810,26 +816,27 @@ class TestTrainerIntegration:
         cluster = ClusterSpec.for_gpus("a100", 2)
         store = PlanStore(tmp_path)
 
-        def make_trainer():
+        def run_trainer():
             graph = build_training_graph(
                 GPT2MoEConfig.tiny(), batch=4, seq=8, num_gpus=2
             )
-            return ReoptimizingTrainer(
-                graph,
-                LancetOptimizer(cluster),
-                drift_threshold=0.0,  # re-plan every step
-                seed=0,
-                store=store,
-            )
+            with PlanServer(store) as server:
+                trainer = ReoptimizingTrainer(
+                    graph,
+                    LancetOptimizer(cluster),
+                    drift_threshold=0.0,  # re-plan every step
+                    seed=0,
+                    server=server,
+                )
+                trainer.run(2)
+            return trainer
 
-        a = make_trainer()
-        a.run(2)
+        a = run_trainer()
         planned = [e for e in a.events if e.source == "planned"]
         assert planned, "trainer A must have planned at least once"
         assert len(store) >= 1
 
-        b = make_trainer()
-        b.run(2)
+        b = run_trainer()
         hits = [e for e in b.events if e.source == "store"]
         assert hits, "trainer B must reuse trainer A's published plans"
         assert all(e.wall_seconds == 0.0 for e in hits)

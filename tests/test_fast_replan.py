@@ -10,14 +10,19 @@ Acceptance coverage of the planner-performance subsystem:
   program falls back to a cold rebuild, never a wrong plan;
 - the logical cost-evaluation budget (``DPResult.num_cost_evals``) does
   not regress on the standard GPT2-MoE config;
-- the signature-keyed caches (a2a estimates, op profiles, the trainer's
-  plan cache) are LRU-bounded with observable counters, surfaced in
-  :class:`LancetReport`.
+- the signature-keyed caches (a2a estimates, op profiles) are
+  LRU-bounded with observable counters, surfaced in
+  :class:`LancetReport`;
+- a trainer re-plans warm through its own optimizer or through a
+  :class:`~repro.serving.PlanServer`, whose warm planner runs equal
+  cold compiles.
 """
 
 import pytest
 
 from repro import GPT2MoEConfig, build_training_graph
+from repro.api import PlanIdentity, PlanPolicy, graph_fingerprint
+from repro.api.store import signature_bucket
 from repro.core import (
     CachingOpProfiler,
     CommCostModel,
@@ -449,25 +454,26 @@ class TestLRUCache:
 
 
 class TestTrainerIntegration:
-    def test_plan_cache_lru_bound_and_stats(self, tiny_graph, small_cluster):
+    def test_own_replans_are_warm_and_timed(self, tiny_graph, small_cluster):
         tr = ReoptimizingTrainer(
             tiny_graph,
             LancetOptimizer(small_cluster),
             drift_threshold=0.0,
-            cache_digits=3,
-            plan_cache_size=1,
             seed=0,
         )
-        tr.run(4)
-        assert len(tr._plan_cache) <= 1
-        stats = tr.plan_cache_stats
-        assert stats["maxsize"] == 1
-        assert stats["misses"] >= 1
+        tr.run(3)
         # every optimizer run after the constructor's cold plan is warm
-        misses = [e for e in tr.events if e.source == "planned"]
-        assert misses and all(e.warm_start for e in misses)
-        hits = [e for e in tr.events if e.source == "memory"]
-        assert all(not e.warm_start for e in hits)
+        assert [e.source for e in tr.events] == ["planned"] * 3
+        assert all(e.warm_start and e.wall_seconds > 0 for e in tr.events)
+        # the event key is the store entry key of the installed plan
+        opt = tr.optimizer
+        assert tr.events[-1].key == PlanIdentity(
+            graph_fingerprint(tiny_graph.program),
+            opt.cluster,
+            PlanPolicy.from_optimizer(opt),
+            opt.framework,
+            tr.plan_signatures,
+        ).key()
 
     def test_trajectory_unchanged_by_warm_replanning(
         self, tiny_graph, small_cluster
@@ -481,7 +487,6 @@ class TestTrainerIntegration:
             tiny_graph,
             LancetOptimizer(small_cluster),
             drift_threshold=0.0,
-            cache_digits=1,
             seed=0,
         )
         results = reopt.run(3)
@@ -489,3 +494,121 @@ class TestTrainerIntegration:
         static_prog, _ = LancetOptimizer(small_cluster).optimize(tiny_graph)
         baseline = Trainer(tiny_graph, program=static_prog, seed=0).run(3)
         assert [r.losses for r in results] == [r.losses for r in baseline]
+
+
+def _program_key(program) -> list:
+    return [
+        (ins.op, ins.partition, tuple(ins.inputs), tuple(ins.outputs))
+        for ins in program.instructions
+    ]
+
+
+class TestTrainerViaServer:
+    """The trainer asks a :class:`PlanServer` for every re-plan."""
+
+    @pytest.fixture()
+    def server(self, tmp_path):
+        from repro.api import PlanStore
+        from repro.serving import PlanServer
+
+        with PlanServer(PlanStore(tmp_path / "plans"), nearest=False) as srv:
+            yield srv
+
+    def _trainer(self, graph, cluster, server, **kw):
+        return ReoptimizingTrainer(
+            graph,
+            LancetOptimizer(cluster),
+            drift_threshold=0.0,
+            seed=0,
+            server=server,
+            **kw,
+        )
+
+    def test_server_runs_are_warm_and_match_cold_compiles(self, server):
+        """Differential check of the warm pool: each server answer for a
+        new signature bucket equals a fresh cold ``compile``; every run
+        after the first re-plans warm."""
+        from repro.api import compile
+
+        graph = build_training_graph(
+            GPT2MoEConfig.gpt2_s_moe(num_layers=2), batch=8, seq=64,
+            num_gpus=4,
+        )
+        cluster = ClusterSpec.for_gpus("a100", 4)
+        routings = [
+            SyntheticRoutingModel(
+                seed=s, concentration=0.3, hot_experts=1, hot_boost=b
+            )
+            for s, b in ((1, 0.2), (2, 0.4), (3, 0.6), (4, 0.8))
+        ]
+        probe = LancetOptimizer(cluster)
+        answers = []
+        for routing in routings:
+            sigs = probe.observe_routing(graph, routing)
+            answer = server.serve(graph, cluster, signatures=sigs)
+            cold = compile(graph, cluster, signatures=sigs)
+            assert answer.origin == "planned"
+            assert _program_key(answer.plan.program) == _program_key(
+                cold.program
+            )
+            assert (
+                answer.plan.predicted_iteration_ms
+                == cold.predicted_iteration_ms
+            )
+            answers.append(answer)
+        assert len({a.key for a in answers}) == len(routings)
+        # the buckets price apart, so the comparison above has teeth
+        predicted = {a.plan.predicted_iteration_ms for a in answers}
+        assert len(predicted) == len(routings)
+        warm = [a.plan.planner["warm_planned"] for a in answers]
+        assert warm == [False] + [True] * (len(routings) - 1)
+
+    def test_nearest_answer_is_installed_until_the_exact_plan_lands(
+        self, tiny_graph, small_cluster, tmp_path
+    ):
+        from repro.api import PlanStore
+        from repro.serving import PlanServer
+
+        store = PlanStore(tmp_path / "plans")
+        with PlanServer(store, max_distance=float("inf")) as srv:
+            first = self._trainer(tiny_graph, small_cluster, srv)
+            first.run(1)
+            srv.drain()
+            # same graph, another routing realization: every bucket it
+            # observes is near one of the first trainer's
+            second = self._trainer(
+                tiny_graph, small_cluster, srv, lr_corpus_alpha=1.5
+            )
+            second.run(1)
+            srv.drain()
+        [event] = second.events
+        assert event.source == "nearest" and event.migrated
+        assert event.wall_seconds == 0.0
+        # drift is measured against the neighbor's own signatures, so
+        # the next observation re-plans (and finds the swapped-in plan)
+        assert signature_bucket(second.plan_signatures) == signature_bucket(
+            first.plan_signatures
+        )
+        assert srv.counters["hot_swaps"] == 1
+
+    def test_degraded_answers_are_never_installed(
+        self, tiny_graph, small_cluster, tmp_path
+    ):
+        from repro.api import PlanStore
+        from repro.api.compiler import plan_resolved
+        from repro.faults import FlakyPlanner
+        from repro.serving import PlanServer
+
+        planner = FlakyPlanner(plan_resolved, outage=(0, 10**9))
+        with PlanServer(
+            PlanStore(tmp_path / "plans"),
+            planner=planner,
+            breaker_threshold=1,
+            breaker_cooldown_s=3600.0,
+        ) as srv:
+            tr = self._trainer(tiny_graph, small_cluster, srv)
+            installed = tr.program
+            tr.run(2)
+        assert [e.source for e in tr.events] == ["baseline"] * 2
+        assert not any(e.migrated for e in tr.events)
+        assert tr.program is installed and tr.plan_signatures == {}

@@ -691,20 +691,30 @@ class TestTrainerMigration:
 
     def test_placement_qualifies_plan_cache_keys(self, placed_setup):
         """A placement switch must not alias the pre-switch plan cache
-        entries: the cache key embeds the placement fingerprint."""
+        entries: the re-plan's request key embeds the placement
+        fingerprint."""
+        from repro.api import PlanIdentity, PlanPolicy, graph_fingerprint
+
         graph, cluster = placed_setup
         trainer = self._trainer(graph, cluster, with_placement=True)
         layer = graph.moe_layers[0].layer
         rng = np.random.default_rng(0)
         counts = skewed_counts(rng, cluster.num_gpus, 8, boost=800)
         trainer.replay_observation({layer: counts}, bytes_per_token=1024.0)
-        if trainer.optimizer.placement is not None:
-            ident = trainer._identity()
-            key = trainer.events[-1].key
-            assert key in trainer._plan_cache
-            assert key == ident.key(trainer.cache_digits)
-            unplaced = dataclasses.replace(ident, placement=None)
-            assert key != unplaced.key(trainer.cache_digits)
+        placement = trainer.optimizer.placement
+        assert placement is not None  # the skewed counts migrate
+        opt = trainer.optimizer
+        placed = PlanIdentity(
+            graph_fingerprint(graph.program),
+            opt.cluster,
+            PlanPolicy.from_optimizer(opt),
+            opt.framework,
+            trainer.plan_signatures,
+            placement,
+        )
+        key = trainer.events[-1].key
+        assert key == placed.key()
+        assert key != dataclasses.replace(placed, placement=None).key()
 
 
 def build_training_graph_for(num_gpus: int):

@@ -1,4 +1,4 @@
-"""repro.serving: coalescing, nearest-signature hot swaps, publishing."""
+"""repro.serving: coalescing, nearest-signature hot swaps, trainer requests."""
 
 from __future__ import annotations
 
@@ -156,6 +156,33 @@ class TestNearestServing:
             assert server.counters["planner_runs"] == runs_before + 1
             assert server.counters["hot_swaps"] == 1
 
+    def test_run_landing_mid_lookup_is_not_planned_twice(
+        self, store, monkeypatch
+    ):
+        """A request whose exact lookup missed just before the key's run
+        landed looks again: it neither starts a second run nor caches
+        its neighbor over the exact plan."""
+        from repro.api.compiler import plan_resolved
+        from repro.faults import FlakyPlanner
+
+        drifted = SC.with_(routing_seed=5)
+        planner = FlakyPlanner(plan_resolved, delay_s=0.3)
+        with PlanServer(store, planner=planner, memory_cache_size=0) as server:
+            server.serve(SC)
+            assert server.serve(drifted).origin == "nearest"
+            [run] = server._runs.values()  # the exact run, still stalled
+            real_nearest = store.nearest
+
+            def nearest_after_landing(*args, **kwargs):
+                run.future.result()  # lands between the miss and here
+                return real_nearest(*args, **kwargs)
+
+            monkeypatch.setattr(store, "nearest", nearest_after_landing)
+            assert server.serve(drifted).origin == "store"
+            server.drain()
+        assert server.counters["planner_runs"] == 2
+        assert server.counters["hot_swaps"] == 1
+
     def test_out_of_radius_plans_cold(self, store):
         with PlanServer(store, max_distance=1e-9) as server:
             server.serve(SC)
@@ -169,6 +196,69 @@ class TestNearestServing:
             result = server.serve(SC.with_(routing_seed=5))
         assert result.origin == "planned"
         assert server.counters["nearest_hits"] == 0
+
+
+class TestWarmPool:
+    def test_concurrent_runs_never_share_an_optimizer(self, store):
+        """More planner threads than cores race for the warm optimizers
+        of one base identity: every answer still equals a cold compile
+        (the predictions differ per bucket, so a run priced under another
+        run's signatures shows), and the pool stays bounded."""
+        import sys
+
+        from repro import GPT2MoEConfig, LancetOptimizer, build_training_graph
+        from repro.api import compile
+        from repro.runtime import ClusterSpec, SyntheticRoutingModel
+        from repro.serving.server import WARM_OPTIMIZERS
+
+        graph = build_training_graph(
+            GPT2MoEConfig.gpt2_s_moe(num_layers=2), batch=8, seq=64,
+            num_gpus=4,
+        )
+        cluster = ClusterSpec.for_gpus("a100", 4)
+        probe = LancetOptimizer(cluster)
+        buckets = [
+            probe.observe_routing(
+                graph,
+                SyntheticRoutingModel(
+                    seed=s, concentration=0.3, hot_experts=1, hot_boost=0.5
+                ),
+            )
+            for s in range(1, 9)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with PlanServer(store, nearest=False, max_workers=4) as server:
+                keys = {
+                    server.request_key(graph, cluster, signatures=b)
+                    for b in buckets
+                }
+                assert len(keys) == len(buckets)
+                futures = [
+                    server.submit(graph, cluster, signatures=b)
+                    for b in buckets
+                ]
+                answers = [f.result(timeout=120) for f in futures]
+                assert len(server._warm) <= WARM_OPTIMIZERS
+        finally:
+            sys.setswitchinterval(interval)
+        predicted = {a.plan.predicted_iteration_ms for a in answers}
+        assert len(predicted) == len(buckets)
+        for sigs, answer in zip(buckets, answers):
+            cold = compile(graph, cluster, signatures=sigs)
+            assert answer.origin == "planned"
+            assert (
+                answer.plan.predicted_iteration_ms
+                == cold.predicted_iteration_ms
+            )
+            assert [
+                (i.op, i.partition, tuple(i.inputs))
+                for i in answer.plan.program.instructions
+            ] == [
+                (i.op, i.partition, tuple(i.inputs))
+                for i in cold.program.instructions
+            ]
 
 
 class TestCompileMany:
@@ -215,22 +305,22 @@ class TestTrainerIntegration:
                 seed=0,
                 server=server,
             )
-            assert trainer.store is store  # implied by server=
             trainer.run(3)
             assert trainer.num_reoptimizations >= 1
-            assert server.counters["published"] >= 1
+            assert server.counters["planner_runs"] >= 1
         assert len(store) >= 1
 
-        # a second trainer over the same store reuses the published
-        # re-plans instead of re-running the planner
-        other = ReoptimizingTrainer(
-            tiny_graph,
-            LancetOptimizer(small_cluster),
-            drift_threshold=0.0,
-            seed=0,
-            store=store,
-        )
-        other.run(3)
+        # a second trainer, through a fresh server over the same store,
+        # reuses the stored re-plans instead of re-running the planner
+        with PlanServer(store, nearest=False) as fresh:
+            other = ReoptimizingTrainer(
+                tiny_graph,
+                LancetOptimizer(small_cluster),
+                drift_threshold=0.0,
+                seed=0,
+                server=fresh,
+            )
+            other.run(3)
         assert any(e.source == "store" for e in other.events)
 
     def test_published_replan_is_served_warm(
@@ -239,7 +329,7 @@ class TestTrainerIntegration:
         from repro import LancetOptimizer, ReoptimizingTrainer
 
         store = PlanStore(tmp_path / "plans")
-        with PlanServer(store) as server:
+        with PlanServer(store, nearest=False) as server:
             trainer = ReoptimizingTrainer(
                 tiny_graph,
                 LancetOptimizer(small_cluster),
@@ -248,11 +338,10 @@ class TestTrainerIntegration:
                 server=server,
             )
             trainer.run(2)
-            published = server.counters["published"]
-            if not published:
-                pytest.skip("no drift on this realization")
-            # the publish path installs the plan in the server's memory
-            # cache under its canonical store key
+            planned = [e for e in trainer.events if e.source == "planned"]
+            assert planned
+            # the planner run landed in the server's memory cache under
+            # the canonical store key of the trainer's request
             key = PlanIdentity(
                 graph_fingerprint(tiny_graph.program),
                 small_cluster,
@@ -260,31 +349,36 @@ class TestTrainerIntegration:
                 trainer.optimizer.framework,
                 trainer.plan_signatures,
             ).key(store.digits)
+            assert planned[-1].key == key
             assert server._memory.get(key) is not None
+            again = server.serve(
+                tiny_graph,
+                small_cluster,
+                policy=PlanPolicy.from_optimizer(trainer.optimizer),
+                signatures=trainer.plan_signatures,
+            )
+        assert again.origin == "memory" and again.key == key
 
-    def test_publish_files_placed_plans_under_their_placed_key(
+    def test_placed_requests_are_filed_under_their_placed_key(
         self, tiny_graph, small_cluster, store, tiny_swapped_placement
     ):
         """A plan compiled under an expert placement must not answer a
-        placement-free request from the server's memory: ``publish``
-        keys it the way ``store.put`` does, placement included."""
-        from repro.api import Plan, compile
-
-        unplaced = compile(tiny_graph.program, small_cluster)
-        placed = Plan(
-            program=unplaced.program,
-            cluster=unplaced.cluster,
-            policy=unplaced.policy,
-            fingerprint=unplaced.fingerprint,
-            predicted_iteration_ms=unplaced.predicted_iteration_ms,
-            framework=unplaced.framework,
-            signatures=unplaced.signatures,
-            placement=tiny_swapped_placement,
-        )
+        placement-free request from the server's memory: the placement
+        is part of the request key, which is the key ``put`` files the
+        plan under."""
         with PlanServer(store) as server:
-            server.publish(placed)
-            key = PlanIdentity.of(placed).key(store.digits)
-            assert server._memory.get(key) is placed
+            placed = server.serve(
+                tiny_graph.program,
+                small_cluster,
+                placement=tiny_swapped_placement,
+            )
+            assert placed.origin == "planned"
+            assert placed.plan.placement == tiny_swapped_placement
+            assert PlanIdentity.of(placed.plan).key(store.digits) == placed.key
+            assert server._memory.get(placed.key) is placed.plan
             result = server.serve(tiny_graph.program, small_cluster)
+            assert result.key != placed.key
+            with pytest.raises(TypeError, match="placement"):
+                server.serve(SC, placement=tiny_swapped_placement)
         assert result.origin == "planned"
         assert result.plan.placement is None

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.api import PlanError, PlanIdentity, PlanStore, Scenario
+from repro.api import PlanError, PlanIdentity, PlanStore, Scenario, load_plan
 from repro.api.compiler import plan_resolved, resolve_workload
 from repro.faults import FlakyPlanner, FlakyStore
 from repro.serving import PlanServer
@@ -136,6 +136,19 @@ class TestPlannerTimeouts:
             _wait_for(lambda: server.counters["late_plans"] >= 1)
             assert server.serve(SC).origin == "memory"
 
+    def test_drain_stops_at_its_timeout(self, store):
+        """``drain(timeout=...)`` gives up at the deadline with a
+        ``TimeoutError`` instead of waiting out the stalled run."""
+        planner = FlakyPlanner(plan_resolved, delay_s=1.5)
+        with PlanServer(store, planner=planner) as server:
+            assert server.serve(SC, deadline_s=0.0).origin == "baseline"
+            t0 = time.monotonic()
+            with pytest.raises(TimeoutError):
+                server.drain(timeout=0.1)
+            assert time.monotonic() - t0 < 0.5
+            server.drain()  # without a timeout it waits the run out
+            assert server.counters["late_plans"] == 1
+
     def test_timeouts_trip_the_breaker_without_raising(self, store):
         planner = FlakyPlanner(plan_resolved, delay_s=0.2)
         with PlanServer(
@@ -216,9 +229,9 @@ class TestOneRunPerKey:
         every run goes to the one pooled planner thread."""
         threads = []
 
-        def planner(resolved, check=True):
+        def planner(resolved, check=True, optimizer=None):
             threads.append(threading.current_thread())
-            return plan_resolved(resolved, check=check)
+            return plan_resolved(resolved, check=check, optimizer=optimizer)
 
         with PlanServer(
             store,
@@ -334,8 +347,9 @@ class TestStoreFaults:
         assert flaky.injected_errors == 2  # the lookup and the put
 
     def test_trainer_survives_store_io_errors(self, tmp_path, small_cluster):
-        """A re-planning trainer over a flaky shared store finishes its
-        steps: store I/O errors are misses and skipped publishes."""
+        """A re-planning trainer served over a flaky shared store
+        finishes its steps: store I/O errors are misses and skipped
+        puts."""
         from repro import GPT2MoEConfig, build_training_graph
         from repro.core import LancetOptimizer
         from repro.train import ReoptimizingTrainer
@@ -344,15 +358,16 @@ class TestStoreFaults:
         graph = build_training_graph(
             GPT2MoEConfig.tiny(), batch=4, seq=8, num_gpus=2
         )
-        trainer = ReoptimizingTrainer(
-            graph,
-            LancetOptimizer(small_cluster),
-            drift_threshold=0.0,
-            seed=0,
-            store=flaky,
-        )
-        with pytest.warns(UserWarning, match="plan store unavailable"):
-            results = trainer.run(3)
+        with PlanServer(flaky, store_retries=0) as server:
+            trainer = ReoptimizingTrainer(
+                graph,
+                LancetOptimizer(small_cluster),
+                drift_threshold=0.0,
+                seed=0,
+                server=server,
+            )
+            with pytest.warns(UserWarning, match="plan store unavailable"):
+                results = trainer.run(3)
         assert len(results) == 3
         assert flaky.injected_errors > 0
 
@@ -384,6 +399,26 @@ class TestCorruptEntryHealing:
         for path in paths:
             path.write_bytes(b"{ this is not a plan }")
         return len(paths)
+
+    def test_undecodable_program_is_a_miss_not_a_client_error(
+        self, tmp_path, tiny_graph, small_cluster
+    ):
+        """An entry whose envelope parses but whose program does not
+        decode (say, written by a newer build) is re-planned by the
+        server; a client such as the trainer never gets it."""
+        root = tmp_path / "plans"
+        with PlanServer(PlanStore(root)) as server:
+            server.serve(tiny_graph.program, small_cluster)
+        for path in PlanStore(root).entries():
+            doc = json.loads(path.read_text())
+            doc["program"]["instructions"][0]["op"] = "no_such_op"
+            path.write_text(json.dumps(doc))
+        with PlanServer(PlanStore(root)) as server:
+            with pytest.warns(UserWarning, match="re-planning"):
+                result = server.serve(tiny_graph.program, small_cluster)
+        assert result.origin == "planned"
+        [path] = PlanStore(root).entries()
+        assert load_plan(path).program is not None  # the put healed it
 
     def test_corrupt_entry_degrades_then_heals(self, tmp_path):
         root = tmp_path / "plans"

@@ -9,9 +9,8 @@ Covers the acceptance criteria of the skew-aware subsystem:
   per-device simulated iteration time beats the uniform plan's;
 - prediction caches key on the routing signature, so stale
   uniform-routing entries are never reused after re-optimization;
-- :class:`ReoptimizingTrainer` re-plans on drift, caches plans by
-  signature key, records wall time, and never perturbs the numeric
-  training trajectory.
+- :class:`ReoptimizingTrainer` re-plans on drift, records wall time,
+  and never perturbs the numeric training trajectory.
 """
 
 import numpy as np
@@ -223,7 +222,6 @@ class TestReoptimizingTrainer:
             graph,
             LancetOptimizer(cluster),
             drift_threshold=0.0,
-            cache_digits=1,
             seed=0,
         )
         tr.run(3)
@@ -235,20 +233,42 @@ class TestReoptimizingTrainer:
             sum(e.wall_seconds for e in tr.events)
         )
 
-    def test_plan_cache_hits_are_free(self, tiny_setup):
+    def test_plan_cache_hits_are_free(self, tiny_setup, tmp_path):
+        """A signature bucket already in the plan server's memory cache
+        is answered from it: no planner run, no wall time."""
+        from repro.api import PlanStore
+        from repro.serving import PlanServer
+
         graph, cluster = tiny_setup
-        # quantize coarsely so every observation shares one cache key
-        tr = ReoptimizingTrainer(
-            graph,
-            LancetOptimizer(cluster),
-            drift_threshold=0.0,
-            cache_digits=0,
-            seed=0,
+
+        def trainer(server):
+            return ReoptimizingTrainer(
+                graph,
+                LancetOptimizer(cluster),
+                drift_threshold=0.0,
+                seed=0,
+                server=server,
+            )
+
+        with PlanServer(PlanStore(tmp_path), nearest=False) as server:
+            first = trainer(server)
+            first.run(3)
+            assert [e.source for e in first.events] == ["planned"] * 3
+            assert all(e.wall_seconds > 0 for e in first.events)
+            runs = server.counters["planner_runs"]
+            # a second trainer on the same trajectory asks for the same
+            # keys
+            second = trainer(server)
+            second.run(3)
+            assert server.counters["planner_runs"] == runs
+        assert [e.source for e in second.events] == ["memory"] * 3
+        assert all(
+            e.wall_seconds == 0.0 and not e.warm_start and e.migrated
+            for e in second.events
         )
-        tr.run(4)
-        hits = [e for e in tr.events if e.source == "memory"]
-        assert hits and all(e.wall_seconds == 0.0 for e in hits)
-        assert len({e.key for e in hits}) <= len(tr._plan_cache)
+        assert [e.key for e in second.events] == [e.key for e in first.events]
+        assert second.reoptimization_seconds == 0.0
+        assert second.loss_curve() == first.loss_curve()
 
     def test_high_threshold_never_reoptimizes(self, tiny_setup):
         graph, cluster = tiny_setup
@@ -266,7 +286,6 @@ class TestReoptimizingTrainer:
             graph,
             LancetOptimizer(cluster),
             drift_threshold=0.0,
-            cache_digits=1,
             seed=0,
         )
         results = reopt.run(4)
