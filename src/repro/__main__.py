@@ -12,9 +12,6 @@ Commands
     Summarize a saved plan artifact without executing it.
 ``figures [ids...] [--fast]``
     Reproduce paper figures (default: all) and print the tables.
-``optimize [--model S|L] [--cluster a100|v100] [--gpus N] [--out F]``
-    Optimize one training graph and report the schedule + simulated
-    gain (legacy spelling of ``plan`` + ``run``; kept stable).
 ``serve stats | serve warm``
     Plan-serving utilities over a shared store directory: ``stats``
     summarizes a store (entries, bytes, signature buckets); ``warm``
@@ -135,6 +132,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"simulated_{unit}_ms": timeline.makespan,
         "exposed_a2a_ms": timeline.exposed_time_of({"all_to_all"}),
         "from_store": plan.from_store,
+        # what the planner did: dW moves, partition degrees, pass times
+        "planner": plan.planner,
     }
     print(f"plan {plan.fingerprint[:23]}")
     print(f"  predicted iteration: {plan.predicted_iteration_ms:.2f} ms")
@@ -211,82 +210,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         for k, v in result.notes.items():
             if k != "reductions":
                 print(f"  {k}: {v}")
-    return 0
-
-
-def _cmd_optimize(args: argparse.Namespace) -> int:
-    from . import (
-        GPT2MoEConfig,
-        LancetOptimizer,
-        SimulationConfig,
-        build_training_graph,
-        simulate_program,
-    )
-    from .bench import paper_batch
-    from .runtime import ClusterSpec, SyntheticRoutingModel
-
-    model = "GPT2-S-MoE" if args.model.upper().startswith("S") else "GPT2-L-MoE"
-    cfg = (
-        GPT2MoEConfig.gpt2_s_moe()
-        if model == "GPT2-S-MoE"
-        else GPT2MoEConfig.gpt2_l_moe()
-    )
-    seed = 1 if args.seed is None else args.seed
-    gpus = args.gpus if args.gpus is not None else 16
-    batch = args.batch or paper_batch(args.cluster, model)
-    graph = build_training_graph(cfg, batch=batch, seq=args.seq, num_gpus=gpus)
-    cluster = ClusterSpec.for_gpus(args.cluster, gpus)
-    optimized, report = LancetOptimizer(
-        cluster, defer_allreduce=args.defer_allreduce
-    ).optimize(graph)
-
-    before = simulate_program(
-        graph.program,
-        config=SimulationConfig(
-            cluster=cluster,
-            padded_a2a=True,
-            routing=SyntheticRoutingModel(seed=seed),
-        ),
-    )
-    after = simulate_program(
-        optimized,
-        config=SimulationConfig(
-            cluster=cluster,
-            padded_a2a=False,
-            routing=SyntheticRoutingModel(seed=seed),
-        ),
-    )
-    print(f"{model} batch={batch} seq={args.seq} on {gpus}x{cluster.gpu.name}")
-    print(f"  optimization: {report.optimization_seconds:.2f}s "
-          f"({report.dw_schedule.num_dw_moved} dW moved, "
-          f"{len(report.partition.plans)} pipelines "
-          f"k={[p.parts for p in report.partition.plans]})")
-    print(f"  iteration: {before.makespan:.1f} ms -> {after.makespan:.1f} ms "
-          f"({before.makespan / after.makespan:.2f}x)")
-    e0 = before.exposed_time_of({"all_to_all"})
-    e1 = after.exposed_time_of({"all_to_all"})
-    print(f"  exposed all-to-all: {e0:.1f} ms -> {e1:.1f} ms "
-          f"(-{100 * (1 - e1 / max(e0, 1e-9)):.0f}%)")
-    _write_json(
-        args.out,
-        {
-            "setting": {
-                "model": model,
-                "cluster": args.cluster,
-                "gpus": gpus,
-                "batch": batch,
-                "seq": args.seq,
-                "seed": seed,
-                "defer_allreduce": args.defer_allreduce,
-            },
-            "report": report.summary_dict(),
-            "baseline_iteration_ms": before.makespan,
-            "optimized_iteration_ms": after.makespan,
-            "speedup": before.makespan / after.makespan,
-            "exposed_a2a_ms_before": e0,
-            "exposed_a2a_ms_after": e1,
-        },
-    )
     return 0
 
 
@@ -472,23 +395,6 @@ def main(argv: list[str] | None = None) -> int:
     p_fig.add_argument("ids", nargs="*", help="figure ids (default: all)")
     p_fig.add_argument("--fast", action="store_true", help="reduced grids")
     p_fig.set_defaults(fn=_cmd_figures)
-
-    p_opt = sub.add_parser(
-        "optimize", parents=[common], help="optimize one training graph"
-    )
-    p_opt.add_argument("--model", default="S", help="S or L (default S)")
-    p_opt.add_argument("--cluster", default="a100", choices=["a100", "v100"])
-    p_opt.add_argument("--gpus", type=int, default=None)
-    p_opt.add_argument("--batch", type=int, default=None)
-    p_opt.add_argument("--seq", type=int, default=512)
-    p_opt.add_argument(
-        "--defer-allreduce", action="store_true",
-        help="enable the Lina-style a2a-priority extension",
-    )
-    p_opt.add_argument(
-        "--out", default=None, help="write the optimization report as JSON"
-    )
-    p_opt.set_defaults(fn=_cmd_optimize)
 
     p_srv = sub.add_parser(
         "serve", help="plan-serving utilities over a shared store"

@@ -316,8 +316,15 @@ def compile(
         Plan cache consulted before planning and updated after; a warm
         hit skips the planner entirely (``plan.from_store`` is True and
         no :class:`~repro.core.LancetOptimizer` is constructed).  A
-        corrupt entry or a store I/O error costs a warned re-plan, never
-        the compile (:func:`~repro.api.store.store_call`).
+        store I/O error, or an entry whose JSON or envelope is corrupt,
+        costs a warned re-plan, never the compile
+        (:func:`~repro.api.store.store_call`).  A warm hit is lazy: its
+        program decodes on first ``plan.program``, so an entry whose
+        program section alone is corrupt raises
+        :class:`~repro.api.plan.PlanError` there, not here.  Callers
+        that must never see that error serve through
+        :class:`~repro.serving.PlanServer`, which decodes every store
+        answer before handing it out.
     signatures:
         Explicit per-layer routing signatures to plan against
         (overrides the scenario-derived observation).

@@ -36,11 +36,10 @@ planning work, never corrupt an entry or an index.  A writer killed
 before its rename leaves a ``*.tmp`` orphan that :meth:`PlanStore.clear`
 removes.
 
-Reads of entries this process already loaded are served from an
-in-memory cache validated by *content fingerprint* (SHA-256 of the file
-bytes), not by mtime: a file replaced within the filesystem's mtime
-granularity -- easy to hit when a server hot-swaps a re-plan split
-milliseconds after the original write -- is still detected and reloaded.
+The store is a disk cache only: every lookup reads and parses its
+entry file, so a read always sees the latest write, whichever process or
+handle made it.  The one in-process plan tier is
+:class:`repro.serving.PlanServer`'s bounded memory cache.
 
 Capacity: ``max_entries`` / ``max_bytes`` bound the store; ``put``
 evicts least-recently-*used* entries (entry files are touched on every
@@ -53,7 +52,6 @@ sidecar indexes.  Eviction counters join the hit/miss stats in
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import math
 import os
@@ -338,14 +336,10 @@ class PlanStore:
         self.digits = digits
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        #: entry key -> (content sha256, Plan); validated against the
-        #: file's current content digest, never its mtime
-        self._memory: dict[str, tuple[str, Plan]] = {}
         self.stats = {
             "hits": 0,
             "misses": 0,
             "puts": 0,
-            "memory_hits": 0,
             "scenario_hits": 0,
             "nearest_hits": 0,
             "evictions": 0,
@@ -407,9 +401,10 @@ class PlanStore:
     def get(self, identity: PlanIdentity) -> Plan | None:
         """Warm plan for an identity, or ``None`` on a miss.
 
-        Loaded plans are lazy (the program decodes on first access);
-        corrupted entries raise :class:`~repro.api.plan.PlanError`
-        rather than deserializing garbage.
+        Every call reads the entry file afresh.  Loaded plans are lazy
+        (the program decodes on first access); corrupted entries raise
+        :class:`~repro.api.plan.PlanError` rather than deserializing
+        garbage.
         """
         plan = self._load(identity.key(self.digits))
         self.stats["hits" if plan is not None else "misses"] += 1
@@ -421,15 +416,6 @@ class PlanStore:
             raw = path.read_bytes()
         except OSError:
             return None
-        # content fingerprint, not mtime: an external overwrite within
-        # the filesystem's timestamp granularity (hot-swap racing the
-        # original write) must still invalidate the memory cache
-        digest = hashlib.sha256(raw).hexdigest()
-        cached = self._memory.get(key)
-        if cached is not None and cached[0] == digest:
-            self.stats["memory_hits"] += 1
-            self._touch(path)
-            return cached[1]
         try:
             obj = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as err:
@@ -445,7 +431,6 @@ class PlanStore:
         except PlanError as err:
             raise PlanError(f"corrupt plan store entry {path}: {err}") from err
         plan.from_store = True
-        self._memory[key] = (digest, plan)
         self._touch(path)
         return plan
 
@@ -461,9 +446,9 @@ class PlanStore:
     def put(self, plan: Plan, index_scenario: bool = True) -> pathlib.Path:
         """Persist a plan under its canonical key; returns the entry path.
 
-        Only disk loads are memoized -- a later ``get`` of this entry
-        returns a *store* plan (``from_store=True``), not the caller's
-        freshly compiled object.  ``index_scenario=False`` suppresses
+        A later ``get`` of this entry returns a *store* plan read back
+        from disk (``from_store=True``), not the caller's freshly
+        compiled object.  ``index_scenario=False`` suppresses
         the scenario-index entry (used when the plan was compiled with
         overrides -- cluster, explicit signatures -- that a plain
         scenario compile would not reproduce).
@@ -474,7 +459,6 @@ class PlanStore:
             # the entry lands under the lock too, so another writer's
             # eviction can never remove it before it is indexed
             path = plan.save(self.path_for(key))
-            self._memory.pop(key, None)
             self.stats["puts"] += 1
             index = self._read_sidecar(SIGNATURE_INDEX)
             family = index.setdefault(identity.base_key(), {})
@@ -585,17 +569,16 @@ class PlanStore:
             self.max_bytes is not None and total > self.max_bytes
         )
 
-    def _evict_locked(self, protect: str | None = None) -> int:
+    def _evict_locked(self, protect: str | None = None) -> None:
         """Evict approximately-LRU entries until within budget (caller
         holds the lock).  ``protect`` names the entry that must survive
         -- the one this very ``put`` just wrote."""
         if self.max_entries is None and self.max_bytes is None:
-            return 0
+            return
         protected = self.path_for(protect).name if protect else None
         entries = self._entry_stats()
         count = len(entries)
         total = sum(size for _, size, _ in entries)
-        evicted = []
         for _mtime, size, path in entries:
             if not self._over_budget(count, total):
                 break
@@ -605,18 +588,11 @@ class PlanStore:
                 path.unlink()
             except OSError:
                 continue
-            evicted.append(path.name)
             count -= 1
             total -= size
             self.stats["evictions"] += 1
-        if evicted:
-            self._memory = {
-                k: v
-                for k, v in self._memory.items()
-                if self.path_for(k).name not in set(evicted)
-            }
+        if count < len(entries):
             self._prune_indexes()
-        return len(evicted)
 
     def _prune_indexes(self) -> None:
         """Drop index entries whose plan file no longer exists."""
@@ -659,7 +635,6 @@ class PlanStore:
                 path.unlink(missing_ok=True)
             for name in (SCENARIO_INDEX, SIGNATURE_INDEX):
                 (self.root / name).unlink(missing_ok=True)
-        self._memory.clear()
 
     def __repr__(self) -> str:
         return f"PlanStore({str(self.root)!r}, {len(self)} plans)"

@@ -43,15 +43,22 @@ telemetry
     merges server, memory-cache and store counters into one
     JSON-friendly snapshot (the ``serve stats`` CLI).
 
+one in-process plan tier
+    The server's bounded memory cache is the only place decoded plans
+    live between requests (the store is a disk cache only), and every
+    store answer -- scenario fast path, exact, nearest, stale -- has its
+    program decoded before it is handed out or cached.
+
 graceful degradation (see ``docs/RELIABILITY.md``)
     Store calls go through :func:`repro.api.store.store_call`, the
-    degrader ``compile()`` uses too: a corrupt entry is a
-    warned miss; transient I/O errors are retried with bounded backoff,
-    then become a warned miss (or skipped write).  A cold request waits
-    on its key's run for at most what is left of the run's
-    ``planner_timeout_s`` and of its own ``deadline_s``; if it stops
-    waiting it falls back, and the run keeps going and lands later as a
-    late publish.  Runs that fail or outlive the planner timeout trip a
+    degrader ``compile()`` uses too: a corrupt entry -- its program
+    section included -- is a warned miss; transient I/O errors are
+    retried with bounded backoff, then become a warned miss (or skipped
+    write).  A cold request waits on its key's run for at most what is
+    left of the run's ``planner_timeout_s`` and of its own
+    ``deadline_s``; if it stops waiting it falls back, and the run keeps
+    going and lands later as a late publish.  Runs that fail or outlive
+    the planner timeout trip a
     :class:`CircuitBreaker` (closed -> open -> half-open); a request's
     own deadline never does.  Fallback answers walk the chain
     **exact -> nearest -> stale -> baseline**: *stale* is the closest
@@ -95,16 +102,6 @@ NEAREST_PREDICTED_GAP_BOUND = 0.25
 #: idle warm optimizers kept across planner runs, all base identities
 #: together (each holds its planner's warm-start tables)
 WARM_OPTIMIZERS = 4
-
-
-def _decoded(lookup, *args, **kwargs):
-    """A store lookup whose plan (or ``(plan, distance)``) has its
-    program decoded now: a corrupt program section is then a warned miss
-    that a planner run heals, not an error in the client's hands."""
-    hit = lookup(*args, **kwargs)
-    if hit is not None:
-        (hit[0] if isinstance(hit, tuple) else hit).program
-    return hit
 
 
 @dataclass(eq=False)
@@ -272,7 +269,8 @@ class PlanServer:
         coalescing is what provides the throughput.  The pools are
         separate, so a request never waits on a run queued behind it.
     memory_cache_size:
-        Entries in the server's in-process plan cache (0 disables it).
+        Entries in the server's in-process plan cache (0 disables it),
+        the one in-process plan tier: the store keeps no decoded plans.
         This layer makes the warm path free of disk I/O; it is refreshed
         on every planner run and hot swap of *this* server, so its staleness
         against writes by other processes is bounded by entry turnover.
@@ -539,6 +537,21 @@ class PlanServer:
             **kw,
         )
 
+    def _store_lookup(self, lookup, *args, **kw):
+        """One store lookup under :meth:`_store_call`, its plan (or
+        ``(plan, distance)``) decoded inside the call.  Every store
+        answer comes through here, so a corrupt program section is a
+        warned miss that a planner run heals, never an error in the
+        client's hands, and the memory cache holds decoded plans only."""
+
+        def decoded():
+            hit = lookup(*args, **kw)
+            if hit is not None:
+                (hit[0] if isinstance(hit, tuple) else hit).program
+            return hit
+
+        return self._store_call(decoded)
+
     def _lookup_or_plan(
         self, key, workload, cluster, request, deadline=None
     ) -> ServeResult:
@@ -547,7 +560,7 @@ class PlanServer:
         # 1. scenario fast path: warm answer without building a graph
         pure = isinstance(workload, Scenario) and cluster is None
         if pure and request["signatures"] is None:
-            plan = self._store_call(
+            plan = self._store_lookup(
                 self.store.lookup_scenario, workload, request["policy"],
                 request["framework"],
             )
@@ -559,16 +572,14 @@ class PlanServer:
         while True:  # again if a run landed after the exact miss below
             seen = self._landings
             # 2. exact signature bucket
-            plan = self._store_call(_decoded, self.store.get, resolved.identity)
+            plan = self._store_lookup(self.store.get, resolved.identity)
             if plan is not None:
                 self._count("store_hits")
                 return ServeResult(plan=plan, origin="store", key=key)
 
             # 3. nearest bucket now + the exact planner run in the background
-            near = self.nearest and self._store_call(
-                _decoded,
-                self.store.nearest,
-                resolved.identity,
+            near = self.nearest and self._store_lookup(
+                self.store.nearest, resolved.identity,
                 max_distance=self.max_distance,
             )
             if near:
@@ -631,7 +642,7 @@ class PlanServer:
         request stopped waiting on keeps going and heals the bucket.
         Never raises: the baseline tier is always constructible.
         """
-        stale = self._store_call(
+        stale = self._store_lookup(
             self.store.nearest, resolved.identity, max_distance=math.inf
         )
         if stale is not None:

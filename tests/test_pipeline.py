@@ -452,6 +452,32 @@ class TestPlanner:
         # the reassembled program still validates and simulates
         assert result.program.instructions
 
+    def test_partitions_follow_the_subgroup_topology(self):
+        """Stages on one NVLink node pick no partitions, as a flat plan
+        on one node does: the all-to-all they could hide is too short
+        to pay for the split.  Stages that span nodes partition."""
+        s_moe = Scenario.preset("gpt2-s-moe/a100x16")
+        flat = compile(s_moe.with_(num_gpus=8))
+        assert not flat.simulation_cluster().multi_node
+        assert flat.partition_degrees() == []
+        for staged, multi_node, forward in (
+            (Scenario.preset("gpt2-s-moe/a100x16-pp2x4"), False, []),
+            (
+                Scenario.preset("gpt2-s-moe/v100x32").with_(
+                    pipeline_stages=2, microbatches=4
+                ),
+                True,
+                [2, 2, 2],
+            ),
+        ):
+            plan = compile(staged)
+            assert plan.simulation_cluster().multi_node is multi_node
+            reports = plan.planner["stage_reports"]
+            assert [r["forward"]["partition_degrees"] for r in reports] == [
+                forward,
+                forward,
+            ]
+
     def test_stage_count_validated(self):
         graph = staged_graph(layers=2, subgroup=4)
         with pytest.raises(ValueError, match="stages"):

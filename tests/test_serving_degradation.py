@@ -3,12 +3,20 @@
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 
 import pytest
 
-from repro.api import PlanError, PlanIdentity, PlanStore, Scenario, load_plan
+from repro.api import (
+    PlanError,
+    PlanIdentity,
+    PlanStore,
+    Scenario,
+    compile,
+    load_plan,
+)
 from repro.api.compiler import plan_resolved, resolve_workload
 from repro.faults import FlakyPlanner, FlakyStore
 from repro.serving import PlanServer
@@ -400,25 +408,77 @@ class TestCorruptEntryHealing:
             path.write_bytes(b"{ this is not a plan }")
         return len(paths)
 
-    def test_undecodable_program_is_a_miss_not_a_client_error(
-        self, tmp_path, tiny_graph, small_cluster
-    ):
-        """An entry whose envelope parses but whose program does not
-        decode (say, written by a newer build) is re-planned by the
-        server; a client such as the trainer never gets it."""
-        root = tmp_path / "plans"
-        with PlanServer(PlanStore(root)) as server:
-            server.serve(tiny_graph.program, small_cluster)
+    @staticmethod
+    def _corrupt_first_ops(root) -> None:
+        """Break one instruction op per entry: the JSON and the plan
+        envelope still parse, only the program fails to decode (say, an
+        entry written by a newer build)."""
         for path in PlanStore(root).entries():
             doc = json.loads(path.read_text())
             doc["program"]["instructions"][0]["op"] = "no_such_op"
             path.write_text(json.dumps(doc))
+
+    def test_undecodable_program_is_a_miss_not_a_client_error(
+        self, tmp_path, tiny_graph, small_cluster
+    ):
+        """An entry whose program does not decode is re-planned by the
+        server; a client such as the trainer never gets it."""
+        root = tmp_path / "plans"
+        with PlanServer(PlanStore(root)) as server:
+            server.serve(tiny_graph.program, small_cluster)
+        self._corrupt_first_ops(root)
         with PlanServer(PlanStore(root)) as server:
             with pytest.warns(UserWarning, match="re-planning"):
                 result = server.serve(tiny_graph.program, small_cluster)
         assert result.origin == "planned"
         [path] = PlanStore(root).entries()
         assert load_plan(path).program is not None  # the put healed it
+
+    def test_undecodable_program_on_the_scenario_fast_path(self, tmp_path):
+        """``compile()`` keeps its warm hit lazy (its speed is gated), so
+        an undecodable program raises at the caller's first
+        ``.program``; a server over the same entry re-plans instead."""
+        root = tmp_path / "plans"
+        compile(SC, store=PlanStore(root))
+        self._corrupt_first_ops(root)
+        plan = compile(SC, store=PlanStore(root))
+        assert plan.from_store and not plan.materialized
+        with pytest.raises(PlanError, match="failed to reconstruct"):
+            plan.program
+        with PlanServer(PlanStore(root)) as server:
+            with pytest.warns(UserWarning, match="re-planning"):
+                result = server.serve(SC)
+            assert result.origin == "planned"
+            assert result.plan.program is not None
+        with PlanServer(PlanStore(root)) as server:
+            assert server.serve(SC).origin == "store"
+
+    def test_every_store_tier_answers_a_decoded_plan(
+        self, tmp_path, tiny_graph, small_cluster
+    ):
+        root = tmp_path / "plans"
+        with PlanServer(PlanStore(root)) as server:
+            server.serve(SC)
+            server.serve(tiny_graph.program, small_cluster)
+        answers = {}
+        with PlanServer(PlanStore(root)) as server:
+            answers["scenario"] = server.serve(SC)
+            answers["graph"] = server.serve(tiny_graph.program, small_cluster)
+        with PlanServer(PlanStore(root), max_distance=math.inf) as server:
+            answers["nearest"] = server.serve(SC.with_(routing_seed=5))
+            server.drain()
+        # outside the nearest radius with the planner out of time: only
+        # the stale tier can answer
+        drifted = SC.with_(concentration=0.05, hot_experts=2, hot_boost=0.9)
+        with PlanServer(PlanStore(root), max_distance=1e-9) as server:
+            answers["stale"] = server.serve(drifted, deadline_s=0.0)
+            server.drain()
+        assert {name: r.origin for name, r in answers.items()} == {
+            "scenario": "store", "graph": "store",
+            "nearest": "nearest", "stale": "stale",
+        }
+        for result in answers.values():
+            assert result.plan.from_store and result.plan.materialized
 
     def test_corrupt_entry_degrades_then_heals(self, tmp_path):
         root = tmp_path / "plans"
