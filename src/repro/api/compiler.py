@@ -224,6 +224,13 @@ def _plan_resolved_staged(resolved: ResolvedWorkload, check: bool) -> Plan:
             for c in result.candidates
         ],
         "stage_reports": result.stage_reports,
+        # each stage's forward then backward pipelines, in stage order
+        "partition_degrees": [
+            degree
+            for report in result.stage_reports
+            for phase in ("forward", "backward")
+            for degree in report.get(phase, {}).get("partition_degrees", [])
+        ],
     }
     return Plan(
         program=result.program,

@@ -19,9 +19,11 @@ while p2p activations cross stages.
   that the unmodified :class:`~repro.core.LancetOptimizer` plans against
   its stage's subgroup, then stitched back into one flat program.
 - :func:`simulate_staged` / :func:`stage_costs` / :class:`StageCosts` --
-  the staged simulator composing per-stage
-  :func:`~repro.runtime.simulate_cluster` results with p2p dependencies
-  into a :class:`~repro.runtime.ClusterTimeline`-compatible figure,
+  the staged simulator composing per-stage segment makespans (priced on
+  the representative-device :func:`~repro.runtime.simulate_program`,
+  which equals :func:`~repro.runtime.simulate_cluster` bit for bit
+  without stragglers) with p2p dependencies into a
+  :class:`~repro.runtime.ClusterTimeline`-compatible figure,
   differential-tested bit-for-bit against :func:`replay_reference`.
 - :func:`plan_stages` / :class:`StagedPlanResult` / :class:`StageMap` --
   the boundary planner (heuristic ranking + exact simulation + per-stage

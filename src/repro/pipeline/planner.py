@@ -9,10 +9,13 @@ The search is two-phase, like the flat planner's candidate pruning:
    and scored with the classic pipeline bound
    ``sum(t_s) + (M - 1) * max(t_s)``.
 2. **Exact simulation** -- the top candidates (the even split always
-   included) run through the full staged simulator; the winner's
-   segments are then optimized per stage by :class:`~repro.core
-   .LancetOptimizer` against the stage's own cluster and signatures, and
-   the final pipeline makespan is re-simulated on optimized costs.
+   included) run through the full staged simulator, with one
+   :class:`~repro.pipeline.simulate.SegmentPricer` for the whole call so
+   a stage segment shared by several candidates is priced once; the
+   winner's segments are then optimized in place per stage by
+   :class:`~repro.core.LancetOptimizer` against the stage's own cluster
+   and signatures, and the final pipeline makespan is re-simulated with
+   only the rewritten segments priced again.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from ..runtime.cluster import ClusterSpec
 from ..runtime.device import COMPILED
 from ..runtime.simulate import GroundTruthCost, SimulationConfig
 from .partition import SplitProgram, split_stages
-from .simulate import StagedSimulation, simulate_staged
+from .simulate import SegmentPricer, StagedSimulation, simulate_staged
 from .stage import StagedCluster, StageMap
 
 #: max contiguous splits enumerated exhaustively before falling back to
@@ -125,9 +128,24 @@ class StagedPlanResult:
         return self.simulation.makespan
 
 
+def _same_program(a, b) -> bool:
+    """Whether ``b`` runs exactly ``a``'s instructions over ``a``'s
+    values (instructions and values are immutable, so identity and
+    equality decide it)."""
+    return (
+        len(a.instructions) == len(b.instructions)
+        and all(x is y for x, y in zip(a.instructions, b.instructions))
+        and a.values == b.values
+    )
+
+
 def _optimize_split(split, optimizer_factory, check: bool = False):
-    """Run the per-stage optimizer over forward + backward segments."""
+    """Run the per-stage optimizer over forward + backward segments.
+
+    Returns the per-stage reports and the ``(stage, phase)`` keys of the
+    segments the optimizer rewrote."""
     reports = []
+    rewritten = set()
     for stage in split.staged.stages:
         summary = {"stage": stage.index}
         opt = optimizer_factory(stage.cluster)
@@ -136,10 +154,12 @@ def _optimize_split(split, optimizer_factory, check: bool = False):
             if not seg.program.instructions:
                 continue
             optimized, report = opt.optimize(seg.program, check=check)
+            if not _same_program(seg.program, optimized):
+                rewritten.add((stage.index, phase))
             seg.program = optimized
             summary[phase] = report.summary_dict()
         reports.append(summary)
-    return reports
+    return reports, rewritten
 
 
 def plan_stages(
@@ -183,6 +203,9 @@ def plan_stages(
             f"need 1 <= stages <= {num_layers} layers, got {num_stages}"
         )
 
+    pricer = SegmentPricer(
+        framework=framework, routing=routing, padded_a2a=padded_a2a
+    )
     candidates: list[dict] = []
     if layer_counts is None:
         per_layer = layer_costs(
@@ -222,9 +245,7 @@ def plan_stages(
                 split,
                 microbatches,
                 schedule=schedule,
-                framework=framework,
-                routing=routing,
-                padded_a2a=padded_a2a,
+                costs=pricer.stage_costs(split),
             )
             bound = next(b for b, c in scored if c == counts)
             candidates.append(
@@ -235,21 +256,26 @@ def plan_stages(
                 }
             )
             if best is None or sim.makespan < best[0]:
-                best = (sim.makespan, counts)
-        layer_counts = best[1]
+                best = (sim.makespan, split)
+        split = best[1]
+        layer_counts = split.staged.layer_counts
+    else:
+        split = split_stages(
+            graph_or_program,
+            StagedCluster.from_layer_counts(cluster, layer_counts),
+            forward_len=forward_len,
+        )
 
-    staged = StagedCluster.from_layer_counts(cluster, layer_counts)
-    split = split_stages(graph_or_program, staged, forward_len=forward_len)
-    stage_reports = []
+    stage_reports, rewritten = [], set()
     if optimizer_factory is not None:
-        stage_reports = _optimize_split(split, optimizer_factory, check=check)
+        stage_reports, rewritten = _optimize_split(
+            split, optimizer_factory, check=check
+        )
     simulation = simulate_staged(
         split,
         microbatches,
         schedule=schedule,
-        framework=framework,
-        routing=routing,
-        padded_a2a=padded_a2a,
+        costs=pricer.stage_costs(split, fresh=rewritten),
     )
     from .partition import reassemble
 
@@ -262,7 +288,7 @@ def plan_stages(
     )
     return StagedPlanResult(
         stage_map=stage_map,
-        staged=staged,
+        staged=split.staged,
         split=split,
         program=reassemble(split),
         simulation=simulation,

@@ -1,11 +1,15 @@
-"""Staged simulation: compose per-stage cluster simulations with p2p
+"""Staged simulation: compose per-stage segment makespans with p2p
 dependencies into one pipeline-level figure.
 
-Per-stage job durations come from the existing device-resolved simulator
-(:func:`~repro.runtime.simulate_cluster` on the stage's subgroup cluster,
-so hot-expert all-to-all skew prices exactly as in flat runs); the
-pipeline layer then schedules microbatch jobs in each stage's fixed order
-with activation p2p edges between stages, and renders the result as a
+Per-stage job durations are segment makespans on the stage's subgroup
+cluster, priced by :class:`SegmentPricer` with the representative-device
+recurrence (:func:`~repro.runtime.simulate_program`).  Stage costing
+never sets stragglers, and without stragglers that makespan equals the
+device-resolved :func:`~repro.runtime.simulate_cluster` makespan bit for
+bit under any routing (see :func:`~repro.runtime.simulate_cluster`), so
+hot-expert all-to-all skew prices exactly as in flat runs.  The pipeline
+layer then schedules microbatch jobs in each stage's fixed order with
+activation p2p edges between stages, and renders the result as a
 :class:`~repro.runtime.ClusterTimeline` over the *base* cluster's devices.
 
 Steady-state approximation: all microbatches of a stage share one routing
@@ -20,16 +24,26 @@ here is bit-identical to the naive event-replay reference
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from ..ir import Stream
+from ..runtime.cluster import ClusterSpec
 from ..runtime.device import COMPILED
-from ..runtime.simulate import SimulationConfig, simulate_cluster
+from ..runtime.simulate import (
+    GroundTruthCost,
+    SimulationConfig,
+    simulate_program,
+)
 from ..runtime.timeline import ClusterTimeline, Interval, Timeline
 from .p2p import P2PCostModel
-from .partition import SplitProgram
+from .partition import PHASES, SplitProgram
 from .schedule import Job, schedule_order
 from .stage import StagedCluster
+
+# inert: perfbench/spans.py still resolves this name; segments are priced
+# with simulate_program (see SegmentPricer)
+simulate_cluster = None
 
 
 @dataclass(frozen=True)
@@ -48,6 +62,86 @@ class StageCosts:
         return len(self.forward_ms)
 
 
+class SegmentPricer:
+    """Makespans of stage segments on their subgroup clusters.
+
+    One :class:`~repro.runtime.simulate.GroundTruthCost` per subgroup
+    cluster, so its op-duration cache is shared across phases and
+    candidate splits.  One shared routing model instance across all
+    segments keeps each MoE layer's forward and backward all-to-all on
+    the same realized draw (the per-layer-key cache), exactly like a
+    flat simulation.
+
+    Prices are memoized on ``(stage.layers, phase, stage.cluster)``: an
+    unoptimized segment is a pure function of its stage's layer run and
+    phase (:func:`~repro.pipeline.split_stages` buckets instructions by
+    exactly that), so every candidate split of one program that shares a
+    stage shares its price.  Segments rewritten after splitting (the
+    per-stage optimizer's output) must be named in ``fresh``.
+    """
+
+    def __init__(
+        self,
+        framework=COMPILED,
+        routing=None,
+        padded_a2a: bool = True,
+        block_sparse_experts: bool = False,
+    ) -> None:
+        self._config = dict(
+            framework=framework,
+            padded_a2a=padded_a2a,
+            block_sparse_experts=block_sparse_experts,
+        )
+        if routing is not None:
+            self._config["routing"] = routing
+        self._costs: dict[ClusterSpec, GroundTruthCost] = {}
+        self._prices: dict[tuple, float] = {}
+
+    def _makespan(self, cluster: ClusterSpec, program) -> float:
+        if not program.instructions:
+            return 0.0
+        cost = self._costs.get(cluster)
+        if cost is None:
+            config = SimulationConfig(cluster=cluster, **self._config)
+            cost = self._costs[cluster] = GroundTruthCost(config)
+        return simulate_program(program, cost=cost).makespan
+
+    def stage_costs(
+        self, split: SplitProgram, fresh: Collection[tuple[int, str]] = ()
+    ) -> StageCosts:
+        """:func:`stage_costs` of ``split``, pricing the ``(stage,
+        phase)`` segments in ``fresh`` unmemoized (they were rewritten
+        after splitting)."""
+        staged = split.staged
+        times = {}
+        for stage in staged.stages:
+            for phase in PHASES:
+                program = split.segment(stage.index, phase).program
+                if (stage.index, phase) in fresh:
+                    ms = self._makespan(stage.cluster, program)
+                else:
+                    key = (stage.layers, phase, stage.cluster)
+                    ms = self._prices.get(key)
+                    if ms is None:
+                        ms = self._prices[key] = self._makespan(
+                            stage.cluster, program
+                        )
+                times[stage.index, phase] = ms
+        p2p = P2PCostModel(staged.base)
+        indices = range(staged.num_stages)
+        return StageCosts(
+            forward_ms=tuple(times[s, "forward"] for s in indices),
+            backward_ms=tuple(times[s, "backward"] for s in indices),
+            tail_ms=tuple(times[s, "tail"] for s in indices),
+            fwd_p2p_ms=p2p.boundary_times_ms(
+                staged, list(split.fwd_boundary_bytes)
+            ),
+            bwd_p2p_ms=p2p.boundary_times_ms(
+                staged, list(split.bwd_boundary_bytes)
+            ),
+        )
+
+
 def stage_costs(
     split: SplitProgram,
     framework=COMPILED,
@@ -57,44 +151,15 @@ def stage_costs(
 ) -> StageCosts:
     """Measure per-stage segment makespans on their subgroup clusters.
 
-    One shared routing model instance across all segments keeps each MoE
-    layer's forward and backward all-to-all on the same realized draw
-    (the per-layer-key cache), exactly like a flat simulation.
+    Each segment is priced as it stands in ``split`` (optimized or not),
+    once; :class:`SegmentPricer` documents the pricing.
     """
-    staged = split.staged
-    fwd, bwd, tail = [], [], []
-    for stage in staged.stages:
-        kwargs = dict(
-            cluster=stage.cluster,
-            framework=framework,
-            padded_a2a=padded_a2a,
-            block_sparse_experts=block_sparse_experts,
-        )
-        if routing is not None:
-            kwargs["routing"] = routing
-        config = SimulationConfig(**kwargs)
-        times = []
-        for phase in ("forward", "backward", "tail"):
-            seg = split.segment(stage.index, phase).program
-            if seg.instructions:
-                times.append(simulate_cluster(seg, config=config).makespan)
-            else:
-                times.append(0.0)
-        fwd.append(times[0])
-        bwd.append(times[1])
-        tail.append(times[2])
-    p2p = P2PCostModel(staged.base)
-    return StageCosts(
-        forward_ms=tuple(fwd),
-        backward_ms=tuple(bwd),
-        tail_ms=tuple(tail),
-        fwd_p2p_ms=p2p.boundary_times_ms(
-            staged, list(split.fwd_boundary_bytes)
-        ),
-        bwd_p2p_ms=p2p.boundary_times_ms(
-            staged, list(split.bwd_boundary_bytes)
-        ),
-    )
+    return SegmentPricer(
+        framework=framework,
+        routing=routing,
+        padded_a2a=padded_a2a,
+        block_sparse_experts=block_sparse_experts,
+    ).stage_costs(split)
 
 
 def _dep_time(

@@ -365,7 +365,15 @@ def simulate_cluster(
 
     With :class:`UniformRoutingModel` routing and no stragglers all
     devices see identical costs, and each per-device timeline is
-    bit-for-bit the :func:`simulate_program` timeline.
+    bit-for-bit the :func:`simulate_program` timeline.  Under *any*
+    routing, with no stragglers, the cluster makespan still equals the
+    :func:`simulate_program` makespan bit for bit: devices stay in
+    lockstep (equal compute costs, every collective starting at the
+    common arrival and releasing outputs and streams at ``start +
+    device_times.max()``, which is :meth:`GroundTruthCost.duration_ms`),
+    and only a collective's per-device interval ends differ, none past
+    that completion.  Callers that read only the makespan of a
+    straggler-free config can run the cheaper representative recurrence.
 
     This is the one-scenario view of the vectorized engine
     (:func:`~repro.runtime.batch.simulate_scenarios`), so it agrees

@@ -1,7 +1,11 @@
 """Tests for the per-device cluster simulator and parallel executor."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles.cluster_reference import simulate_cluster_reference
 
 from repro.ir import Stream
@@ -18,7 +22,13 @@ from repro.runtime import (
     simulate_cluster,
     simulate_program,
 )
-from repro.testing import fresh_values
+from repro.testing import (
+    PROGRAM_GRID,
+    build_grid_graph,
+    cluster_grid,
+    fresh_values,
+    st_routing_model,
+)
 
 
 def uniform_config(cluster, **kw):
@@ -178,6 +188,98 @@ class TestStragglers:
             uniform_config(
                 small_cluster, straggler_slowdown=(1.0, -1.0)
             ).device_slowdowns()
+
+
+#: the differential grid plus one two-node width (hierarchical pricing)
+MAKESPAN_GRID = PROGRAM_GRID + [(2, 16, 8, 128, "switch")]
+
+
+@functools.lru_cache(maxsize=None)
+def grid_program(row):
+    return build_grid_graph(*row).program
+
+
+def with_a2a_algo(program, algo):
+    """A copy of ``program`` whose all-to-alls all run ``algo``."""
+    out = program.clone()
+    out.instructions = [
+        i.with_(uid=i.uid, attrs={**i.attrs, "a2a_algo": algo})
+        if i.op == "all_to_all"
+        else i
+        for i in program.instructions
+    ]
+    return out
+
+
+class TestRepresentativeMakespan:
+    """Without stragglers every device runs in lockstep: compute costs
+    are equal, and each collective starts at the common arrival and
+    releases its outputs at ``start + device_times.max()``, which is the
+    representative :meth:`GroundTruthCost.duration_ms`.  So the cluster
+    makespan equals :func:`simulate_program`'s bit for bit under any
+    routing (what the staged planner's segment pricing relies on)."""
+
+    @staticmethod
+    def assert_same_makespan(program, config):
+        rep = simulate_program(program, config=config).makespan
+        assert simulate_cluster(program, config=config).makespan == rep
+
+    def test_padded_skewed(self):
+        program = grid_program(MAKESPAN_GRID[1])
+        cluster = ClusterSpec.for_gpus("a100", 8)
+        routing = skewed_config(cluster).routing
+        self.assert_same_makespan(
+            program, SimulationConfig(cluster, routing=routing)
+        )
+
+    def test_irregular_flat_skewed(self):
+        program = grid_program(MAKESPAN_GRID[1])
+        cluster = ClusterSpec.for_gpus("a100", 8)
+        ctl = simulate_cluster(program, config=skewed_config(cluster))
+        # the skew is real: devices' all-to-all busy times differ
+        assert len(set(ctl.per_device_time_of({"all_to_all"}))) > 1
+        self.assert_same_makespan(program, skewed_config(cluster))
+
+    def test_hierarchical_skewed(self):
+        cluster = ClusterSpec.p3dn(2)
+        program = with_a2a_algo(grid_program(MAKESPAN_GRID[-1]), "hierarchical")
+        assert cluster.multi_node
+        self.assert_same_makespan(program, skewed_config(cluster))
+
+    def test_stragglers_break_the_equality(self):
+        """The precondition is real: a straggler's stretched compute
+        shows up only in the device-resolved makespan."""
+        program = grid_program(MAKESPAN_GRID[1])
+        cluster = ClusterSpec.for_gpus("a100", 8)
+        config = skewed_config(cluster, straggler_slowdown={0: 1.5})
+        rep = simulate_program(program, config=config).makespan
+        assert simulate_cluster(program, config=config).makespan > rep
+
+    @pytest.mark.slow
+    @given(
+        row=st.sampled_from(MAKESPAN_GRID),
+        pick=st.integers(0, 2),
+        routing=st_routing_model(),
+        padded=st.booleans(),
+        block_sparse=st.booleans(),
+        hierarchical=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_property_no_straggler_makespans_agree(
+        self, row, pick, routing, padded, block_sparse, hierarchical
+    ):
+        clusters = cluster_grid(row[1])
+        cluster = clusters[pick % len(clusters)]
+        program = grid_program(row)
+        if hierarchical and cluster.multi_node:
+            program = with_a2a_algo(program, "hierarchical")
+        config = SimulationConfig(
+            cluster,
+            routing=routing,
+            padded_a2a=padded,
+            block_sparse_experts=block_sparse,
+        )
+        self.assert_same_makespan(program, config)
 
 
 class TestUnitConventions:
