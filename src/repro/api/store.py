@@ -293,6 +293,24 @@ def scenario_key(
     return digest
 
 
+def _parse_entry(raw: bytes, path: pathlib.Path) -> Plan:
+    """A lazily loaded plan from one entry file's bytes."""
+    try:
+        obj = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise PlanError(
+            f"corrupt plan store entry {path}: not valid JSON ({err})"
+        ) from err
+    try:
+        return Plan.from_dict(obj, materialize=False)
+    except PlanSchemaError as err:
+        # preserve the type: schema mismatches mean "re-compile",
+        # not "corrupt", and callers dispatch on it
+        raise PlanSchemaError(f"plan store entry {path}: {err}") from err
+    except PlanError as err:
+        raise PlanError(f"corrupt plan store entry {path}: {err}") from err
+
+
 class PlanStore:
     """Disk-backed, cross-process plan cache (see module docstring).
 
@@ -398,38 +416,38 @@ class PlanStore:
 
     # -- lookups -------------------------------------------------------------
 
-    def get(self, identity: PlanIdentity) -> Plan | None:
+    def get(self, identity: PlanIdentity, *, decode: bool = False) -> Plan | None:
         """Warm plan for an identity, or ``None`` on a miss.
 
         Every call reads the entry file afresh.  Loaded plans are lazy
-        (the program decodes on first access); corrupted entries raise
+        (the program decodes on first access) unless ``decode``, which
+        decodes the program inside the read.  An unusable entry --
+        corrupt, of a foreign schema, or (with ``decode``) holding a
+        program that does not decode -- counts as a miss and raises
         :class:`~repro.api.plan.PlanError` rather than deserializing
-        garbage.
+        garbage; the error's ``key`` attribute names the entry.
         """
-        plan = self._load(identity.key(self.digits))
+        plan = self._load(identity.key(self.digits), decode)
         self.stats["hits" if plan is not None else "misses"] += 1
         return plan
 
-    def _load(self, key: str) -> Plan | None:
+    def _load(self, key: str, decode: bool = False) -> Plan | None:
+        """The entry under ``key``, or ``None`` if there is none; an
+        unusable one is counted as a miss here (see :meth:`get`)."""
         path = self.path_for(key)
         try:
             raw = path.read_bytes()
         except OSError:
             return None
         try:
-            obj = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as err:
-            raise PlanError(
-                f"corrupt plan store entry {path}: not valid JSON ({err})"
-            ) from err
-        try:
-            plan = Plan.from_dict(obj, materialize=False)
-        except PlanSchemaError as err:
-            # preserve the type: schema mismatches mean "re-compile",
-            # not "corrupt", and callers dispatch on it
-            raise PlanSchemaError(f"plan store entry {path}: {err}") from err
+            plan = _parse_entry(raw, path)
+            del raw  # not held while the program decodes
+            if decode:
+                plan.program
         except PlanError as err:
-            raise PlanError(f"corrupt plan store entry {path}: {err}") from err
+            self.stats["misses"] += 1
+            err.key = key
+            raise
         plan.from_store = True
         self._touch(path)
         return plan
@@ -497,12 +515,15 @@ class PlanStore:
         scenario: Scenario,
         policy: PlanPolicy,
         framework: FrameworkProfile,
+        *,
+        decode: bool = False,
     ) -> Plan | None:
-        """Warm plan for a scenario identity, or ``None``."""
+        """Warm plan for a scenario identity, or ``None`` (``decode``
+        and unusable entries as in :meth:`get`)."""
         key = self._read_sidecar(SCENARIO_INDEX).get(
             scenario_key(scenario, policy, framework)
         )
-        plan = self._load(key) if key else None
+        plan = self._load(key, decode) if key else None
         if plan is not None:
             self.stats["scenario_hits"] += 1
             self.stats["hits"] += 1
@@ -525,25 +546,28 @@ class PlanStore:
         return dict(self._read_sidecar(SIGNATURE_INDEX).get(identity.base_key(), {}))
 
     def nearest(
-        self, identity: PlanIdentity, max_distance: float = 0.25
+        self, identity: PlanIdentity, max_distance: float = 0.25, *,
+        decode: bool = False, exclude=(),
     ) -> tuple[Plan, float] | None:
         """Closest stored plan of the same base identity, by signature
-        bucket (see :func:`bucket_distance`), within ``max_distance``.
+        bucket (see :func:`bucket_distance`), within ``max_distance``,
+        skipping the entry keys in ``exclude``.
 
         Returns ``(plan, distance)`` or ``None``.  A distance-0 result
         is possible (the exact bucket itself); callers that already
         missed on :meth:`get` simply won't see one.  Counted as
-        ``nearest_hits`` (plus a ``hits`` entry) in :meth:`stats`.
+        ``nearest_hits`` (plus a ``hits`` entry) in :meth:`stats`;
+        ``decode`` and unusable entries as in :meth:`get`.
         """
         target = signature_bucket(identity.signatures, self.digits)
         best_key, best_d = None, math.inf
         for key, bucket in self.neighbors(identity).items():
             d = bucket_distance(target, bucket)
-            if d < best_d:
+            if d < best_d and key not in exclude:
                 best_key, best_d = key, d
         if best_key is None or best_d > max_distance:
             return None
-        plan = self._load(best_key)
+        plan = self._load(best_key, decode)
         if plan is None:  # index pointed at an evicted/raced-away entry
             return None
         self.stats["nearest_hits"] += 1

@@ -45,14 +45,17 @@ telemetry
 
 one in-process plan tier
     The server's bounded memory cache is the only place decoded plans
-    live between requests (the store is a disk cache only), and every
-    store answer -- scenario fast path, exact, nearest, stale -- has its
-    program decoded before it is handed out or cached.
+    live between requests (the store is a disk cache only).  It holds
+    each key's finished answer, a completed ``Future`` built once at
+    put, which every memory hit returns as is.  Every store answer --
+    scenario fast path, exact, nearest, stale -- is decoded inside the
+    store's read before it is handed out or cached.
 
 graceful degradation (see ``docs/RELIABILITY.md``)
     Store calls go through :func:`repro.api.store.store_call`, the
     degrader ``compile()`` uses too: a corrupt entry -- its program
-    section included -- is a warned miss; transient I/O errors are
+    section included -- is a warned miss, once per request; transient
+    I/O errors are
     retried with bounded backoff, then become a warned miss (or skipped
     write).  A cold request waits on its key's run for at most what is
     left of the run's ``planner_timeout_s`` and of its own
@@ -75,9 +78,9 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures import wait as wait_futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from ..api.compiler import plan_resolved, resolve_workload
+from ..api.compiler import ResolvedWorkload, plan_resolved, resolve_workload
 from ..api.fingerprint import graph_fingerprint
 from ..api.plan import Plan, PlanError, PlanPolicy
 from ..api.scenario import Scenario
@@ -203,7 +206,7 @@ class CircuitBreaker:
             }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ServeResult:
     """One answered request: the plan plus how it was produced.
 
@@ -215,7 +218,9 @@ class ServeResult:
     distance), or ``"baseline"`` (degraded mode: the unoptimized
     program wrapped in a plan -- the tier of last resort, always
     constructible).  Coalesced followers receive the leader's result
-    object unchanged.
+    object unchanged, and memory hits of one key share one result (and
+    one finished ``Future``) until the entry is replaced; their
+    ``latency_s`` is 0.0.
     """
 
     plan: Plan
@@ -396,7 +401,10 @@ class PlanServer:
         Scenario requests key on the declarative spec -- no graph build
         needed, so submission stays cheap; graph/program requests key on
         the store's canonical plan key, which is the key the planned
-        plan is filed under (expert ``placement`` included).
+        plan is filed under (expert ``placement`` included).  A
+        :class:`~repro.api.compiler.ResolvedWorkload` keys on its own
+        identity (no second fingerprint) and ignores the other
+        arguments.
         """
         policy = policy or self.policy
         framework = framework or self.framework
@@ -409,6 +417,8 @@ class PlanServer:
                 workload, policy, framework, cluster, signatures,
                 self.store.digits,
             )
+        if isinstance(workload, ResolvedWorkload):
+            return workload.identity.key(self.store.digits)
         if cluster is None:
             raise TypeError("graph/program requests require an explicit cluster")
         return PlanIdentity(
@@ -431,10 +441,14 @@ class PlanServer:
     ) -> Future:
         """Enqueue one request; returns a ``Future[ServeResult]``.
 
-        Identical concurrent requests coalesce: the key is registered
-        synchronously here, so every submission after the first --
-        regardless of worker scheduling -- subscribes to the in-flight
-        request instead of starting its own.
+        ``workload``: a scenario, graph, program or
+        :class:`~repro.api.compiler.ResolvedWorkload` (not resolved
+        again).  A memory hit returns the key's cached, finished
+        ``Future``, shared by every hit until the entry is replaced, so
+        it builds nothing.  Identical concurrent requests coalesce: the
+        key is registered synchronously here, so every submission after
+        the first -- regardless of worker scheduling -- subscribes to
+        the in-flight request instead of starting its own.
 
         ``deadline_s`` (default: the server's ``deadline_s``) bounds how
         long this request may wait on its key's planner run before it is
@@ -446,11 +460,6 @@ class PlanServer:
             raise RuntimeError("PlanServer is closed")
         policy = policy or self.policy
         framework = framework or self.framework
-        if deadline_s is None:
-            deadline_s = self.deadline_s
-        deadline = (
-            None if deadline_s is None else time.monotonic() + deadline_s
-        )
         key = self.request_key(
             workload, cluster, policy, signatures, framework, placement
         )
@@ -461,16 +470,17 @@ class PlanServer:
                 self.counters["coalesced"] += 1
                 return inflight
             if self._memory is not None:
-                plan = self._memory.get(key)
-                if plan is not None:
+                answer = self._memory.get(key)
+                if answer is not None:
                     self.counters["memory_hits"] += 1
-                    done: Future = Future()
-                    done.set_result(
-                        ServeResult(plan=plan, origin="memory", key=key)
-                    )
-                    return done
+                    return answer
             future: Future = Future()
             self._inflight[key] = future
+        if deadline_s is None:
+            deadline_s = self.deadline_s
+        deadline = (
+            None if deadline_s is None else time.monotonic() + deadline_s
+        )
         request = dict(
             policy=policy, signatures=signatures, framework=framework,
             placement=placement,
@@ -503,7 +513,7 @@ class PlanServer:
             result = self._lookup_or_plan(
                 key, workload, cluster, request, deadline
             )
-            result.latency_s = time.perf_counter() - t0
+            result = replace(result, latency_s=time.perf_counter() - t0)
         except BaseException as err:
             with self._lock:
                 self.counters["errors"] += 1
@@ -515,10 +525,18 @@ class PlanServer:
             # plan when it lands, a nearest answer is cached before its
             # run is registered (the exact plan must win), and degraded
             # answers (stale / baseline) must not poison the warm path
-            if self._memory is not None and result.origin == "store":
-                self._memory.put(key, result.plan)
+            if result.origin == "store":
+                self._remember(key, result.plan)
             self._inflight.pop(key, None)
         future.set_result(result)
+
+    def _remember(self, key, plan) -> None:
+        """Cache ``plan`` as ``key``'s finished memory answer, the one
+        every later memory hit returns (the caller holds the lock)."""
+        if self._memory is not None:
+            answer: Future = Future()
+            answer.set_result(ServeResult(plan=plan, origin="memory", key=key))
+            self._memory.put(key, answer)
 
     def _count(self, counter: str) -> None:
         with self._lock:
@@ -537,18 +555,20 @@ class PlanServer:
             **kw,
         )
 
-    def _store_lookup(self, lookup, *args, **kw):
-        """One store lookup under :meth:`_store_call`, its plan (or
-        ``(plan, distance)``) decoded inside the call.  Every store
-        answer comes through here, so a corrupt program section is a
-        warned miss that a planner run heals, never an error in the
-        client's hands, and the memory cache holds decoded plans only."""
+    def _store_lookup(self, unusable, lookup, *args, **kw):
+        """One store lookup under :meth:`_store_call`, its program
+        decoded inside the store's read.  Every store answer comes
+        through here, so a corrupt program section is a warned miss that
+        a planner run heals, never an error in the client's hands, and
+        the memory cache holds decoded plans only.  An unusable entry's
+        key joins ``unusable``, the request's set its later tiers skip."""
 
         def decoded():
-            hit = lookup(*args, **kw)
-            if hit is not None:
-                (hit[0] if isinstance(hit, tuple) else hit).program
-            return hit
+            try:
+                return lookup(*args, decode=True, **kw)
+            except PlanError as err:
+                unusable.add(getattr(err, "key", None))
+                raise
 
         return self._store_call(decoded)
 
@@ -557,30 +577,39 @@ class PlanServer:
     ) -> ServeResult:
         """Answer one request (``request``: the :func:`resolve_workload`
         keywords) down the lookup ladder."""
+        unusable: set = set()  # entry keys this request found unusable
         # 1. scenario fast path: warm answer without building a graph
         pure = isinstance(workload, Scenario) and cluster is None
         if pure and request["signatures"] is None:
             plan = self._store_lookup(
-                self.store.lookup_scenario, workload, request["policy"],
-                request["framework"],
+                unusable, self.store.lookup_scenario, workload,
+                request["policy"], request["framework"],
             )
             if plan is not None:
                 self._count("store_hits")
                 return ServeResult(plan=plan, origin="store", key=key)
 
-        resolved = resolve_workload(workload, cluster, **request)
+        resolved = (
+            workload
+            if isinstance(workload, ResolvedWorkload)
+            else resolve_workload(workload, cluster, **request)
+        )
+        exact = resolved.identity.key(self.store.digits)
         while True:  # again if a run landed after the exact miss below
             seen = self._landings
             # 2. exact signature bucket
-            plan = self._store_lookup(self.store.get, resolved.identity)
-            if plan is not None:
-                self._count("store_hits")
-                return ServeResult(plan=plan, origin="store", key=key)
+            if exact not in unusable:
+                plan = self._store_lookup(
+                    unusable, self.store.get, resolved.identity
+                )
+                if plan is not None:
+                    self._count("store_hits")
+                    return ServeResult(plan=plan, origin="store", key=key)
 
             # 3. nearest bucket now + the exact planner run in the background
             near = self.nearest and self._store_lookup(
-                self.store.nearest, resolved.identity,
-                max_distance=self.max_distance,
+                unusable, self.store.nearest, resolved.identity,
+                max_distance=self.max_distance, exclude=unusable,
             )
             if near:
                 if self._planner_run(key, resolved, seen, served=near):
@@ -589,16 +618,16 @@ class PlanServer:
                         plan=neighbor, origin="nearest", key=key,
                         distance=distance,
                     )
-                continue
-
-            # 4. cold: wait on the key's planner run for at most what is
-            # left of its planner timeout and of the request deadline; a
-            # request that stops waiting, or that the breaker refuses a
-            # new run, is answered by the degraded tiers (stale ->
-            # baseline) instead
-            run = self._planner_run(key, resolved, seen, wait=True)
-            if run is not None or self._landings == seen:
-                break
+            else:
+                # 4. cold: wait on the key's planner run for at most what
+                # is left of its planner timeout and of the request
+                # deadline; a request that stops waiting, or that the
+                # breaker refuses a new run, is answered by the degraded
+                # tiers (stale -> baseline) instead
+                run = self._planner_run(key, resolved, seen, wait=True)
+                if run is not None or self._landings == seen:
+                    break
+            unusable.clear()  # the run that landed may have healed them
         self._count("misses")
         if run is None:
             self._count("breaker_short_circuits")
@@ -629,11 +658,11 @@ class PlanServer:
                 reason = "planner_error"
         if not self.fallback:
             raise PlanError(f"planner unavailable ({reason}) for {key}")
-        return self._serve_degraded(key, resolved, reason)
+        return self._serve_degraded(key, resolved, reason, unusable)
 
     # -- degraded serving tiers ----------------------------------------------
 
-    def _serve_degraded(self, key, resolved, reason) -> ServeResult:
+    def _serve_degraded(self, key, resolved, reason, unusable) -> ServeResult:
         """The stale -> baseline tail of the fallback chain.
 
         Reached only after the healthy tiers (memory, exact store,
@@ -641,9 +670,11 @@ class PlanServer:
         (deadline blown, run timed out, repeated failures).  A run this
         request stopped waiting on keeps going and heals the bucket.
         Never raises: the baseline tier is always constructible.
+        Skips the entry keys in ``unusable``.
         """
         stale = self._store_lookup(
-            self.store.nearest, resolved.identity, max_distance=math.inf
+            unusable, self.store.nearest, resolved.identity,
+            max_distance=math.inf, exclude=unusable,
         )
         if stale is not None:
             plan, distance = stale
@@ -720,8 +751,7 @@ class PlanServer:
                 self.counters["nearest_hits"] += 1
                 # cache the neighbor *before* the run can land, so the
                 # exact plan always wins the memory-cache race
-                if self._memory is not None:
-                    self._memory.put(key, neighbor)
+                self._remember(key, neighbor)
                 if run.served is None:
                     run.served = (neighbor.predicted_iteration_ms, distance)
         return run
@@ -779,8 +809,7 @@ class PlanServer:
         with self._lock:
             self.counters["planner_runs"] += 1
             self._landings += 1
-            if self._memory is not None:
-                self._memory.put(key, plan)
+            self._remember(key, plan)
             if run.served is not None:
                 served_ms, distance = run.served
                 self.counters["hot_swaps"] += 1

@@ -591,15 +591,17 @@ class ReoptimizingTrainer(Trainer):
             framework=opt.framework,
             placement=opt.placement,
         )
+        # resolved once: the server keys on it without a second
+        # fingerprint of the graph
+        resolved = resolve_workload(self.graph, opt.cluster, **request)
         if self.server is not None:
-            answer = self.server.serve(self.graph, opt.cluster, **request)
+            answer = self.server.serve(resolved)
             plan, source, key = answer.plan, answer.origin, answer.key
             reason = answer.reason
         else:
             # the optimizer re-plans incrementally: its PlannerState
             # carries every signature-independent DP table over from
             # the previous plan, so only the drifted pricing is redone
-            resolved = resolve_workload(self.graph, opt.cluster, **request)
             plan = plan_resolved(resolved, optimizer=opt)
             source, key, reason = "planned", resolved.identity.key(), None
         planned = source == "planned"

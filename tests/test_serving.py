@@ -96,6 +96,51 @@ class TestCoalescing:
         assert {r.origin for r in results} == {"memory"}
         assert len(digests) <= 1
 
+    def test_memory_hits_build_no_future(self, store, monkeypatch):
+        """A memory hit hands out the key's cached, finished answer:
+        1000 hits construct no ``Future`` and all return the same one."""
+        import repro.serving.server as server_mod
+
+        built = []
+
+        class CountingFuture(server_mod.Future):
+            def __init__(self) -> None:
+                super().__init__()
+                built.append(self)
+
+        monkeypatch.setattr(server_mod, "Future", CountingFuture)
+        with PlanServer(store) as server:
+            server.serve(SC)
+            assert built  # the cold request and its memory answer
+            built.clear()
+            answers = [server.submit(SC) for _ in range(1000)]
+            assert server.counters["memory_hits"] == 1000
+        assert built == []
+        assert all(answer is answers[0] for answer in answers)
+        assert answers[0].done()
+        result = answers[0].result()
+        assert result.origin == "memory" and result.latency_s == 0.0
+
+    def test_healthy_scenario_store_hit_reads_its_entry_once(
+        self, store, monkeypatch
+    ):
+        with PlanServer(store) as server:
+            server.serve(SC)
+        fresh = PlanStore(store.root)
+        loads = []
+        real = fresh._load
+
+        def counting(*args, **kwargs):
+            loads.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fresh, "_load", counting)
+        with PlanServer(fresh) as server:
+            assert server.serve(SC).origin == "store"
+            assert server.serve(SC).origin == "memory"
+        assert len(loads) == 1
+        assert fresh.stats["hits"] == fresh.stats["scenario_hits"] == 1
+
     def test_closed_server_rejects_requests(self, store):
         server = PlanServer(store)
         server.close()
@@ -142,6 +187,31 @@ class TestNearestServing:
         # ...and into the shared store (exact bucket, no nearest needed)
         with PlanServer(store, nearest=False) as other:
             assert other.serve(drifted).origin == "store"
+
+    def test_hot_swap_replaces_the_memory_answer(self, store):
+        """The neighbor is cached as the key's memory answer before its
+        exact run can land; once the run lands, every memory hit of the
+        key carries the exact plan."""
+        from repro.api.compiler import plan_resolved
+        from repro.faults import FlakyPlanner
+
+        drifted = SC.with_(routing_seed=5)
+        planner = FlakyPlanner(plan_resolved, delay_s=0.2)
+        with PlanServer(store, planner=planner) as server:
+            server.serve(SC)
+            served = server.serve(drifted)
+            assert served.origin == "nearest"
+            [run] = server._runs.values()  # the exact run, still stalled
+            stale = server.submit(drifted).result()
+            assert stale.origin == "memory" and stale.plan is served.plan
+            server.drain()
+            exact = run.future.result()
+            first, second = server.submit(drifted), server.submit(drifted)
+        assert first is second
+        assert first.result().origin == "memory"
+        assert first.result().plan is exact
+        assert exact is not served.plan
+        assert server.counters["hot_swaps"] == 1
 
     def test_identical_probes_share_one_background_replan(self, store):
         drifted = SC.with_(routing_seed=5)
@@ -359,6 +429,40 @@ class TestTrainerIntegration:
             )
         assert again.origin == "memory" and again.key == key
 
+    def test_server_replan_fingerprints_the_graph_once(
+        self, tiny_graph, small_cluster, store, monkeypatch
+    ):
+        """The trainer resolves its request once and hands the resolved
+        workload to the server, which keys on it without fingerprinting
+        the graph a second time."""
+        import repro.api.compiler as compiler_mod
+        import repro.serving.server as server_mod
+        import repro.train.loop as loop_mod
+        from repro import LancetOptimizer, ReoptimizingTrainer
+
+        calls = []
+        real = compiler_mod.graph_fingerprint
+
+        def counting(graph_or_program):
+            calls.append(graph_or_program)
+            return real(graph_or_program)
+
+        for module in (compiler_mod, server_mod, loop_mod):
+            monkeypatch.setattr(module, "graph_fingerprint", counting)
+        with PlanServer(store, nearest=False) as server:
+            trainer = ReoptimizingTrainer(
+                tiny_graph,
+                LancetOptimizer(small_cluster),
+                drift_threshold=0.0,
+                seed=0,
+                server=server,
+            )
+            calls.clear()
+            trainer.run(3)
+        planned = [e for e in trainer.events if e.source == "planned"]
+        assert planned
+        assert len(calls) == trainer.num_reoptimizations
+
     def test_placed_requests_are_filed_under_their_placed_key(
         self, tiny_graph, small_cluster, store, tiny_swapped_placement
     ):
@@ -375,7 +479,7 @@ class TestTrainerIntegration:
             assert placed.origin == "planned"
             assert placed.plan.placement == tiny_swapped_placement
             assert PlanIdentity.of(placed.plan).key(store.digits) == placed.key
-            assert server._memory.get(placed.key) is placed.plan
+            assert server._memory.get(placed.key).result().plan is placed.plan
             result = server.serve(tiny_graph.program, small_cluster)
             assert result.key != placed.key
             with pytest.raises(TypeError, match="placement"):

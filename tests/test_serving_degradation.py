@@ -453,6 +453,40 @@ class TestCorruptEntryHealing:
         with PlanServer(PlanStore(root)) as server:
             assert server.serve(SC).origin == "store"
 
+    @pytest.mark.parametrize("corrupt", ["program", "json"])
+    def test_unusable_entry_is_read_and_warned_about_once(
+        self, tmp_path, corrupt, monkeypatch
+    ):
+        """One unusable entry costs one read, one warning and one store
+        miss per request: the exact and nearest tiers skip the key the
+        scenario fast path already found unusable."""
+        root = tmp_path / "plans"
+        with PlanServer(PlanStore(root)) as server:
+            server.serve(SC)
+        if corrupt == "program":
+            self._corrupt_first_ops(root)
+        else:
+            self._corrupt_all_entries(PlanStore(root))
+        store = PlanStore(root)
+        loads = []
+        real = store._load
+
+        def counting(*args, **kwargs):
+            loads.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(store, "_load", counting)
+        with PlanServer(store) as server:
+            with pytest.warns(UserWarning, match="re-planning") as caught:
+                result = server.serve(SC)
+        assert result.origin == "planned"
+        assert len([w for w in caught if "re-planning" in str(w.message)]) == 1
+        assert len(loads) == 1
+        assert store.stats["hits"] == store.stats["nearest_hits"] == 0
+        assert store.stats["misses"] == 1
+        with PlanServer(PlanStore(root)) as server:
+            assert server.serve(SC).origin == "store"
+
     def test_every_store_tier_answers_a_decoded_plan(
         self, tmp_path, tiny_graph, small_cluster
     ):
