@@ -29,17 +29,18 @@ nearest-signature serving (:meth:`PlanStore.nearest`,
 :class:`repro.serving.PlanServer`) walks on an exact-bucket miss.
 
 Concurrency: every write -- entries (write-to-temp + rename), sidecar
-read-modify-writes, eviction -- runs under an exclusive ``flock`` on
-``<root>/.lock``, so any number of server workers or fleet processes
-can share one store directory -- concurrent writers at worst duplicate
-planning work, never corrupt an entry or an index.  A writer killed
+read-modify-writes, eviction, discards -- runs under an exclusive
+``flock`` on ``<root>/.lock``, so any number of server workers or fleet
+processes can share one store directory -- concurrent writers at worst
+duplicate planning work, never corrupt an entry or an index.  A writer killed
 before its rename leaves a ``*.tmp`` orphan that :meth:`PlanStore.clear`
 removes.
 
 The store is a disk cache only: every lookup reads and parses its
 entry file, so a read always sees the latest write, whichever process or
-handle made it.  The one in-process plan tier is
-:class:`repro.serving.PlanServer`'s bounded memory cache.
+handle made it, and the read that finds an entry unusable removes it.
+The one in-process plan tier is :class:`repro.serving.PlanServer`'s
+bounded memory cache.
 
 Capacity: ``max_entries`` / ``max_bytes`` bound the store; ``put``
 evicts least-recently-*used* entries (entry files are touched on every
@@ -94,7 +95,7 @@ def store_call(
     never the caller.
 
     A :class:`PlanError` (corrupt or foreign-schema entry, which the
-    caller's next ``put`` replaces) degrades at once.  An ``OSError``
+    store removed as it read it) degrades at once.  An ``OSError``
     is retried ``retries`` times with exponential backoff from
     ``backoff_s`` (``on_retry(err)`` each time), then degrades
     (``on_error(err)``).  Degrading warns and returns ``None``: a miss
@@ -423,20 +424,30 @@ class PlanStore:
         (the program decodes on first access) unless ``decode``, which
         decodes the program inside the read.  An unusable entry --
         corrupt, of a foreign schema, or (with ``decode``) holding a
-        program that does not decode -- counts as a miss and raises
+        program that does not decode -- is removed, with its index
+        records, by the read that finds it (unless a writer replaced
+        it since), counts as a miss, and raises
         :class:`~repro.api.plan.PlanError` rather than deserializing
-        garbage; the error's ``key`` attribute names the entry.
+        garbage; later lookups of its key are plain misses.
         """
-        plan = self._load(identity.key(self.digits), decode)
-        self.stats["hits" if plan is not None else "misses"] += 1
+        plan = None
+        try:
+            plan = self._load(identity.key(self.digits), decode)
+        finally:
+            self.stats["hits" if plan is not None else "misses"] += 1
         return plan
 
     def _load(self, key: str, decode: bool = False) -> Plan | None:
         """The entry under ``key``, or ``None`` if there is none; an
-        unusable one is counted as a miss here (see :meth:`get`)."""
+        unusable one is discarded, then its error raised (see
+        :meth:`get`).  Never called under :meth:`_locked`: the discard
+        takes the lock, and ``flock`` is per open file description, so
+        a second lock from the same thread would deadlock."""
         path = self.path_for(key)
         try:
-            raw = path.read_bytes()
+            with path.open("rb") as f:
+                read = os.fstat(f.fileno())
+                raw = f.read()
         except OSError:
             return None
         try:
@@ -444,13 +455,24 @@ class PlanStore:
             del raw  # not held while the program decodes
             if decode:
                 plan.program
-        except PlanError as err:
-            self.stats["misses"] += 1
-            err.key = key
+        except PlanError:
+            self._discard(path, read)
             raise
         plan.from_store = True
         self._touch(path)
         return plan
+
+    def _discard(self, path: pathlib.Path, read: os.stat_result) -> None:
+        """Remove an unusable entry and its index records, unless a
+        writer replaced it since its read (``read``: the read's fstat)."""
+        with contextlib.suppress(OSError), self._locked():
+            now = path.stat()
+            if (now.st_ino, now.st_mtime_ns, now.st_size) != (
+                read.st_ino, read.st_mtime_ns, read.st_size
+            ):
+                return
+            path.unlink()
+            self._prune_indexes()
 
     @staticmethod
     def _touch(path: pathlib.Path) -> None:
@@ -519,7 +541,8 @@ class PlanStore:
         decode: bool = False,
     ) -> Plan | None:
         """Warm plan for a scenario identity, or ``None`` (``decode``
-        and unusable entries as in :meth:`get`)."""
+        and unusable entries as in :meth:`get`).  Counts hits only: the
+        exact :meth:`get` that follows a miss counts it."""
         key = self._read_sidecar(SCENARIO_INDEX).get(
             scenario_key(scenario, policy, framework)
         )
@@ -527,8 +550,6 @@ class PlanStore:
         if plan is not None:
             self.stats["scenario_hits"] += 1
             self.stats["hits"] += 1
-        else:
-            self.stats["misses"] += 1
         return plan
 
     # -- signature index / nearest-bucket serving ----------------------------
@@ -547,11 +568,10 @@ class PlanStore:
 
     def nearest(
         self, identity: PlanIdentity, max_distance: float = 0.25, *,
-        decode: bool = False, exclude=(),
+        decode: bool = False,
     ) -> tuple[Plan, float] | None:
         """Closest stored plan of the same base identity, by signature
-        bucket (see :func:`bucket_distance`), within ``max_distance``,
-        skipping the entry keys in ``exclude``.
+        bucket (see :func:`bucket_distance`), within ``max_distance``.
 
         Returns ``(plan, distance)`` or ``None``.  A distance-0 result
         is possible (the exact bucket itself); callers that already
@@ -563,7 +583,7 @@ class PlanStore:
         best_key, best_d = None, math.inf
         for key, bucket in self.neighbors(identity).items():
             d = bucket_distance(target, bucket)
-            if d < best_d and key not in exclude:
+            if d < best_d:
                 best_key, best_d = key, d
         if best_key is None or best_d > max_distance:
             return None

@@ -120,7 +120,7 @@ def run(
 
             # -- cold: the planner-latency floor (no shortcuts) --------
             cold_ms = []
-            with PlanServer(store, nearest=False, memory_cache_size=0) as srv:
+            with PlanServer(store, max_distance=0, memory_cache_size=0) as srv:
                 for sc in suite:
                     ms, result = _timed(srv, sc)
                     assert result.origin == "planned", result.origin

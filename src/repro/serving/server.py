@@ -38,10 +38,10 @@ nearest-signature serving
 telemetry
     Every decision increments a counter (`requests`, `coalesced`,
     `memory_hits`, `store_hits`, `nearest_hits`, `planner_runs`,
-    `hot_swaps`, ...); hot swaps also append a :class:`HotSwapEvent`
-    recording the served-vs-exact predicted gap.  :meth:`PlanServer.stats`
-    merges server, memory-cache and store counters into one
-    JSON-friendly snapshot (the ``serve stats`` CLI).
+    `hot_swaps`, ...); the last :data:`HOT_SWAP_EVENTS` hot swaps are
+    kept as :class:`HotSwapEvent` records of the served-vs-exact
+    predicted gap.  :meth:`PlanServer.stats` merges server, memory-cache
+    and store counters into one JSON-friendly snapshot (``serve stats``).
 
 one in-process plan tier
     The server's bounded memory cache is the only place decoded plans
@@ -54,14 +54,13 @@ one in-process plan tier
 graceful degradation (see ``docs/RELIABILITY.md``)
     Store calls go through :func:`repro.api.store.store_call`, the
     degrader ``compile()`` uses too: a corrupt entry -- its program
-    section included -- is a warned miss, once per request; transient
-    I/O errors are
-    retried with bounded backoff, then become a warned miss (or skipped
-    write).  A cold request waits on its key's run for at most what is
-    left of the run's ``planner_timeout_s`` and of its own
-    ``deadline_s``; if it stops waiting it falls back, and the run keeps
-    going and lands later as a late publish.  Runs that fail or outlive
-    the planner timeout trip a
+    section included -- is a warned miss, removed by the read that finds
+    it; transient I/O errors are retried with bounded backoff, then
+    become a warned miss (or skipped write).  A cold request waits on
+    its key's run for at most what is left of the run's
+    ``planner_timeout_s`` and of its own ``deadline_s``; if it stops
+    waiting it falls back, and the run keeps going and lands later as a
+    late publish.  Runs that fail or outlive the planner timeout trip a
     :class:`CircuitBreaker` (closed -> open -> half-open); a request's
     own deadline never does.  Fallback answers walk the chain
     **exact -> nearest -> stale -> baseline**: *stale* is the closest
@@ -75,6 +74,7 @@ from __future__ import annotations
 import math
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures import wait as wait_futures
@@ -82,7 +82,7 @@ from dataclasses import dataclass, field, replace
 
 from ..api.compiler import ResolvedWorkload, plan_resolved, resolve_workload
 from ..api.fingerprint import graph_fingerprint
-from ..api.plan import Plan, PlanError, PlanPolicy
+from ..api.plan import Plan, PlanPolicy
 from ..api.scenario import Scenario
 from ..api.store import PlanIdentity, PlanStore, scenario_key, store_call
 from ..core.cache import LRUCache
@@ -101,6 +101,9 @@ DEFAULT_MAX_DISTANCE = 0.25
 #: documented bound on the served-vs-exact predicted-time gap under the
 #: default ``max_distance`` (relative; enforced by the serving benchmark)
 NEAREST_PREDICTED_GAP_BOUND = 0.25
+
+#: most recent hot swaps kept in ``PlanServer.events`` (all are counted)
+HOT_SWAP_EVENTS = 64
 
 #: idle warm optimizers kept across planner runs, all base identities
 #: together (each holds its planner's warm-start tables)
@@ -279,11 +282,10 @@ class PlanServer:
         This layer makes the warm path free of disk I/O; it is refreshed
         on every planner run and hot swap of *this* server, so its staleness
         against writes by other processes is bounded by entry turnover.
-    nearest:
-        Enable nearest-signature serving.
     max_distance:
         Serving radius for nearest-signature answers
-        (:data:`DEFAULT_MAX_DISTANCE`).
+        (:data:`DEFAULT_MAX_DISTANCE`); ``0`` serves exact answers only
+        and skips the nearest lookup.
     check:
         Validate the IR after planner passes (forwarded to the planner).
     planner:
@@ -308,10 +310,6 @@ class PlanServer:
         :class:`CircuitBreaker` configuration: consecutive failed or
         timed-out planner runs before opening, and the open-state
         cooldown before a half-open trial.
-    fallback:
-        Enable the degraded serving tiers (stale / baseline).  When
-        False, deadline misses, planner timeouts, and breaker-refused
-        requests raise instead.
     """
 
     def __init__(
@@ -322,7 +320,6 @@ class PlanServer:
         framework: FrameworkProfile = COMPILED,
         max_workers: int | None = None,
         memory_cache_size: int = 512,
-        nearest: bool = True,
         max_distance: float = DEFAULT_MAX_DISTANCE,
         check: bool = True,
         planner=None,
@@ -332,12 +329,10 @@ class PlanServer:
         retry_backoff_s: float = 0.01,
         breaker_threshold: int = 3,
         breaker_cooldown_s: float = 30.0,
-        fallback: bool = True,
     ) -> None:
         self.store = store
         self.policy = policy or PlanPolicy()
         self.framework = framework
-        self.nearest = nearest
         self.max_distance = max_distance
         self.check = check
         self._planner = planner
@@ -345,7 +340,6 @@ class PlanServer:
         self.planner_timeout_s = planner_timeout_s
         self.store_retries = store_retries
         self.retry_backoff_s = retry_backoff_s
-        self.fallback = fallback
         self.breaker = CircuitBreaker(
             threshold=breaker_threshold, cooldown_s=breaker_cooldown_s
         )
@@ -377,8 +371,8 @@ class PlanServer:
             ),
             0,
         )
-        #: completed hot swaps, in completion order
-        self.events: list[HotSwapEvent] = []
+        #: the last :data:`HOT_SWAP_EVENTS` hot swaps, in completion order
+        self.events: deque[HotSwapEvent] = deque(maxlen=HOT_SWAP_EVENTS)
         #: (base key, idle optimizer) pairs, least recently used first
         self._warm: list[tuple[str, object]] = []
         #: planner runs landed so far (see :meth:`_planner_run`)
@@ -555,34 +549,23 @@ class PlanServer:
             **kw,
         )
 
-    def _store_lookup(self, unusable, lookup, *args, **kw):
+    def _store_lookup(self, lookup, *args, **kw):
         """One store lookup under :meth:`_store_call`, its program
         decoded inside the store's read.  Every store answer comes
-        through here, so a corrupt program section is a warned miss that
-        a planner run heals, never an error in the client's hands, and
-        the memory cache holds decoded plans only.  An unusable entry's
-        key joins ``unusable``, the request's set its later tiers skip."""
-
-        def decoded():
-            try:
-                return lookup(*args, decode=True, **kw)
-            except PlanError as err:
-                unusable.add(getattr(err, "key", None))
-                raise
-
-        return self._store_call(decoded)
+        through here, so a corrupt program section is a warned miss,
+        never a client error, and the memory cache holds decoded plans."""
+        return self._store_call(lookup, *args, decode=True, **kw)
 
     def _lookup_or_plan(
         self, key, workload, cluster, request, deadline=None
     ) -> ServeResult:
         """Answer one request (``request``: the :func:`resolve_workload`
         keywords) down the lookup ladder."""
-        unusable: set = set()  # entry keys this request found unusable
         # 1. scenario fast path: warm answer without building a graph
         pure = isinstance(workload, Scenario) and cluster is None
         if pure and request["signatures"] is None:
             plan = self._store_lookup(
-                unusable, self.store.lookup_scenario, workload,
+                self.store.lookup_scenario, workload,
                 request["policy"], request["framework"],
             )
             if plan is not None:
@@ -594,22 +577,18 @@ class PlanServer:
             if isinstance(workload, ResolvedWorkload)
             else resolve_workload(workload, cluster, **request)
         )
-        exact = resolved.identity.key(self.store.digits)
         while True:  # again if a run landed after the exact miss below
             seen = self._landings
             # 2. exact signature bucket
-            if exact not in unusable:
-                plan = self._store_lookup(
-                    unusable, self.store.get, resolved.identity
-                )
-                if plan is not None:
-                    self._count("store_hits")
-                    return ServeResult(plan=plan, origin="store", key=key)
+            plan = self._store_lookup(self.store.get, resolved.identity)
+            if plan is not None:
+                self._count("store_hits")
+                return ServeResult(plan=plan, origin="store", key=key)
 
             # 3. nearest bucket now + the exact planner run in the background
-            near = self.nearest and self._store_lookup(
-                unusable, self.store.nearest, resolved.identity,
-                max_distance=self.max_distance, exclude=unusable,
+            near = self.max_distance > 0 and self._store_lookup(
+                self.store.nearest, resolved.identity,
+                max_distance=self.max_distance,
             )
             if near:
                 if self._planner_run(key, resolved, seen, served=near):
@@ -627,7 +606,6 @@ class PlanServer:
                 run = self._planner_run(key, resolved, seen, wait=True)
                 if run is not None or self._landings == seen:
                     break
-            unusable.clear()  # the run that landed may have healed them
         self._count("misses")
         if run is None:
             self._count("breaker_short_circuits")
@@ -653,16 +631,14 @@ class PlanServer:
                 # planner failures raise until repeated failures open the
                 # breaker; the run's completion already recorded this one
                 self._count("planner_failures")
-                if not self.fallback or self.breaker.state == "closed":
+                if self.breaker.state == "closed":
                     raise
                 reason = "planner_error"
-        if not self.fallback:
-            raise PlanError(f"planner unavailable ({reason}) for {key}")
-        return self._serve_degraded(key, resolved, reason, unusable)
+        return self._serve_degraded(key, resolved, reason)
 
     # -- degraded serving tiers ----------------------------------------------
 
-    def _serve_degraded(self, key, resolved, reason, unusable) -> ServeResult:
+    def _serve_degraded(self, key, resolved, reason) -> ServeResult:
         """The stale -> baseline tail of the fallback chain.
 
         Reached only after the healthy tiers (memory, exact store,
@@ -670,11 +646,9 @@ class PlanServer:
         (deadline blown, run timed out, repeated failures).  A run this
         request stopped waiting on keeps going and heals the bucket.
         Never raises: the baseline tier is always constructible.
-        Skips the entry keys in ``unusable``.
         """
         stale = self._store_lookup(
-            unusable, self.store.nearest, resolved.identity,
-            max_distance=math.inf, exclude=unusable,
+            self.store.nearest, resolved.identity, max_distance=math.inf
         )
         if stale is not None:
             plan, distance = stale
@@ -903,7 +877,7 @@ def compile_many(
     policy: PlanPolicy | None = None,
     framework: FrameworkProfile = COMPILED,
     max_workers: int | None = None,
-    nearest: bool = True,
+    max_distance: float = DEFAULT_MAX_DISTANCE,
 ) -> list[Plan]:
     """One-shot batch compile with coalescing (module-level convenience).
 
@@ -923,6 +897,6 @@ def compile_many(
         policy=policy,
         framework=framework,
         max_workers=max_workers,
-        nearest=nearest,
+        max_distance=max_distance,
     ) as server:
         return server.compile_many(workloads)

@@ -511,7 +511,7 @@ class TestTrainerViaServer:
         from repro.api import PlanStore
         from repro.serving import PlanServer
 
-        with PlanServer(PlanStore(tmp_path / "plans"), nearest=False) as srv:
+        with PlanServer(PlanStore(tmp_path / "plans"), max_distance=0) as srv:
             yield srv
 
     def _trainer(self, graph, cluster, server, **kw):

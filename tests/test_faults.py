@@ -518,7 +518,7 @@ class TestFaultReplanPath:
         from repro.api import PlanStore
         from repro.serving import PlanServer
 
-        with PlanServer(PlanStore(tmp_path / "plans"), nearest=False) as srv:
+        with PlanServer(PlanStore(tmp_path / "plans"), max_distance=0) as srv:
             trainer, detector = self._trainer(
                 tiny_graph, small_cluster, server=srv
             )

@@ -185,7 +185,7 @@ class TestNearestServing:
                 after.plan.predicted_iteration_ms == event.exact_predicted_ms
             )
         # ...and into the shared store (exact bucket, no nearest needed)
-        with PlanServer(store, nearest=False) as other:
+        with PlanServer(store, max_distance=0) as other:
             assert other.serve(drifted).origin == "store"
 
     def test_hot_swap_replaces_the_memory_answer(self, store):
@@ -253,6 +253,21 @@ class TestNearestServing:
         assert server.counters["planner_runs"] == 2
         assert server.counters["hot_swaps"] == 1
 
+    def test_hot_swap_events_keep_the_last_few(self, store, monkeypatch):
+        import repro.serving.server as server_mod
+
+        monkeypatch.setattr(server_mod, "HOT_SWAP_EVENTS", 2)
+        drifted = [SC.with_(routing_seed=seed) for seed in (5, 6, 7)]
+        with PlanServer(store) as server:
+            server.serve(SC)
+            for sc in drifted:
+                assert server.serve(sc).origin == "nearest"
+                server.drain()
+            keys = [server.request_key(sc) for sc in drifted]
+            assert server.counters["hot_swaps"] == 3
+            assert [e.key for e in server.events] == keys[1:]
+            assert len(server.stats()["hot_swap_events"]) == 2
+
     def test_out_of_radius_plans_cold(self, store):
         with PlanServer(store, max_distance=1e-9) as server:
             server.serve(SC)
@@ -260,12 +275,23 @@ class TestNearestServing:
         assert result.origin == "planned"
         assert server.counters["hot_swaps"] == 0
 
-    def test_nearest_disabled_plans_cold(self, store):
-        with PlanServer(store, nearest=False) as server:
+    def test_nearest_disabled_plans_cold(self, store, monkeypatch):
+        """``max_distance=0`` serves exact answers only: the nearest
+        store lookup is skipped altogether."""
+        calls = []
+        real_nearest = store.nearest
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real_nearest(*args, **kwargs)
+
+        monkeypatch.setattr(store, "nearest", counting)
+        with PlanServer(store, max_distance=0) as server:
             server.serve(SC)
             result = server.serve(SC.with_(routing_seed=5))
         assert result.origin == "planned"
         assert server.counters["nearest_hits"] == 0
+        assert calls == []
 
 
 class TestWarmPool:
@@ -299,7 +325,7 @@ class TestWarmPool:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with PlanServer(store, nearest=False, max_workers=4) as server:
+            with PlanServer(store, max_distance=0, max_workers=4) as server:
                 keys = {
                     server.request_key(graph, cluster, signatures=b)
                     for b in buckets
@@ -341,7 +367,7 @@ class TestCompileMany:
         # nearest serving off: had SC's plan reached the store first,
         # the drifted request could be answered from SC's bucket (and
         # carry SC's scenario); TestNearestServing pins that path
-        plans = compile_many([SC, drifted, SC], store=store, nearest=False)
+        plans = compile_many([SC, drifted, SC], store=store, max_distance=0)
         assert len(plans) == 3
         assert plans[0].scenario == SC
         assert plans[1].scenario == drifted
@@ -382,7 +408,7 @@ class TestTrainerIntegration:
 
         # a second trainer, through a fresh server over the same store,
         # reuses the stored re-plans instead of re-running the planner
-        with PlanServer(store, nearest=False) as fresh:
+        with PlanServer(store, max_distance=0) as fresh:
             other = ReoptimizingTrainer(
                 tiny_graph,
                 LancetOptimizer(small_cluster),
@@ -399,7 +425,7 @@ class TestTrainerIntegration:
         from repro import LancetOptimizer, ReoptimizingTrainer
 
         store = PlanStore(tmp_path / "plans")
-        with PlanServer(store, nearest=False) as server:
+        with PlanServer(store, max_distance=0) as server:
             trainer = ReoptimizingTrainer(
                 tiny_graph,
                 LancetOptimizer(small_cluster),
@@ -449,7 +475,7 @@ class TestTrainerIntegration:
 
         for module in (compiler_mod, server_mod, loop_mod):
             monkeypatch.setattr(module, "graph_fingerprint", counting)
-        with PlanServer(store, nearest=False) as server:
+        with PlanServer(store, max_distance=0) as server:
             trainer = ReoptimizingTrainer(
                 tiny_graph,
                 LancetOptimizer(small_cluster),

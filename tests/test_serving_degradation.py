@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import pathlib
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -18,6 +20,7 @@ from repro.api import (
     load_plan,
 )
 from repro.api.compiler import plan_resolved, resolve_workload
+from repro.api.store import bucket_distance, signature_bucket
 from repro.faults import FlakyPlanner, FlakyStore
 from repro.serving import PlanServer
 
@@ -116,18 +119,13 @@ class TestDeadlines:
             server.drain()
 
     def test_degraded_answers_do_not_poison_the_cache(self, store):
-        # fallback=True but hot-swap healing suppressed by an open
-        # breaker: a baseline answer must not be served as "memory"
+        # hot-swap healing suppressed by an open breaker: a baseline
+        # answer must not be served as "memory"
         with PlanServer(store, breaker_threshold=1) as server:
             server.breaker.record_failure()  # force the breaker open
             first = server.serve(SC, deadline_s=0.0)
             second = server.serve(SC, deadline_s=0.0)
         assert first.origin == second.origin == "baseline"
-
-    def test_fallback_disabled_raises_instead(self, store):
-        with PlanServer(store, fallback=False) as server:
-            with pytest.raises(PlanError, match="deadline"):
-                server.serve(SC, deadline_s=0.0)
 
 
 class TestPlannerTimeouts:
@@ -246,7 +244,7 @@ class TestOneRunPerKey:
             planner=planner,
             max_workers=1,
             planner_timeout_s=60.0,
-            nearest=False,
+            max_distance=0,
         ) as server:
             results = [
                 server.serve(SC.with_(routing_seed=s)) for s in range(3)
@@ -418,6 +416,21 @@ class TestCorruptEntryHealing:
             doc["program"]["instructions"][0]["op"] = "no_such_op"
             path.write_text(json.dumps(doc))
 
+    @staticmethod
+    def _entry_reads(monkeypatch) -> list:
+        """Paths of the entry files opened for reading from now on."""
+        reads = []
+        real_open = pathlib.Path.open
+
+        def counting_open(path, mode="r", *args, **kwargs):
+            f = real_open(path, mode, *args, **kwargs)  # missing: no read
+            if path.name.endswith(".plan.json") and "r" in mode:
+                reads.append(path)
+            return f
+
+        monkeypatch.setattr(pathlib.Path, "open", counting_open)
+        return reads
+
     def test_undecodable_program_is_a_miss_not_a_client_error(
         self, tmp_path, tiny_graph, small_cluster
     ):
@@ -458,8 +471,8 @@ class TestCorruptEntryHealing:
         self, tmp_path, corrupt, monkeypatch
     ):
         """One unusable entry costs one read, one warning and one store
-        miss per request: the exact and nearest tiers skip the key the
-        scenario fast path already found unusable."""
+        miss per request: the scenario fast path's read removes it, so
+        the exact and nearest tiers find nothing to read."""
         root = tmp_path / "plans"
         with PlanServer(PlanStore(root)) as server:
             server.serve(SC)
@@ -468,24 +481,103 @@ class TestCorruptEntryHealing:
         else:
             self._corrupt_all_entries(PlanStore(root))
         store = PlanStore(root)
-        loads = []
-        real = store._load
-
-        def counting(*args, **kwargs):
-            loads.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(store, "_load", counting)
+        reads = self._entry_reads(monkeypatch)
         with PlanServer(store) as server:
             with pytest.warns(UserWarning, match="re-planning") as caught:
                 result = server.serve(SC)
         assert result.origin == "planned"
         assert len([w for w in caught if "re-planning" in str(w.message)]) == 1
-        assert len(loads) == 1
+        assert len(reads) == 1
         assert store.stats["hits"] == store.stats["nearest_hits"] == 0
         assert store.stats["misses"] == 1
         with PlanServer(PlanStore(root)) as server:
             assert server.serve(SC).origin == "store"
+
+    def test_corrupt_neighbor_is_read_once_across_servers(
+        self, tmp_path, monkeypatch
+    ):
+        """The read that finds a neighbor unusable removes it: the next
+        request whose closest neighbor it was, on another server, is
+        answered by a healthy neighbor, with no warning."""
+        root = tmp_path / "plans"
+        healthy, corrupt = SC.with_(routing_seed=1), SC.with_(routing_seed=2)
+        first, second = SC.with_(routing_seed=103), SC.with_(routing_seed=105)
+        with PlanServer(PlanStore(root), max_distance=0) as server:
+            server.serve(healthy)
+            server.serve(corrupt)
+        buckets = {
+            sc: signature_bucket(resolve_workload(sc).signatures)
+            for sc in (healthy, corrupt, first, second)
+        }
+
+        def dist(a, b):
+            return bucket_distance(buckets[a], buckets[b])
+
+        # the corrupt entry is the closest neighbor of both requests,
+        # also once the first request's plan is stored
+        assert dist(first, corrupt) < dist(first, healthy)
+        assert dist(second, corrupt) < min(
+            dist(second, healthy), dist(second, first)
+        )
+        path = PlanStore(root).path_for(
+            resolve_workload(corrupt).identity.key()
+        )
+        path.write_bytes(b"{ this is not a plan }")
+        reads = self._entry_reads(monkeypatch)
+        with PlanServer(PlanStore(root)) as server:
+            with pytest.warns(UserWarning, match="re-planning"):
+                assert server.serve(first).origin == "planned"
+        assert not path.exists()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with PlanServer(PlanStore(root)) as server:
+                result = server.serve(second)
+                server.drain()
+        assert result.origin == "nearest"
+        assert not [w for w in caught if "re-planning" in str(w.message)]
+        assert reads.count(path) == 1
+
+    def test_compile_over_a_corrupt_entry_warns_and_misses_once(
+        self, tmp_path
+    ):
+        root = tmp_path / "plans"
+        compile(SC, store=PlanStore(root))
+        self._corrupt_all_entries(PlanStore(root))
+        store = PlanStore(root)
+        with pytest.warns(UserWarning, match="re-planning") as caught:
+            plan = compile(SC, store=store)
+        assert not plan.from_store
+        assert len([w for w in caught if "re-planning" in str(w.message)]) == 1
+        assert store.stats["misses"] == 1 and store.stats["hits"] == 0
+        assert compile(SC, store=PlanStore(root)).from_store
+
+    @pytest.mark.parametrize("rewritten", [False, True])
+    def test_discard_spares_an_entry_replaced_after_the_read(
+        self, tmp_path, monkeypatch, rewritten
+    ):
+        """An unusable entry is removed with its index records, unless a
+        writer replaced it between the read and the discard."""
+        import repro.api.store as store_mod
+
+        root = tmp_path / "plans"
+        plan = compile(SC, store=PlanStore(root))
+        self._corrupt_all_entries(PlanStore(root))
+        store = PlanStore(root)
+        identity = PlanIdentity.of(plan)
+        real_parse = store_mod._parse_entry
+
+        def parse_after_a_put(raw, path):
+            if rewritten:
+                store.put(plan)  # a writer heals the entry mid-read
+            return real_parse(raw, path)
+
+        monkeypatch.setattr(store_mod, "_parse_entry", parse_after_a_put)
+        with pytest.raises(PlanError, match="not valid JSON"):
+            store.get(identity)
+        monkeypatch.undo()
+        assert len(store) == int(rewritten)
+        assert bool(store.neighbors(identity)) == rewritten
+        assert (store.get(identity) is not None) == rewritten
 
     def test_every_store_tier_answers_a_decoded_plan(
         self, tmp_path, tiny_graph, small_cluster

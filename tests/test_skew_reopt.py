@@ -250,7 +250,7 @@ class TestReoptimizingTrainer:
                 server=server,
             )
 
-        with PlanServer(PlanStore(tmp_path), nearest=False) as server:
+        with PlanServer(PlanStore(tmp_path), max_distance=0) as server:
             first = trainer(server)
             first.run(3)
             assert [e.source for e in first.events] == ["planned"] * 3
