@@ -1,8 +1,10 @@
 """Pipeline-planner gate: differential agreement + staged-split wins.
 
-Runs the three seeded pipeline drills (``repro.bench.figures.pipeline``)
-and asserts the documented quality contracts directly, on top of the
-baseline-diffed regression metrics:
+Runs the seeded pipeline drills (``repro.bench.figures.pipeline``) plus
+the differential drill against the event-replay test oracle
+(``tests/oracles/pipeline_reference.py``), and asserts the documented
+quality contracts directly, on top of the baseline-diffed regression
+metrics:
 
 1. **Differential agreement** -- on every staged simulation in the grid
    (real programs x staged clusters x routing realizations x both
@@ -19,12 +21,77 @@ baseline-diffed regression metrics:
 """
 
 from conftest import run_figure
+from generators import routing_models
+from oracles.pipeline_reference import replay_reference
 
 from repro.bench.figures import pipeline
+from repro.models import GPT2MoEConfig, build_training_graph
+from repro.pipeline import (
+    SCHEDULES,
+    StagedCluster,
+    schedule_order,
+    simulate_staged,
+    split_stages,
+    stage_costs,
+)
+from repro.runtime import ClusterSpec
+
+
+def _differential_drill() -> dict:
+    """Scan scheduler vs event replay on real staged simulations.  The
+    two share the float64 max/add dependency contract, so every run's
+    job times must be bit-identical."""
+    configs = [
+        ("a100x8-s2", ClusterSpec.for_gpus("a100", 8), 2, 4, 2),
+        ("a100x8-s4", ClusterSpec.for_gpus("a100", 8), 4, 2, 4),
+        ("p3dn2-s2", ClusterSpec.p3dn(2), 2, 3, 2),
+    ]
+    runs = mismatches = jobs = 0
+    for _, cluster, stages, microbatches, layers in configs:
+        graph = build_training_graph(
+            GPT2MoEConfig.tiny(num_layers=layers),
+            batch=4,
+            seq=16,
+            num_gpus=cluster.num_gpus // stages,
+        )
+        staged = StagedCluster.even(cluster, layers, stages)
+        split = split_stages(graph, staged)
+        for routing in routing_models(include_none=True):
+            costs = stage_costs(
+                split, routing=routing, padded_a2a=routing is None
+            )
+            for schedule in SCHEDULES:
+                sim = simulate_staged(
+                    split, microbatches, schedule=schedule, costs=costs
+                )
+                orders = schedule_order(schedule, stages, microbatches)
+                oracle = replay_reference(costs, orders)
+                runs += 1
+                jobs += len(oracle)
+                if sim.job_times != oracle:
+                    mismatches += 1
+    return {
+        "configs": [name for name, *_ in configs],
+        "runs": runs,
+        "jobs_compared": jobs,
+        "mismatches": mismatches,
+    }
+
+
+def _run_with_differential():
+    """``pipeline.run`` plus the differential drill's notes and its
+    regression metric (gated at exactly zero mismatches)."""
+    result = pipeline.run()
+    differential = _differential_drill()
+    result.notes["differential"] = differential
+    result.notes["regression_metrics"]["differential_mismatches"] = float(
+        differential["mismatches"]
+    )
+    return result
 
 
 def test_pipeline(benchmark):
-    result = run_figure(benchmark, pipeline.run)
+    result = run_figure(benchmark, _run_with_differential)
     differential = result.notes["differential"]
     hot = result.notes["hot_grid"]
     schedule = result.notes["schedule"]

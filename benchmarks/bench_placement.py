@@ -1,8 +1,10 @@
 """Placement-optimizer gate: differential agreement + hot-expert wins.
 
-Runs the three seeded placement drills (``repro.bench.figures
-.placement``) and asserts the documented quality contracts directly, on
-top of the baseline-diffed regression metrics:
+Runs the seeded placement drills (``repro.bench.figures.placement``)
+plus the differential drill against the brute-force test oracle
+(``tests/oracles/placement_reference.py``), and asserts the documented
+quality contracts directly, on top of the baseline-diffed regression
+metrics:
 
 1. **Differential agreement** -- on every exhaustively enumerable
    config, the greedy optimizer's bottleneck stays within the
@@ -18,14 +20,82 @@ top of the baseline-diffed regression metrics:
    identity layout.
 """
 
+import numpy as np
 from conftest import run_figure
+from oracles.placement_reference import brute_force_placement
 
 from repro.bench.figures import placement
-from repro.placement import GREEDY_BOUND
+from repro.placement import GREEDY_BOUND, PlacementOptimizer
+from repro.runtime import ClusterSpec
+
+
+def _tiny_multi_node() -> ClusterSpec:
+    return ClusterSpec(
+        name="tiny-2x2",
+        gpu=ClusterSpec.p3dn(2).gpu,
+        num_nodes=2,
+        gpus_per_node=2,
+        intra_bw_gbps=110.0,
+        node_nic_gbps=12.5,
+        alpha_intra_us=10.0,
+        alpha_inter_us=28.0,
+    )
+
+
+def _differential_drill(seeds_per_config: int = 4, seed: int = 0) -> dict:
+    """Greedy vs brute force on every enumerable config.  A *mismatch*
+    is a run whose bottleneck exceeds ``brute_force *`` ``GREEDY_BOUND``."""
+    configs = [
+        ("a100x2-e4", ClusterSpec.for_gpus("a100", 2), 4),
+        ("a100x2-e8", ClusterSpec.for_gpus("a100", 2), 8),
+        ("a100x4-e4", ClusterSpec.for_gpus("a100", 4), 4),
+        ("2x2-e4", _tiny_multi_node(), 4),
+        ("2x2-e8", _tiny_multi_node(), 8),
+    ]
+    runs = exact = mismatches = 0
+    worst_ratio = 1.0
+    for _, cluster, e in configs:
+        opt = PlacementOptimizer(cluster)
+        for s in range(seeds_per_config):
+            rng = np.random.default_rng(seed * 1000 + s)
+            counts = placement.skewed_counts(
+                rng, cluster.num_gpus, e, hot=1, boost=400
+            )
+            result = opt.optimize(counts, 64.0)
+            _, best_ms = brute_force_placement(counts, 64.0, cluster)
+            ratio = result.bottleneck_ms / best_ms if best_ms > 0 else 1.0
+            runs += 1
+            if ratio <= 1.0 + 1e-9:
+                exact += 1
+            if ratio > GREEDY_BOUND + 1e-9:
+                mismatches += 1
+            worst_ratio = max(worst_ratio, ratio)
+    return {
+        "configs": [name for name, _, _ in configs],
+        "runs": runs,
+        "exact_matches": exact,
+        "mismatches_beyond_bound": mismatches,
+        "worst_ratio": worst_ratio,
+        "greedy_bound": GREEDY_BOUND,
+    }
+
+
+def _run_with_differential():
+    """``placement.run`` plus the differential drill's notes and its
+    regression metrics (both gate at exactly zero disagreements beyond
+    the documented bound)."""
+    result = placement.run()
+    differential = _differential_drill()
+    result.notes["differential"] = differential
+    result.notes["regression_metrics"].update(
+        mismatches_beyond_bound=float(differential["mismatches_beyond_bound"]),
+        worst_greedy_ratio=differential["worst_ratio"],
+    )
+    return result
 
 
 def test_placement(benchmark):
-    result = run_figure(benchmark, placement.run)
+    result = run_figure(benchmark, _run_with_differential)
     differential = result.notes["differential"]
     hot = result.notes["hot_grid"]
     replay = result.notes["replay"]

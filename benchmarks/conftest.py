@@ -4,10 +4,17 @@ from __future__ import annotations
 
 import json
 import pathlib
+import sys
 
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+# the differential drills import the test oracles (``oracles.*``) and
+# generators from tests/.  Appended, not prepended: tests/ holds its own
+# ``conftest`` module, and the bench files' ``from conftest import
+# run_figure`` must keep finding this one.
+sys.path.append(str(pathlib.Path(__file__).parent.parent / "tests"))
 
 
 def _jsonable(obj):

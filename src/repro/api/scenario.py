@@ -29,6 +29,14 @@ from .codec import field_dict
 #: default sequence length of the paper's experiments (Sec. 7)
 PAPER_SEQ = 512
 
+#: per-GPU batch sizes used in the paper (Sec. 7): the largest that fits.
+PAPER_BATCH = {
+    ("a100", "GPT2-S-MoE"): 24,
+    ("a100", "GPT2-L-MoE"): 48,
+    ("v100", "GPT2-S-MoE"): 16,
+    ("v100", "GPT2-L-MoE"): 8,
+}
+
 #: model names resolvable by :meth:`Scenario.model_config`
 MODEL_BUILDERS = {
     "GPT2-S-MoE": GPT2MoEConfig.gpt2_s_moe,
@@ -50,6 +58,16 @@ def _resolve_model_name(name: str) -> str:
     raise ValueError(
         f"unknown model {name!r}; known: {sorted(MODEL_BUILDERS)}"
     )
+
+
+def model_by_name(name: str, gate: str = "switch") -> GPT2MoEConfig:
+    """Model preset by name (case-insensitive; see :data:`MODEL_BUILDERS`)."""
+    return MODEL_BUILDERS[_resolve_model_name(name)](gate=gate)
+
+
+def paper_batch(cluster_kind: str, model_name: str) -> int:
+    """The paper's per-GPU batch for a cluster kind and model."""
+    return PAPER_BATCH[(cluster_kind.lower(), model_name)]
 
 
 @dataclass(frozen=True)
@@ -130,15 +148,13 @@ class Scenario:
 
     def model_config(self) -> GPT2MoEConfig:
         """The architecture config this scenario names."""
-        return MODEL_BUILDERS[self.model](gate=self.gate)
+        return model_by_name(self.model, self.gate)
 
     def resolved_batch(self) -> int:
         if self.batch is not None:
             return self.batch
         if self.model in _DEFAULT_BATCH:
             return _DEFAULT_BATCH[self.model]
-        from ..bench.harness import paper_batch
-
         return paper_batch(self.cluster, self.model)
 
     def resolved_seq(self) -> int:

@@ -105,9 +105,7 @@ def store_call(
         try:
             return call(*args, **kw)
         except PlanError as err:
-            warnings.warn(
-                f"plan store entry unusable ({err}); re-planning", stacklevel=2
-            )
+            _warn_unusable(err)
             return None
         except OSError as err:
             if attempt < retries:
@@ -122,6 +120,10 @@ def store_call(
                 stacklevel=2,
             )
             return None
+
+
+def _warn_unusable(err: PlanError) -> None:
+    warnings.warn(f"plan store entry unusable ({err}); re-planning", stacklevel=3)
 
 
 def signature_bucket(signatures: dict | None, digits: int = DEFAULT_KEY_DIGITS):
@@ -577,22 +579,32 @@ class PlanStore:
         is possible (the exact bucket itself); callers that already
         missed on :meth:`get` simply won't see one.  Counted as
         ``nearest_hits`` (plus a ``hits`` entry) in :meth:`stats`;
-        ``decode`` and unusable entries as in :meth:`get`.
+        ``decode`` as in :meth:`get`.  Buckets are tried closest first:
+        an unusable one is removed as in :meth:`get`, warned about and
+        counted as a miss, and an evicted one skipped, before the next.
         """
         target = signature_bucket(identity.signatures, self.digits)
-        best_key, best_d = None, math.inf
-        for key, bucket in self.neighbors(identity).items():
-            d = bucket_distance(target, bucket)
-            if d < best_d:
-                best_key, best_d = key, d
-        if best_key is None or best_d > max_distance:
-            return None
-        plan = self._load(best_key, decode)
-        if plan is None:  # index pointed at an evicted/raced-away entry
-            return None
-        self.stats["nearest_hits"] += 1
-        self.stats["hits"] += 1
-        return plan, best_d
+        candidates = sorted(
+            (
+                (bucket_distance(target, bucket), key)
+                for key, bucket in self.neighbors(identity).items()
+            ),
+            key=lambda candidate: candidate[0],  # ties keep index order
+        )
+        for d, key in candidates:
+            if d > max_distance:
+                break
+            try:
+                plan = self._load(key, decode)
+            except PlanError as err:
+                self.stats["misses"] += 1
+                _warn_unusable(err)
+                continue
+            if plan is not None:
+                self.stats["nearest_hits"] += 1
+                self.stats["hits"] += 1
+                return plan, d
+        return None
 
     # -- eviction ------------------------------------------------------------
 

@@ -55,27 +55,3 @@ def simulate(
         routing=SyntheticRoutingModel(seed=seed),
     )
     return simulate_program(program, config=cfg)
-
-
-def forward_time_ms(timeline: Timeline, program) -> float:
-    """End time of the last forward-pass instruction."""
-    from ...ir import InstrKind
-
-    fwd_uids = {
-        i.uid
-        for i in program.instructions
-        if i.kind in (InstrKind.FORWARD, InstrKind.COMM)
-    }
-    # communication also appears in backward; bound by first DX instead
-    first_bwd = None
-    for pos, i in enumerate(program.instructions):
-        if i.kind in (InstrKind.DX, InstrKind.DW):
-            first_bwd = pos
-            break
-    if first_bwd is None:
-        return timeline.makespan
-    fwd_uids = {i.uid for i in program.instructions[:first_bwd]}
-    return max(
-        (iv.end for iv in timeline.intervals if iv.uid in fwd_uids),
-        default=0.0,
-    )

@@ -6,24 +6,21 @@ measures what a drift event actually costs -- a *cold* plan (fresh
 optimizer, empty caches) vs a *warm* re-plan (same optimizer, new
 routing signatures, persistent :class:`~repro.core.PlannerState`) --
 across program sizes and device counts, and verifies on every grid
-point that the fast planner's chosen plans and predicted iteration
-times are bit-identical to the retained naive reference DP.
+point that each warm re-plan is bit-identical to a cold plan handed the
+same signatures.  ``benchmarks/bench_opt_time.py`` adds the check
+against the naive reference DP, which lives with the test oracles.
 """
 
 from __future__ import annotations
 
 import time
 
-from ...core import (
-    LancetOptimizer,
-    plan_partitions,
-    plan_partitions_reference,
-)
+from ...core import LancetOptimizer
 from ...models import GPT2MoEConfig, build_training_graph
 from ...runtime import ClusterSpec
 from ...runtime.routing_model import SyntheticRoutingModel
 from ..formatting import format_table
-from .common import FigureResult, make_costs
+from .common import FigureResult
 
 #: the grid: (label, num_layers, num_gpus, batch, seq).  The 12-layer /
 #: 16-GPU point is the reference GPT2-S-MoE setting of the paper
@@ -41,13 +38,6 @@ DRIFTS = (
     dict(seed=2, concentration=0.5, hot_experts=2, hot_boost=0.5),
     dict(seed=3, concentration=1.0, hot_experts=1, hot_boost=0.45),
 )
-
-
-def _plan_fields(result):
-    return [
-        (p.start, p.end, p.parts, p.predicted_ms, p.sequential_ms)
-        for p in result.plans
-    ]
 
 
 def _program_key(program):
@@ -73,16 +63,6 @@ def run(grid=DEFAULT_GRID, cluster_kind: str = "a100") -> FigureResult:
             t0 = time.perf_counter()
             _, cold_report = opt.optimize(graph)
             cold_s = min(cold_s, time.perf_counter() - t0)
-
-        # DP-level equivalence under the uniform approximation
-        fast_dp = plan_partitions(graph.program, make_costs(cluster))
-        ref_dp = plan_partitions_reference(graph.program, make_costs(cluster))
-        dp_identical = (
-            _plan_fields(fast_dp) == _plan_fields(ref_dp)
-            and fast_dp.optimized_fwd_ms == ref_dp.optimized_fwd_ms
-            and fast_dp.baseline_fwd_ms == ref_dp.baseline_fwd_ms
-        )
-        evals_equal = fast_dp.num_cost_evals == ref_dp.num_cost_evals
 
         # -- warm re-plans: one per drift event ---------------------------
         warm_s = []
@@ -124,9 +104,7 @@ def run(grid=DEFAULT_GRID, cluster_kind: str = "a100") -> FigureResult:
                 "speedup": cold_s / warm_best,
                 "cost_evals": cold_report.partition.num_cost_evals,
                 "warm_pipeline_sims": warm_sims,
-                "dp_bit_identical": dp_identical,
                 "warm_bit_identical": warm_identical,
-                "evals_equal_reference": evals_equal,
             }
         )
 
@@ -139,7 +117,7 @@ def run(grid=DEFAULT_GRID, cluster_kind: str = "a100") -> FigureResult:
             "Cold plan (ms)",
             "Warm re-plan (ms)",
             "Speedup",
-            "Identical",
+            "Warm = cold",
         ],
         [
             [
@@ -150,7 +128,7 @@ def run(grid=DEFAULT_GRID, cluster_kind: str = "a100") -> FigureResult:
                 round(r["cold_plan_ms"], 1),
                 round(r["warm_replan_ms"], 1),
                 round(r["speedup"], 1),
-                r["dp_bit_identical"] and r["warm_bit_identical"],
+                r["warm_bit_identical"],
             ]
             for r in rows
         ],
@@ -164,12 +142,6 @@ def run(grid=DEFAULT_GRID, cluster_kind: str = "a100") -> FigureResult:
         r["warm_replan_ms"] / r["cold_plan_ms"] for r in rows
     )
     notes = {
-        "all_bit_identical": all(
-            r["dp_bit_identical"] and r["warm_bit_identical"] for r in rows
-        ),
-        "all_evals_equal_reference": all(
-            r["evals_equal_reference"] for r in rows
-        ),
         "min_speedup": min(r["speedup"] for r in rows),
         "reference_speedup": reference["speedup"],
         "paper": (

@@ -1,14 +1,10 @@
-"""Pipeline-planner benchmark: differential agreement + staged-split wins.
+"""Pipeline-planner benchmark: staged-split wins + schedule ablation.
 
-Not a paper figure -- the quality gate for the ISSUE 10 hybrid
-pipeline-parallel x expert-parallel subsystem (:mod:`repro.pipeline`).
-Three seeded, fully deterministic drills:
+Not a paper figure -- the quality gate for the hybrid pipeline-parallel
+x expert-parallel subsystem (:mod:`repro.pipeline`).  Two seeded, fully
+deterministic drills (``benchmarks/bench_pipeline.py`` adds a third,
+the differential drill against the event-replay test oracle):
 
-- **differential** -- the fixed-point scan scheduler vs. the naive
-  pure-Python event-replay reference on real programs x staged clusters
-  x routing realizations x both schedules.  The two implementations
-  share the float64 max/add dependency contract, so the gate is
-  **bit-identical job times on every run** (zero mismatches).
 - **hot grid** -- multi-node clusters under hot-expert traffic with an
   imbalanced layer profile (a trailing vocab head plus an off-center
   MoE block): the planner-chosen stage split must beat the naive even
@@ -36,14 +32,12 @@ from ...pipeline import (
     StagedCluster,
     peak_in_flight,
     plan_stages,
-    replay_reference,
     schedule_order,
     simulate_staged,
     split_stages,
     stage_costs,
 )
 from ...runtime import ClusterSpec, SyntheticRoutingModel
-from ...testing import routing_models
 from ..formatting import format_table
 from .common import FigureResult
 
@@ -72,45 +66,6 @@ def _bench_config(num_layers: int = 4) -> GPT2MoEConfig:
         moe_every=3,
         experts_per_gpu=2,
     )
-
-
-def _differential_drill(seed: int) -> dict:
-    """Scan scheduler vs event replay on real staged simulations."""
-    configs = [
-        ("a100x8-s2", ClusterSpec.for_gpus("a100", 8), 2, 4, 2),
-        ("a100x8-s4", ClusterSpec.for_gpus("a100", 8), 4, 2, 4),
-        ("p3dn2-s2", ClusterSpec.p3dn(2), 2, 3, 2),
-    ]
-    runs = mismatches = jobs = 0
-    for _, cluster, stages, microbatches, layers in configs:
-        graph = build_training_graph(
-            GPT2MoEConfig.tiny(num_layers=layers),
-            batch=4,
-            seq=16,
-            num_gpus=cluster.num_gpus // stages,
-        )
-        staged = StagedCluster.even(cluster, layers, stages)
-        split = split_stages(graph, staged)
-        for routing in routing_models(include_none=True):
-            costs = stage_costs(
-                split, routing=routing, padded_a2a=routing is None
-            )
-            for schedule in SCHEDULES:
-                sim = simulate_staged(
-                    split, microbatches, schedule=schedule, costs=costs
-                )
-                orders = schedule_order(schedule, stages, microbatches)
-                oracle = replay_reference(costs, orders)
-                runs += 1
-                jobs += len(oracle)
-                if sim.job_times != oracle:
-                    mismatches += 1
-    return {
-        "configs": [name for name, *_ in configs],
-        "runs": runs,
-        "jobs_compared": jobs,
-        "mismatches": mismatches,
-    }
 
 
 def _grid_clusters() -> list[ClusterSpec]:
@@ -257,20 +212,11 @@ def _schedule_drill(seed: int) -> dict:
 
 
 def run(hot_seeds_per_point: int = 2, seed: int = 0) -> FigureResult:
-    """Run all three pipeline drills; returns per-drill summary rows."""
-    differential = _differential_drill(seed)
+    """Run the pipeline drills; returns per-drill summary rows."""
     hot = _hot_grid_drill(hot_seeds_per_point, seed)
     schedule = _schedule_drill(seed)
 
     rows = [
-        {
-            "drill": "differential",
-            "scale": f"{differential['runs']} staged sims / "
-            f"{len(differential['configs'])} configs",
-            "outcome": f"{differential['mismatches']} mismatches "
-            f"(bit-identical gate)",
-            "detail": f"{differential['jobs_compared']} job times compared",
-        },
         {
             "drill": "hot-grid",
             "scale": f"{len(hot['points'])} multi-node shapes, "
@@ -293,19 +239,15 @@ def run(hot_seeds_per_point: int = 2, seed: int = 0) -> FigureResult:
     table = format_table(
         ["Drill", "Scale", "Outcome", "Detail"],
         [[r["drill"], r["scale"], r["outcome"], r["detail"]] for r in rows],
-        title="Pipeline planner: differential agreement, staged-split "
-        "wins, schedule ablation",
+        title="Pipeline planner: staged-split wins, schedule ablation",
     )
     notes = {
-        "differential": differential,
         "hot_grid": hot,
         "schedule": schedule,
-        # lower-is-better gates for check_regression.py.  Differential
-        # disagreements gate at exactly zero; the hot-grid win gates
-        # through its floored shortfall (see SHORTFALL_FLOOR); the
-        # schedule ablation gates 1F1B never losing to GPipe.
+        # lower-is-better gates for check_regression.py.  The hot-grid
+        # win gates through its floored shortfall (see SHORTFALL_FLOOR);
+        # the schedule ablation gates 1F1B never losing to GPipe.
         "regression_metrics": {
-            "differential_mismatches": float(differential["mismatches"]),
             "pipeline_improvement_shortfall_floored": max(
                 hot["shortfall"], SHORTFALL_FLOOR
             ),

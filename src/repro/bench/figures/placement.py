@@ -1,14 +1,10 @@
-"""Placement-optimizer benchmark: differential agreement + hot-expert wins.
+"""Placement-optimizer benchmark: hot-expert wins + priced migration.
 
-Not a paper figure -- the quality gate for the ISSUE 9 expert placement
-& replication optimizer (:mod:`repro.placement`).  Three seeded,
-fully deterministic drills:
+Not a paper figure -- the quality gate for the expert placement &
+replication optimizer (:mod:`repro.placement`).  Two seeded, fully
+deterministic drills (``benchmarks/bench_placement.py`` adds a third,
+the differential drill against the brute-force test oracle):
 
-- **differential** -- the greedy optimizer vs. exhaustive brute force on
-  every enumerable small config (single- and multi-node).  A *mismatch*
-  is a run whose bottleneck exceeds ``brute_force *``
-  :data:`~repro.placement.GREEDY_BOUND`; the gate is **exactly zero**
-  mismatches (the documented bound is a contract, not a target).
 - **hot grid** -- multi-node p3dn clusters under hot-expert traffic: the
   placement's bottleneck-a2a improvement over the identity layout must
   clear :data:`MIN_HOT_IMPROVEMENT` on every grid point (the headline
@@ -25,14 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...placement import (
-    GREEDY_BOUND,
-    PlacementOptimizer,
-    brute_force_placement,
-    replay_trace,
-)
+from ...placement import PlacementOptimizer, make_drift_trace, replay_trace
 from ...runtime import ClusterSpec
-from ...testing import make_drift_trace
 from ..formatting import format_table
 from .common import FigureResult
 
@@ -47,59 +37,12 @@ MIN_HOT_IMPROVEMENT = 0.10
 SHORTFALL_FLOOR = 0.01
 
 
-def _tiny_multi_node() -> ClusterSpec:
-    return ClusterSpec(
-        name="tiny-2x2",
-        gpu=ClusterSpec.p3dn(2).gpu,
-        num_nodes=2,
-        gpus_per_node=2,
-        intra_bw_gbps=110.0,
-        node_nic_gbps=12.5,
-        alpha_intra_us=10.0,
-        alpha_inter_us=28.0,
-    )
-
-
-def _skewed_counts(rng, g: int, e: int, hot: int, boost: int):
+def skewed_counts(rng, g: int, e: int, hot: int, boost: int):
+    """``[g, e]`` dispatch counts with ``hot`` expert columns boosted."""
     counts = rng.integers(1, 120, size=(g, e))
     for h in rng.choice(e, size=hot, replace=False):
         counts[:, h] += boost
     return counts
-
-
-def _differential_drill(seeds_per_config: int, seed: int) -> dict:
-    """Greedy vs brute force on every enumerable config."""
-    configs = [
-        ("a100x2-e4", ClusterSpec.for_gpus("a100", 2), 4),
-        ("a100x2-e8", ClusterSpec.for_gpus("a100", 2), 8),
-        ("a100x4-e4", ClusterSpec.for_gpus("a100", 4), 4),
-        ("2x2-e4", _tiny_multi_node(), 4),
-        ("2x2-e8", _tiny_multi_node(), 8),
-    ]
-    runs = exact = mismatches = 0
-    worst_ratio = 1.0
-    for _, cluster, e in configs:
-        opt = PlacementOptimizer(cluster)
-        for s in range(seeds_per_config):
-            rng = np.random.default_rng(seed * 1000 + s)
-            counts = _skewed_counts(rng, cluster.num_gpus, e, hot=1, boost=400)
-            result = opt.optimize(counts, 64.0)
-            _, best_ms = brute_force_placement(counts, 64.0, cluster)
-            ratio = result.bottleneck_ms / best_ms if best_ms > 0 else 1.0
-            runs += 1
-            if ratio <= 1.0 + 1e-9:
-                exact += 1
-            if ratio > GREEDY_BOUND + 1e-9:
-                mismatches += 1
-            worst_ratio = max(worst_ratio, ratio)
-    return {
-        "configs": [name for name, _, _ in configs],
-        "runs": runs,
-        "exact_matches": exact,
-        "mismatches_beyond_bound": mismatches,
-        "worst_ratio": worst_ratio,
-        "greedy_bound": GREEDY_BOUND,
-    }
 
 
 def _grid_clusters() -> list[tuple[ClusterSpec, int]]:
@@ -130,7 +73,7 @@ def _hot_grid_drill(seeds_per_point: int, seed: int) -> dict:
             improvements = []
             for s in range(seeds_per_point):
                 rng = np.random.default_rng(seed * 100 + s)
-                counts = _skewed_counts(rng, g, e, hot=2, boost=boost)
+                counts = skewed_counts(rng, g, e, hot=2, boost=boost)
                 result = opt.optimize(counts, 2048.0)
                 improvements.append(result.improvement)
             grid.append(
@@ -181,26 +124,15 @@ def _replay_drill(steps: int, seed: int) -> dict:
 
 
 def run(
-    seeds_per_config: int = 4,
     hot_seeds_per_point: int = 3,
     replay_steps: int = 40,
     seed: int = 0,
 ) -> FigureResult:
-    """Run all three placement drills; returns per-drill summary rows."""
-    differential = _differential_drill(seeds_per_config, seed)
+    """Run the placement drills; returns per-drill summary rows."""
     hot = _hot_grid_drill(hot_seeds_per_point, seed)
     replay = _replay_drill(replay_steps, seed)
 
     rows = [
-        {
-            "drill": "differential",
-            "scale": f"{differential['runs']} runs / "
-            f"{len(differential['configs'])} configs",
-            "outcome": f"{differential['mismatches_beyond_bound']} beyond "
-            f"{GREEDY_BOUND:.2f}x bound",
-            "detail": f"{differential['exact_matches']} exact, worst ratio "
-            f"{differential['worst_ratio']:.4f}",
-        },
         {
             "drill": "hot-grid",
             "scale": f"{len(hot['points'])} grid points "
@@ -223,23 +155,16 @@ def run(
     table = format_table(
         ["Drill", "Scale", "Outcome", "Detail"],
         [[r["drill"], r["scale"], r["outcome"], r["detail"]] for r in rows],
-        title="Expert placement: differential agreement, hot-expert wins, "
-        "priced migration replay",
+        title="Expert placement: hot-expert wins, priced migration replay",
     )
     notes = {
-        "differential": differential,
         "hot_grid": hot,
         "replay": replay,
-        # lower-is-better gates for check_regression.py.  Brute-force
-        # disagreements beyond the documented bound gate at exactly
-        # zero; the hot-grid improvement gates through its floored
-        # shortfall (see SHORTFALL_FLOOR); the replay win gates as the
+        # lower-is-better gates for check_regression.py.  The hot-grid
+        # improvement gates through its floored shortfall (see
+        # SHORTFALL_FLOOR); the replay win gates as the
         # adaptive/identity cost ratio.
         "regression_metrics": {
-            "mismatches_beyond_bound": float(
-                differential["mismatches_beyond_bound"]
-            ),
-            "worst_greedy_ratio": differential["worst_ratio"],
             "hot_improvement_shortfall_floored": max(
                 hot["shortfall"], SHORTFALL_FLOOR
             ),

@@ -13,8 +13,9 @@ import functools
 import time
 from dataclasses import dataclass, field
 
+from ..api.scenario import PAPER_SEQ, model_by_name, paper_batch
 from ..baselines import make_framework
-from ..models import GPT2MoEConfig, build_training_graph
+from ..models import build_training_graph
 from ..runtime import (
     ClusterSpec,
     SimulationConfig,
@@ -22,34 +23,11 @@ from ..runtime import (
     simulate_program,
 )
 
-#: per-GPU batch sizes used in the paper (Sec. 7): the largest that fits.
-PAPER_BATCH = {
-    ("a100", "GPT2-S-MoE"): 24,
-    ("a100", "GPT2-L-MoE"): 48,
-    ("v100", "GPT2-S-MoE"): 16,
-    ("v100", "GPT2-L-MoE"): 8,
-}
-
-PAPER_SEQ = 512
-
 #: GPU counts evaluated in the paper's scaling experiments
 PAPER_GPU_COUNTS = (16, 32, 64)
 
 EXPERT_OPS_FWD = frozenset({"expert_ffn"})
 EXPERT_OPS_ALL = frozenset({"expert_ffn", "expert_ffn_dx", "expert_ffn_dw"})
-
-
-def model_by_name(name: str, gate: str = "switch") -> GPT2MoEConfig:
-    """Paper model preset by name."""
-    if name in ("GPT2-S-MoE", "s", "S"):
-        return GPT2MoEConfig.gpt2_s_moe(gate=gate)
-    if name in ("GPT2-L-MoE", "l", "L"):
-        return GPT2MoEConfig.gpt2_l_moe(gate=gate)
-    raise ValueError(f"unknown model {name!r}")
-
-
-def paper_batch(cluster_kind: str, model_name: str) -> int:
-    return PAPER_BATCH[(cluster_kind.lower(), model_name)]
 
 
 @dataclass(frozen=True)

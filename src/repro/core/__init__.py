@@ -20,7 +20,6 @@ from .partition import (
     infer_axes,
     pipeline_cost_ms,
     plan_partitions,
-    plan_partitions_reference,
 )
 from .profiler import CachingOpProfiler
 
@@ -45,5 +44,4 @@ __all__ = [
     "legalize_order",
     "pipeline_cost_ms",
     "plan_partitions",
-    "plan_partitions_reference",
 ]

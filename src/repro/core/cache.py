@@ -76,14 +76,6 @@ class LRUCache:
         """Drop all entries (counters are preserved)."""
         self._data.clear()
 
-    def reset_counters(self) -> None:
-        self.hits = self.misses = self.evictions = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def stats(self) -> dict:
         """Counter snapshot, JSON-friendly (for ``LancetReport`` /
         ``BENCH_*.json`` records)."""

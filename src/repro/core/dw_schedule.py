@@ -56,10 +56,6 @@ class DWScheduleReport:
     skew_aware: bool = False
 
     @property
-    def total_a2a_ms(self) -> float:
-        return sum(r.a2a_ms for r in self.records)
-
-    @property
     def total_planned_overlap_ms(self) -> float:
         return sum(r.planned_overlap_ms for r in self.records)
 

@@ -185,10 +185,6 @@ class LancetOptimizer:
         if routing_signatures:
             self.costs.set_signatures(self._remapped(routing_signatures))
 
-    def reset_planner_state(self) -> None:
-        """Drop the warm-start state (next :meth:`optimize` plans cold)."""
-        self.planner_state.reset()
-
     def cache_stats(self) -> dict:
         """Counters of every cache the optimizer leans on."""
         stats = {

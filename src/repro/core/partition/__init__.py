@@ -18,7 +18,6 @@ from .dp import (
     max_range_for,
     plan_partitions,
 )
-from .dp_reference import plan_partitions_reference
 from .pass_ import OperatorPartitionPass
 from .pipeline import (
     PipelineCost,
@@ -63,7 +62,6 @@ __all__ = [
     "max_range_for",
     "pipeline_cost_ms",
     "plan_partitions",
-    "plan_partitions_reference",
     "range_is_moe_only",
     "rules_for",
     "sequential_cost_ms",

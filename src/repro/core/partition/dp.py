@@ -18,7 +18,7 @@ This module is the *fast* planner: the online re-optimization loop
 re-runs it on every routing-drift event, so its latency sits on the
 training critical path (the optimization-time concern of paper Sec. 6 /
 Fig. 15).  It computes exactly the same function as the retained naive
-implementation (:mod:`.dp_reference`), but
+implementation (``tests/oracles/dp_reference.py``), but
 
 * outside-consumer queries use a precomputed first/last-use index
   (:class:`ConsumerIndex`) instead of rescanning the whole program per
@@ -514,9 +514,8 @@ def plan_partitions(
     Pass a :class:`PlannerState` to plan incrementally: consecutive calls
     on the same program (e.g. re-plans after routing drift) reuse every
     signature-independent table and only re-price what the new signature
-    invalidates.  Results are bit-identical to
-    :func:`~repro.core.partition.dp_reference.plan_partitions_reference`
-    either way.
+    invalidates.  Results are bit-identical to the naive reference DP
+    (``tests/oracles/dp_reference.py``) either way.
     """
     if state is None:
         state = PlannerState()  # throwaway: cold plan

@@ -91,11 +91,6 @@ class Instruction:
         """Whether the instruction runs on the communication stream."""
         return self.kind == InstrKind.COMM
 
-    @property
-    def is_weight_grad(self) -> bool:
-        """Whether this is a weight-gradient (dW) computation."""
-        return self.kind == InstrKind.DW
-
     def __repr__(self) -> str:
         outs = ", ".join(f"%{o}" for o in self.outputs)
         ins = ", ".join(f"%{i}" for i in self.inputs)

@@ -125,17 +125,6 @@ class Program:
         """Map instruction uid -> position in the current order."""
         return {ins.uid: i for i, ins in enumerate(self.instructions)}
 
-    def by_kind(self, kind: InstrKind) -> list[Instruction]:
-        """All instructions of one kind, in program order."""
-        return [i for i in self.instructions if i.kind == kind]
-
-    def comm_instructions(self, op: str | None = None) -> list[Instruction]:
-        """Communication instructions, optionally filtered by op name."""
-        out = [i for i in self.instructions if i.is_comm]
-        if op is not None:
-            out = [i for i in out if i.op == op]
-        return out
-
     def count_ops(self) -> dict[str, int]:
         """Histogram of op names."""
         hist: dict[str, int] = {}

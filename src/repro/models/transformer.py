@@ -41,14 +41,6 @@ class BuildContext:
     #: parameter value ids that are expert-local (not all-reduced)
     expert_params: set[int] = field(default_factory=set)
 
-    @property
-    def hidden_type(self) -> TensorType:
-        return TensorType(
-            (self.batch, self.seq, self.cfg.hidden),
-            self.dtype,
-            (Dim.BATCH, Dim.SEQ, Dim.HIDDEN),
-        )
-
     def param(self, shape, dims, name: str, dtype: DType | None = None) -> int:
         t = TensorType(tuple(shape), dtype or self.dtype, tuple(dims))
         return self.program.add_param(t, name).id

@@ -24,7 +24,8 @@ while p2p activations cross stages.
   which equals :func:`~repro.runtime.simulate_cluster` bit for bit
   without stragglers) with p2p dependencies into a
   :class:`~repro.runtime.ClusterTimeline`-compatible figure,
-  differential-tested bit-for-bit against :func:`replay_reference`.
+  differential-tested bit-for-bit against the event-replay reference in
+  ``tests/oracles/pipeline_reference.py``.
 - :func:`plan_stages` / :class:`StagedPlanResult` / :class:`StageMap` --
   the boundary planner (heuristic ranking + exact simulation + per-stage
   optimization), whose :class:`StageMap` rides inside
@@ -46,7 +47,6 @@ from .planner import (
     pipeline_bound_ms,
     plan_stages,
 )
-from .reference import replay_reference
 from .schedule import (
     Job,
     gpipe_order,
@@ -83,7 +83,6 @@ __all__ = [
     "pipeline_bound_ms",
     "plan_stages",
     "reassemble",
-    "replay_reference",
     "schedule_order",
     "simulate_staged",
     "split_stages",

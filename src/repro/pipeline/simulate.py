@@ -19,7 +19,7 @@ iteration.
 
 All bookkeeping is float64 ``max`` and single adds, so the scan scheduler
 here is bit-identical to the naive event-replay reference
-(:func:`~repro.pipeline.reference.replay_reference`).
+(``tests/oracles/pipeline_reference.py``).
 """
 
 from __future__ import annotations

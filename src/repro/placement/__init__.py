@@ -9,10 +9,11 @@ all-to-all pair-bytes matrix flattens before the scheduler ever sees it.
 bottleneck a2a phase under a :class:`~repro.runtime.ClusterSpec`'s
 hierarchical network model (intra-node moves are nearly free; the NIC is
 where placement wins), differentially verified against the brute-force
-reference in :mod:`repro.placement.reference`.  The trace-replay drill
-in :mod:`repro.placement.replay` prices migrations (one-off weight
-transfer vs. steady-state win) over recorded dispatch-count sequences,
-mirroring the ExpertMigration replay-evaluation methodology.
+reference in ``tests/oracles/placement_reference.py``.  The trace-replay
+drill in :mod:`repro.placement.replay` prices migrations (one-off
+weight transfer vs. steady-state win) over recorded dispatch-count
+sequences (:func:`make_drift_trace` synthesizes one), mirroring the
+ExpertMigration replay-evaluation methodology.
 
 Threading through the stack: :meth:`RoutingSignature.remap
 <repro.runtime.RoutingSignature.remap>` folds a placement's traffic
@@ -42,8 +43,7 @@ from .optimizer import (
     migration_cost_ms,
     migration_pays_off,
 )
-from .reference import brute_force_placement, remap_pair_bytes_reference
-from .replay import MigrationEvent, ReplayReport, replay_trace
+from .replay import MigrationEvent, ReplayReport, make_drift_trace, replay_trace
 
 __all__ = [
     "ExpertPlacement",
@@ -54,7 +54,7 @@ __all__ = [
     "PlacementOptimizer",
     "PlacementResult",
     "ReplayReport",
-    "brute_force_placement",
+    "make_drift_trace",
     "migration_cost_ms",
     "migration_pays_off",
     "normalize_placement",
@@ -63,6 +63,5 @@ __all__ = [
     "placement_map_from_json",
     "placement_map_is_identity",
     "placement_map_to_json",
-    "remap_pair_bytes_reference",
     "replay_trace",
 ]

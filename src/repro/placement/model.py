@@ -12,9 +12,9 @@ placement-aware seam in the stack leans on.
 
 Numerical contract: :meth:`ExpertPlacement.pair_bytes` accumulates
 per-expert contributions in expert order with one scale per replica,
-bit-identically to the pure-Python reference
-(:func:`repro.placement.reference.remap_pair_bytes_reference`); the
-identity placement short-circuits into the exact owner-summed reduction
+bit-identically to the pure-Python mirror in
+``tests/oracles/placement_reference.py``; the identity placement
+short-circuits into the exact owner-summed reduction
 :meth:`RoutingSignature.from_counts` and the routing models use.
 """
 

@@ -18,8 +18,8 @@ deliberately local and deterministic:
   which makes termination trivial and keeps the identity placement a
   fixed point on balanced traffic.
 
-The differential harness checks this search against
-:func:`~repro.placement.reference.brute_force_placement` on exhaustive
+The differential harness checks this search against the brute-force
+enumerator in ``tests/oracles/placement_reference.py`` on exhaustive
 small configs: descent runs from both the identity and an LPT-style
 greedy seed (heaviest expert onto the least-loaded device) and keeps
 the better result, which lands on the exhaustive optimum for most

@@ -180,3 +180,36 @@ def replay_trace(
         report.adaptive_ms.append(step_ms)
     report.final_placement = current
     return report
+
+
+def make_drift_trace(
+    num_devices: int,
+    num_experts: int,
+    steps: int = 40,
+    seed: int = 0,
+    base_tokens: int = 50,
+    hot_tokens: int = 700,
+    episodes: tuple = ((8, 20, 1), (26, 38, 4)),
+) -> list[np.ndarray]:
+    """A recorded dispatch-count trace with hot-expert drift episodes.
+
+    Steady near-balanced traffic, interrupted by ``episodes`` of
+    ``(start_step, end_step, hot_expert)`` during which the named expert
+    receives ``hot_tokens`` extra tokens per device -- the workload
+    shape (sudden popularity shifts that persist for a while) that makes
+    priced expert migration win.  Deterministic in ``seed``; the
+    checked-in ``tests/fixtures/routing_trace.json`` is one of these.
+    """
+    rng = np.random.default_rng(seed)
+    trace = []
+    for step in range(steps):
+        counts = rng.integers(
+            max(1, base_tokens // 2),
+            base_tokens,
+            size=(num_devices, num_experts),
+        )
+        for start, end, hot in episodes:
+            if start <= step < end:
+                counts[:, hot % num_experts] += hot_tokens
+        trace.append(counts.astype(np.int64))
+    return trace

@@ -98,15 +98,6 @@ class Breakdown:
         """Total computation busy time (overlapped + exposed)."""
         return self.comp_only + self.overlapped
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "makespan": self.makespan,
-            "comm_only": self.comm_only,
-            "comp_only": self.comp_only,
-            "overlapped": self.overlapped,
-            "idle": self.idle,
-        }
-
 
 @dataclass
 class Timeline:

@@ -64,11 +64,6 @@ class HierarchicalTraffic:
     inter_node: np.ndarray
     intra_scatter: np.ndarray
 
-    @property
-    def cross_node_bytes(self) -> float:
-        """Total bytes that cross a node boundary."""
-        return float(self.inter_node.sum())
-
 
 @dataclass(frozen=True)
 class HierarchicalTiming:
@@ -172,11 +167,6 @@ class Topology:
     def local_rank(self, rank: int) -> int:
         """Position of GPU ``rank`` within its node."""
         return rank % self.gpus_per_node
-
-    def ranks_of_node(self, node: int) -> range:
-        """Global ranks of one node's GPUs."""
-        lo = node * self.gpus_per_node
-        return range(lo, lo + self.gpus_per_node)
 
     def node_of_ranks(self) -> np.ndarray:
         """``[G]`` array mapping rank -> node."""

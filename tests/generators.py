@@ -1,24 +1,25 @@
 """Small helpers and randomized-scenario generators shared by the test
 and benchmark suites.
 
-Lives inside the package (rather than in a ``conftest.py``) so test
-modules can import it unambiguously: ``tests/conftest.py`` and
-``benchmarks/conftest.py`` are both imported under the module name
-``conftest`` in pytest's rootdir mode, so ``from conftest import ...``
-resolves to whichever directory was collected first.
-
 The generators are the single source of randomized programs, clusters,
 routing models and routed buffers for every differential suite
 (``test_fast_replan``, ``test_hierarchical_a2a``,
 ``test_batch_simulate``): one grid, one drift sequence, one set of
-hypothesis strategies.  ``hypothesis`` is imported lazily inside the
-strategy factories so the package keeps numpy as its only hard runtime
-dependency.
+hypothesis strategies.  ``benchmarks/conftest.py`` puts ``tests/`` on
+the import path, so the benchmark drills import them too.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
+
+from repro.models import GPT2MoEConfig, build_training_graph
+from repro.moe import dispatch, route_switch
+from repro.moe.layer import softmax
+from repro.pipeline import StagedCluster
+from repro.placement import ExpertPlacement
+from repro.runtime import ClusterSpec, SyntheticRoutingModel, UniformRoutingModel
 
 
 def fresh_values(values: list[dict]) -> list[dict]:
@@ -44,8 +45,6 @@ PROGRAM_GRID = [
 def build_grid_graph(layers: int, gpus: int, batch: int, seq: int,
                      gate: str = "switch"):
     """Training graph for one :data:`PROGRAM_GRID` row."""
-    from .models import GPT2MoEConfig, build_training_graph
-
     return build_training_graph(
         GPT2MoEConfig.gpt2_s_moe(num_layers=layers, gate=gate),
         batch=batch,
@@ -58,8 +57,6 @@ def cluster_grid(num_gpus: int) -> list:
     """Clusters to differentiate against at a device count: a flat
     single-node box plus the two multi-node topologies (which exercise
     hierarchical pricing and the 2-hop device-time model)."""
-    from .runtime import ClusterSpec
-
     out = [ClusterSpec.for_gpus("a100", num_gpus)]
     for factory in (ClusterSpec.p4de, ClusterSpec.p3dn):
         for nodes in (2, 4):
@@ -76,8 +73,6 @@ def routing_models(include_none: bool = False) -> list:
     so shared instances would couple callers.  ``include_none`` prepends
     ``None`` ("no signatures observed", the planner's static
     approximation)."""
-    from .runtime import SyntheticRoutingModel, UniformRoutingModel
-
     models: list = [
         UniformRoutingModel(),
         SyntheticRoutingModel(
@@ -109,9 +104,6 @@ def straggler_scenarios(num_gpus: int) -> list:
 
 def routed_buffers(rng, g, el, c, h, t, temperature=1.0):
     """Per-device dispatch buffers with realistic routing + their counts."""
-    from .moe import dispatch, route_switch
-    from .moe.layer import softmax
-
     e = g * el
     bufs, counts = [], np.zeros((g, e), dtype=np.int64)
     for d in range(g):
@@ -130,16 +122,12 @@ def random_pair_bytes(rng, g, skew=1.0):
     return pair
 
 
-# -- hypothesis strategies (lazy: hypothesis is a test-only dependency) ----
+# -- hypothesis strategies --------------------------------------------------
 
 
 def st_routing_model():
     """Strategy over routing models: uniform or a synthetic realization
     spanning balanced to single-hot-expert regimes."""
-    from hypothesis import strategies as st
-
-    from .runtime import SyntheticRoutingModel, UniformRoutingModel
-
     synthetic = st.builds(
         SyntheticRoutingModel,
         seed=st.integers(0, 2**16),
@@ -154,8 +142,6 @@ def st_exchange_params():
     """Strategy over randomized irregular-exchange scenarios, shared by
     the hierarchical-a2a bit-identity property and the batch-simulation
     differential harness (both stress ANY realized routing)."""
-    from hypothesis import strategies as st
-
     return st.fixed_dictionaries(
         {
             "seed": st.integers(0, 2**16),
@@ -174,10 +160,6 @@ def st_expert_placement(num_experts: int, num_devices: int, max_replicas: int = 
     every expert placed, replica device sets duplicate-free, traffic
     fractions positive and normalized -- the full artifact space the
     placement property suite quantifies over (identity included)."""
-    from hypothesis import strategies as st
-
-    from .placement import ExpertPlacement
-
     def build(seed):
         rng = np.random.default_rng(seed)
         assignments = []
@@ -205,8 +187,6 @@ def st_dispatch_counts(num_devices: int, num_experts: int, max_tokens: int = 512
     """Strategy over skewed integer dispatch-count matrices
     ``[num_devices, num_experts]``: a noise floor plus 0-2 hot expert
     columns, the traffic regime placement optimization targets."""
-    from hypothesis import strategies as st
-
     def build(params):
         seed, hot_experts, boost = params
         rng = np.random.default_rng(seed)
@@ -222,39 +202,6 @@ def st_dispatch_counts(num_devices: int, num_experts: int, max_tokens: int = 512
     ).map(build)
 
 
-def make_drift_trace(
-    num_devices: int,
-    num_experts: int,
-    steps: int = 40,
-    seed: int = 0,
-    base_tokens: int = 50,
-    hot_tokens: int = 700,
-    episodes: tuple = ((8, 20, 1), (26, 38, 4)),
-) -> list[np.ndarray]:
-    """A recorded dispatch-count trace with hot-expert drift episodes.
-
-    Steady near-balanced traffic, interrupted by ``episodes`` of
-    ``(start_step, end_step, hot_expert)`` during which the named expert
-    receives ``hot_tokens`` extra tokens per device -- the workload
-    shape (sudden popularity shifts that persist for a while) that makes
-    priced expert migration win.  Deterministic in ``seed``; the
-    checked-in ``tests/fixtures/routing_trace.json`` is one of these.
-    """
-    rng = np.random.default_rng(seed)
-    trace = []
-    for step in range(steps):
-        counts = rng.integers(
-            max(1, base_tokens // 2),
-            base_tokens,
-            size=(num_devices, num_experts),
-        )
-        for start, end, hot in episodes:
-            if start <= step < end:
-                counts[:, hot % num_experts] += hot_tokens
-        trace.append(counts.astype(np.int64))
-    return trace
-
-
 def st_staged_cluster():
     """Strategy over valid :class:`~repro.pipeline.StagedCluster`\\ s:
     single- and multi-node base clusters tiled into 2-4 stages with
@@ -262,11 +209,6 @@ def st_staged_cluster():
     property suite quantifies over.  Every shape satisfies the stage
     constraints (stages divide the GPU count; subgroups align with node
     boundaries or divide a node)."""
-    from hypothesis import strategies as st
-
-    from .pipeline import StagedCluster
-    from .runtime import ClusterSpec
-
     shapes = st.sampled_from(
         [
             ("a100", 4, 2),
@@ -291,16 +233,12 @@ def st_staged_cluster():
 def st_microbatch_count(max_microbatches: int = 8):
     """Strategy over pipeline microbatch counts (>= 1, small enough to
     keep staged-schedule properties fast)."""
-    from hypothesis import strategies as st
-
     return st.integers(1, max_microbatches)
 
 
 def st_simulation_scenario(num_gpus: int):
     """Strategy over (routing model, straggler map, protocol flags) --
     one scenario for the engine-vs-reference differential harness."""
-    from hypothesis import strategies as st
-
     stragglers = st.one_of(
         st.none(),
         st.dictionaries(

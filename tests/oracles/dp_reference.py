@@ -4,10 +4,10 @@ This is the original, straightforward implementation of the paper's
 Sec. 5.1 recurrence ``T(n) = min_{i<n} ( T(i) + min_k P(i, n, k) )``:
 every candidate range rebuilds its axis inference, rescans the whole
 program for outside consumers, and re-evaluates every pipeline cost from
-scratch.  The production planner (:mod:`.dp`) computes the *same*
-function incrementally with persistent caches and vectorized
-relaxations; ``tests/test_fast_replan.py`` asserts the two agree bit for
-bit on randomized programs and routing signatures.
+scratch.  The production planner (:mod:`repro.core.partition.dp`)
+computes the *same* function incrementally with persistent caches and
+vectorized relaxations; ``tests/test_fast_replan.py`` asserts the two
+agree bit for bit on randomized programs and routing signatures.
 
 Keep this module dumb and obvious: its value is that its correctness can
 be checked by reading it next to the paper.
@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...ir import Program
-from ..cost_model import CostEstimator
-from .axis_inference import InferenceResult, infer_axes
-from .dp import (
+from repro.core.cost_model import CostEstimator
+from repro.core.partition.axis_inference import InferenceResult, infer_axes
+from repro.core.partition.dp import (
     DPResult,
     LancetHyperParams,
     RangePlan,
@@ -29,7 +28,8 @@ from .dp import (
     forward_length,
     max_range_for,
 )
-from .pipeline import max_feasible_parts, pipeline_cost_ms
+from repro.core.partition.pipeline import max_feasible_parts, pipeline_cost_ms
+from repro.ir import Program
 
 
 def plan_partitions_reference(

@@ -14,8 +14,8 @@ divergence is a real scheduling bug, not float noise.
 
 from __future__ import annotations
 
-from .schedule import Job
-from .simulate import StageCosts, _dep_time
+from repro.pipeline.schedule import Job
+from repro.pipeline.simulate import StageCosts, _dep_time
 
 
 def replay_reference(

@@ -20,7 +20,7 @@ import itertools
 
 import numpy as np
 
-from .model import ExpertPlacement
+from repro.placement import ExpertPlacement, PlacementOptimizer
 
 #: enumeration guard: G**E assignments beyond this refuse to run
 #: (brute force is a test oracle for small configs, not a planner)
@@ -84,8 +84,6 @@ def brute_force_placement(
             f"(> {max_assignments}); use a smaller config"
         )
     if cost_fn is None:
-        from .optimizer import PlacementOptimizer
-
         cost_fn = PlacementOptimizer(cluster).pair_cost_ms
     # one scaled add per expert, in expert order: bit-identical to
     # ExpertPlacement.pair_bytes for single-replica placements (f=1.0

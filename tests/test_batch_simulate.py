@@ -9,7 +9,7 @@ approx-equality) is what lets the engine replace the scalar loop, and
 :func:`simulate_cluster`, its one-scenario view, stand in for it.
 
 Scenario generators and hypothesis strategies live in
-:mod:`repro.testing`, shared with ``test_fast_replan`` and
+``tests/generators.py``, shared with ``test_fast_replan`` and
 ``test_hierarchical_a2a``.
 """
 
@@ -36,7 +36,7 @@ from repro.runtime import (
     simulate_cluster_batch,
     simulate_program,
 )
-from repro.testing import (
+from generators import (
     PROGRAM_GRID,
     build_grid_graph,
     cluster_grid,

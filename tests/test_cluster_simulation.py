@@ -22,7 +22,7 @@ from repro.runtime import (
     simulate_cluster,
     simulate_program,
 )
-from repro.testing import (
+from generators import (
     PROGRAM_GRID,
     build_grid_graph,
     cluster_grid,

@@ -4,7 +4,7 @@ expert kernels, and all-to-all-over-all-reduce priority."""
 import numpy as np
 import pytest
 
-from repro.testing import fresh_values
+from generators import fresh_values
 from repro import GPT2MoEConfig, LancetOptimizer, build_training_graph, validate
 from repro.core import GradSyncDeferPass
 from repro.models.init import init_device_values

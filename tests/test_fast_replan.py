@@ -19,6 +19,8 @@ Acceptance coverage of the planner-performance subsystem:
 """
 
 import pytest
+from generators import PROGRAM_GRID, build_grid_graph, routing_models
+from oracles.dp_reference import plan_partitions_reference
 
 from repro import GPT2MoEConfig, build_training_graph
 from repro.api import PlanIdentity, PlanPolicy, graph_fingerprint
@@ -32,12 +34,10 @@ from repro.core import (
     LRUCache,
     PlannerState,
     plan_partitions,
-    plan_partitions_reference,
 )
 from repro.core.partition import ConsumerIndex, forward_length
 from repro.runtime import COMPILED, ClusterSpec
 from repro.runtime.routing_model import SyntheticRoutingModel
-from repro.testing import PROGRAM_GRID, build_grid_graph, routing_models
 from repro.train import ReoptimizingTrainer
 
 

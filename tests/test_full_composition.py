@@ -10,7 +10,7 @@ numerics never move.
 import numpy as np
 import pytest
 
-from repro.testing import fresh_values
+from generators import fresh_values
 from repro import GPT2MoEConfig, build_training_graph, validate
 from repro.core import (
     CachingOpProfiler,

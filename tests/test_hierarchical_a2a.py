@@ -25,7 +25,7 @@ from repro.runtime import (
     all_to_all_irregular,
     hierarchical_all_to_all,
 )
-from repro.testing import (
+from generators import (
     random_pair_bytes,
     routed_buffers,
     st_exchange_params,
@@ -73,7 +73,7 @@ class TestBitIdentity:
         (any skew, any clipping), the 2-hop exchange delivers the exact
         buffers of the flat irregular exchange.  The scenario strategy is
         shared with the batch-simulation differential harness
-        (:mod:`repro.testing`)."""
+        (``tests/generators.py``)."""
         g = params["g"]
         rng = np.random.default_rng(params["seed"])
         bufs, counts = routed_buffers(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.testing import fresh_values
+from generators import fresh_values
 from repro import (
     GPT2MoEConfig,
     LancetHyperParams,

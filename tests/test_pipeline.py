@@ -23,6 +23,8 @@ import json
 import pathlib
 
 import pytest
+from generators import routing_models
+from oracles.pipeline_reference import replay_reference
 
 from repro import GPT2MoEConfig, LancetOptimizer, build_training_graph
 from repro.__main__ import main
@@ -43,7 +45,6 @@ from repro.pipeline import (
     pipeline_bound_ms,
     plan_stages,
     reassemble,
-    replay_reference,
     schedule_order,
     simulate_staged,
     split_stages,
@@ -53,7 +54,6 @@ import repro.pipeline.simulate as pipeline_simulate
 from repro.api.fingerprint import graph_fingerprint
 from repro.pipeline.stage import _subcluster
 from repro.runtime import ClusterSpec, SimulationConfig, simulate_cluster
-from repro.testing import routing_models
 
 A100x8 = ClusterSpec.for_gpus("a100", 8)
 

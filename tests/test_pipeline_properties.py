@@ -1,8 +1,8 @@
 """Property-based tests (hypothesis) for the staged pipeline scheduler.
 
 Quantified over the staged topology space
-(:func:`repro.testing.st_staged_cluster`), microbatch counts
-(:func:`repro.testing.st_microbatch_count`), both schedules, and seeded
+(:func:`generators.st_staged_cluster`), microbatch counts
+(:func:`generators.st_microbatch_count`), both schedules, and seeded
 synthetic stage costs priced through the real
 :class:`~repro.pipeline.P2PCostModel`:
 
@@ -22,17 +22,17 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from generators import st_microbatch_count, st_staged_cluster
+from oracles.pipeline_reference import replay_reference
 
 from repro.pipeline import (
     SCHEDULES,
     P2PCostModel,
     StageCosts,
     peak_in_flight,
-    replay_reference,
     schedule_order,
 )
 from repro.pipeline.simulate import schedule_jobs
-from repro.testing import st_microbatch_count, st_staged_cluster
 
 def synthetic_costs(staged, seed: int) -> StageCosts:
     """Seeded per-stage durations + real p2p pricing for one topology."""

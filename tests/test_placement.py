@@ -27,6 +27,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from generators import build_grid_graph
+from oracles.placement_reference import (
+    brute_force_placement,
+    remap_pair_bytes_reference,
+)
 
 from repro.api import Plan, Scenario, compile
 from repro.api.codec import signature_from_json, signature_to_json
@@ -36,7 +41,7 @@ from repro.placement import (
     ExpertPlacement,
     PlacedRoutingModel,
     PlacementOptimizer,
-    brute_force_placement,
+    make_drift_trace,
     migration_cost_ms,
     normalize_placement,
     placement_for,
@@ -44,7 +49,6 @@ from repro.placement import (
     placement_map_from_json,
     placement_map_is_identity,
     placement_map_to_json,
-    remap_pair_bytes_reference,
     replay_trace,
 )
 from repro.runtime import (
@@ -53,10 +57,8 @@ from repro.runtime import (
     SimulationConfig,
     SyntheticRoutingModel,
     simulate_cluster,
-    simulate_cluster_batch,
 )
 from repro.train import ReoptimizingTrainer
-from repro.testing import build_grid_graph, make_drift_trace
 
 
 def tiny_multi_node() -> ClusterSpec:

@@ -1,8 +1,8 @@
 """Property-based tests (hypothesis) for placement invariants.
 
 Quantified over the full placement artifact space
-(:func:`repro.testing.st_expert_placement`) and the skewed traffic
-regime placement targets (:func:`repro.testing.st_dispatch_counts`):
+(:func:`generators.st_expert_placement`) and the skewed traffic
+regime placement targets (:func:`generators.st_dispatch_counts`):
 
 - the vectorized remap is **bit-identical** to the pure-Python
   reference, for any placement and any counts;
@@ -18,17 +18,15 @@ regime placement targets (:func:`repro.testing.st_dispatch_counts`):
 """
 
 import numpy as np
+from generators import st_dispatch_counts, st_expert_placement
 from hypothesis import given, settings
-
-from repro.placement import (
-    GREEDY_BOUND,
-    ExpertPlacement,
-    PlacementOptimizer,
+from oracles.placement_reference import (
     brute_force_placement,
     remap_pair_bytes_reference,
 )
+
+from repro.placement import GREEDY_BOUND, ExpertPlacement, PlacementOptimizer
 from repro.runtime import ClusterSpec, RoutingSignature
-from repro.testing import st_dispatch_counts, st_expert_placement
 
 G, E = 4, 8
 BPT = 640.0

@@ -8,7 +8,7 @@ to the original -- the transformation is a pure performance optimization
 import numpy as np
 import pytest
 
-from repro.testing import fresh_values
+from generators import fresh_values
 from repro import GPT2MoEConfig, build_training_graph, validate
 from repro.core.partition import RangePlan, apply_plan, infer_axes
 from repro.models.init import init_device_values

@@ -20,7 +20,7 @@ from repro.moe import (
 )
 from repro.moe.layer import softmax
 from repro.runtime import RoutingSignature
-from repro.testing import st_dispatch_counts
+from generators import st_dispatch_counts
 
 
 @st.composite

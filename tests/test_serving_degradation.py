@@ -496,9 +496,10 @@ class TestCorruptEntryHealing:
     def test_corrupt_neighbor_is_read_once_across_servers(
         self, tmp_path, monkeypatch
     ):
-        """The read that finds a neighbor unusable removes it: the next
-        request whose closest neighbor it was, on another server, is
-        answered by a healthy neighbor, with no warning."""
+        """The read that finds a neighbor unusable removes it, and the
+        nearest tier goes on to the next-closest healthy neighbor; the
+        next request whose closest neighbor it was, on another server,
+        is answered by a healthy neighbor, with no warning."""
         root = tmp_path / "plans"
         healthy, corrupt = SC.with_(routing_seed=1), SC.with_(routing_seed=2)
         first, second = SC.with_(routing_seed=103), SC.with_(routing_seed=105)
@@ -526,7 +527,7 @@ class TestCorruptEntryHealing:
         reads = self._entry_reads(monkeypatch)
         with PlanServer(PlanStore(root)) as server:
             with pytest.warns(UserWarning, match="re-planning"):
-                assert server.serve(first).origin == "planned"
+                assert server.serve(first).origin == "nearest"
         assert not path.exists()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
