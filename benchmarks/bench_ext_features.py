@@ -12,7 +12,7 @@ on top of full Lancet:
 """
 
 
-from repro import GPT2MoEConfig, LancetOptimizer, build_training_graph
+from repro import GPT2MoEConfig, LancetOptimizer, PlanPolicy, build_training_graph
 from repro.bench import format_table
 from repro.runtime import (
     ClusterSpec,
@@ -23,7 +23,8 @@ from repro.runtime import (
 
 
 def _measure(graph, cluster, block_sparse=False, **opt_flags):
-    opt, _ = LancetOptimizer(cluster, **opt_flags).optimize(graph)
+    policy = PlanPolicy(**opt_flags)
+    opt, _ = LancetOptimizer(cluster, policy=policy).optimize(graph)
     sim = SimulationConfig(
         cluster=cluster,
         padded_a2a=False,

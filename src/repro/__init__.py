@@ -42,7 +42,6 @@ from .api import (
     load_plan,
 )
 from .core import (
-    LancetHyperParams,
     LancetOptimizer,
     LancetReport,
     OperatorPartitionPass,
@@ -78,10 +77,6 @@ from .placement import (
 from .serving import HotSwapEvent, PlanServer, ServeResult, compile_many
 from .train import ReoptimizingTrainer, Trainer
 
-#: legacy spelling of :func:`repro.api.compile` (kept for callers that
-#: avoid shadowing the ``compile`` builtin)
-compile_plan = compile
-
 __all__ = [
     "ClusterSpec",
     "ClusterTimeline",
@@ -92,7 +87,6 @@ __all__ = [
     "GPT2MoEConfig",
     "HotSwapEvent",
     "InstrKind",
-    "LancetHyperParams",
     "LancetOptimizer",
     "LancetReport",
     "MigrationEvent",
@@ -124,7 +118,6 @@ __all__ = [
     "build_training_graph",
     "compile",
     "compile_many",
-    "compile_plan",
     "derive_degraded",
     "graph_fingerprint",
     "load_plan",

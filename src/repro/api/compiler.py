@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..ir import Program
 from ..models import ModelGraph
@@ -80,9 +81,10 @@ class ResolvedWorkload:
     #: expert placement the plan assumes (graph/program requests only)
     placement: dict | None = None
 
-    @property
+    @cached_property
     def identity(self) -> PlanIdentity:
-        """The identity the store is consulted under."""
+        """The identity the store is consulted under (built once, so
+        its digests are computed once per resolved workload)."""
         return PlanIdentity(
             self.fingerprint,
             self.cluster,

@@ -32,15 +32,14 @@ import json
 import os
 import pathlib
 import tempfile
-from dataclasses import dataclass
 
+from ..core.policy import PlanPolicy
 from ..ir import Program, SerializationError, program_from_json, program_to_json
 from ..runtime.cluster import ClusterSpec
 from ..runtime.device import COMPILED, FrameworkProfile
 from .codec import (
     cluster_from_json,
     cluster_to_json,
-    field_dict,
     framework_from_json,
     framework_to_json,
     signatures_from_json,
@@ -95,92 +94,6 @@ def atomic_write_text(path: pathlib.Path, text: str) -> None:
         except OSError:
             pass
         raise
-
-
-@dataclass(frozen=True)
-class PlanPolicy:
-    """The optimizer knobs a plan was produced under.
-
-    Part of the plan's identity: the same graph compiled under different
-    policies yields different store entries.
-    """
-
-    #: run the weight-gradient schedule pass (paper Sec. 4)
-    enable_dw_schedule: bool = True
-    #: run the operator partition pass (paper Sec. 5)
-    enable_partition: bool = True
-    #: Lina-style all-to-all priority: defer gradient all-reduce
-    defer_allreduce: bool = False
-    #: per-collective flat vs 2-hop hierarchical all-to-all choice
-    enable_hierarchical_a2a: bool = False
-    #: condition the plan on the scenario's realized routing signatures
-    #: (False plans against the uniform static-shape approximation)
-    skew_aware: bool = True
-    #: rho -- largest partition count the DP considers
-    max_partitions: int = 8
-    #: gamma -- target execution time per instruction group (``None`` =
-    #: the planner's derived default); part of the plan identity because
-    #: it shapes which pipelines the DP can choose
-    group_ms: float | None = None
-    #: iota -- longest candidate range in groups (``None`` = derived)
-    max_range_groups: int | None = None
-
-    def to_dict(self) -> dict:
-        return field_dict(self)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "PlanPolicy":
-        return cls(**obj)
-
-    def hyper_params(self):
-        """The :class:`~repro.core.partition.LancetHyperParams` this
-        policy describes."""
-        from ..core.partition import LancetHyperParams
-
-        return LancetHyperParams(
-            max_partitions=self.max_partitions,
-            group_ms=self.group_ms,
-            max_range_groups=self.max_range_groups,
-        )
-
-    def make_optimizer(
-        self,
-        cluster: ClusterSpec,
-        framework: FrameworkProfile = COMPILED,
-        signatures: dict | None = None,
-    ):
-        """A :class:`~repro.core.LancetOptimizer` configured by this
-        policy (the inverse of :meth:`from_optimizer`)."""
-        from ..core.lancet import LancetOptimizer
-
-        return LancetOptimizer(
-            cluster,
-            framework=framework,
-            hyper_params=self.hyper_params(),
-            enable_dw_schedule=self.enable_dw_schedule,
-            enable_partition=self.enable_partition,
-            defer_allreduce=self.defer_allreduce,
-            routing_signatures=signatures,
-            enable_hierarchical_a2a=self.enable_hierarchical_a2a,
-        )
-
-    @classmethod
-    def from_optimizer(cls, optimizer) -> "PlanPolicy":
-        """The policy an existing optimizer plans under.  Every knob
-        that shapes a schedule is part of it, so differently configured
-        optimizers never share a store entry.  An optimizer plans
-        against whatever signatures it is given, hence skew-aware."""
-        hp = optimizer.hyper_params
-        return cls(
-            enable_dw_schedule=optimizer.enable_dw_schedule,
-            enable_partition=optimizer.enable_partition,
-            defer_allreduce=optimizer.defer_allreduce,
-            enable_hierarchical_a2a=optimizer.enable_hierarchical_a2a,
-            skew_aware=True,
-            max_partitions=hp.max_partitions,
-            group_ms=hp.group_ms,
-            max_range_groups=hp.max_range_groups,
-        )
 
 
 class Plan:

@@ -59,7 +59,7 @@ import os
 import pathlib
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 try:  # POSIX; on platforms without fcntl the lock degrades to a no-op
     import fcntl
@@ -181,7 +181,12 @@ def bucket_distance(a, b) -> float:
 class PlanIdentity:
     """What identifies a plan: the one value every plan-cache key --
     the store's entry and base keys, the server's graph-request key,
-    the trainer's ``ReplanEvent.key`` -- is derived from."""
+    the trainer's ``ReplanEvent.key`` -- is derived from.
+
+    An identity is a value: its digests are computed once each and
+    memoized on the instance, so its fields (and the dicts they hold)
+    must not change after the first key is read.
+    """
 
     fingerprint: str
     cluster: ClusterSpec
@@ -193,6 +198,10 @@ class PlanIdentity:
     placement: dict | None = None
     #: the pipeline *request* of a staged plan (None for flat plans)
     pipeline: dict | None = None
+    #: memoized digests: ``None`` -> base key, ``digits`` -> entry key
+    _digests: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def of(cls, plan: Plan) -> PlanIdentity:
@@ -235,15 +244,24 @@ class PlanIdentity:
     def base_key(self) -> str:
         """Digest of the signature-free identity: the family of entries
         that differ only in their routing-signature bucket."""
-        return canonical_digest(self._payload())
+        return self._digest(None)
 
     def key(self, digits: int = DEFAULT_KEY_DIGITS) -> str:
         """Digest of the canonical plan key: what :class:`PlanStore`
         files entries under (at its ``digits``).  The whole cluster spec
         enters the key, not just its name."""
-        payload = self._payload()
-        payload["signatures"] = signature_bucket(self.signatures, digits)
-        return canonical_digest(payload)
+        return self._digest(digits)
+
+    def _digest(self, digits: int | None) -> str:
+        digest = self._digests.get(digits)
+        if digest is None:
+            payload = self._payload()
+            if digits is not None:
+                payload["signatures"] = signature_bucket(
+                    self.signatures, digits
+                )
+            digest = self._digests[digits] = canonical_digest(payload)
+        return digest
 
 
 #: pure-scenario digests by ``(id(scenario), id(policy), id(framework))``;

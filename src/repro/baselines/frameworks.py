@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core import LancetHyperParams, LancetOptimizer
+from ..core import PlanPolicy
 from ..core.partition import RangePlan, apply_plans, infer_axes
 from ..ir import Program
 from ..models.gpt2_moe import ModelGraph
@@ -124,30 +124,18 @@ class TutelBaseline(Framework):
 
 
 class LancetFramework(Framework):
-    """RAF + Lancet's two passes + irregular all-to-all."""
+    """RAF + Lancet's two passes + irregular all-to-all, planned under
+    ``policy`` (the Fig. 16 ablation switches its passes off)."""
 
     name = "lancet"
     profile = COMPILED
     padded_a2a = False
 
-    def __init__(
-        self,
-        hyper_params: LancetHyperParams | None = None,
-        enable_dw_schedule: bool = True,
-        enable_partition: bool = True,
-    ) -> None:
-        self.hyper_params = hyper_params
-        self.enable_dw_schedule = enable_dw_schedule
-        self.enable_partition = enable_partition
+    def __init__(self, policy: PlanPolicy | None = None) -> None:
+        self.policy = policy or PlanPolicy()
 
     def prepare(self, graph: ModelGraph, cluster: ClusterSpec) -> BaselineResult:
-        opt = LancetOptimizer(
-            cluster,
-            framework=self.profile,
-            hyper_params=self.hyper_params,
-            enable_dw_schedule=self.enable_dw_schedule,
-            enable_partition=self.enable_partition,
-        )
+        opt = self.policy.make_optimizer(cluster, self.profile)
         program, report = opt.optimize(graph)
         return BaselineResult(
             self.name,

@@ -2,12 +2,11 @@
 
 from ..api.scenario import PAPER_BATCH, model_by_name, paper_batch
 from .figures import ALL_FIGURES, FigureResult
-from .formatting import format_series, format_table
+from .formatting import format_table
 from .harness import (
     PAPER_GPU_COUNTS,
     Measurement,
     Setting,
-    clear_cache,
     estimate_memory_gb,
     run_setting,
     set_default_seed,
@@ -20,9 +19,7 @@ __all__ = [
     "PAPER_BATCH",
     "PAPER_GPU_COUNTS",
     "Setting",
-    "clear_cache",
     "estimate_memory_gb",
-    "format_series",
     "format_table",
     "model_by_name",
     "paper_batch",

@@ -10,6 +10,7 @@ smaller batch means higher partition overheads).
 from __future__ import annotations
 
 from ...baselines import LancetFramework, RAFBaseline
+from ...core import PlanPolicy
 from ...models import build_training_graph
 from ...runtime import ClusterSpec
 from ..formatting import format_table
@@ -19,9 +20,9 @@ from .common import FigureResult, simulate
 #: the paper's bars: Baseline is RAF itself (speedup 1.0); "-X" removes
 #: pass X from Lancet while keeping the other (and the irregular A2A)
 ABLATIONS = {
-    "-dW Schedule": dict(enable_dw_schedule=False, enable_partition=True),
-    "-Pipeline": dict(enable_dw_schedule=True, enable_partition=False),
-    "full": dict(enable_dw_schedule=True, enable_partition=True),
+    "-dW Schedule": PlanPolicy(enable_dw_schedule=False),
+    "-Pipeline": PlanPolicy(enable_partition=False),
+    "full": PlanPolicy(),
 }
 
 
@@ -52,9 +53,8 @@ def run(
                     "speedup_vs_raf": 1.0,
                 }
             )
-            for name, flags in ABLATIONS.items():
-                fw = LancetFramework(**flags)
-                res = fw.prepare(graph, cluster)
+            for name, policy in ABLATIONS.items():
+                res = LancetFramework(policy).prepare(graph, cluster)
                 ms = simulate(
                     res.program, cluster, res.profile, padded_a2a=res.padded_a2a
                 ).makespan

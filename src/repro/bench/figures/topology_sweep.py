@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from ...core import LancetOptimizer
+from ...core import LancetOptimizer, PlanPolicy
 from ...runtime import (
     ClusterSpec,
     SimulationConfig,
@@ -81,7 +81,9 @@ def run(
             prog_flat, rep_flat = opt_flat.optimize(graph)
 
             # both plans condition on the exact same observation
-            opt_hier = LancetOptimizer(cluster, enable_hierarchical_a2a=True)
+            opt_hier = LancetOptimizer(
+                cluster, policy=PlanPolicy(enable_hierarchical_a2a=True)
+            )
             opt_hier.set_routing_signatures(signatures or None)
             prog_hier, rep_hier = opt_hier.optimize(graph)
 

@@ -30,12 +30,3 @@ def _fmt(v) -> str:
             return f"{v:.2f}"
         return f"{v:.3f}"
     return str(v)
-
-
-def format_series(
-    name: str, xs: list, ys: list, x_label: str = "x", y_label: str = "y"
-) -> str:
-    """Render one figure series as x/y rows."""
-    return format_table(
-        [x_label, y_label], [[x, y] for x, y in zip(xs, ys)], title=name
-    )

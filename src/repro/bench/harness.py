@@ -158,8 +158,3 @@ def _run_setting(setting: Setting, seed: int) -> Measurement:
         memory_gb=estimate_memory_gb(graph, setting.framework),
         info=info,
     )
-
-
-def clear_cache() -> None:
-    """Drop memoized measurements (for tests)."""
-    _run_setting.cache_clear()

@@ -13,7 +13,6 @@ from .lancet import LancetOptimizer, LancetReport
 from .partition import (
     DPResult,
     InferenceResult,
-    LancetHyperParams,
     OperatorPartitionPass,
     PlannerState,
     RangePlan,
@@ -21,6 +20,7 @@ from .partition import (
     pipeline_cost_ms,
     plan_partitions,
 )
+from .policy import PlanPolicy
 from .profiler import CachingOpProfiler
 
 __all__ = [
@@ -33,10 +33,10 @@ __all__ = [
     "GradSyncDeferPass",
     "InferenceResult",
     "LRUCache",
-    "LancetHyperParams",
     "LancetOptimizer",
     "LancetReport",
     "OperatorPartitionPass",
+    "PlanPolicy",
     "PlannerState",
     "RangePlan",
     "WeightGradSchedulePass",

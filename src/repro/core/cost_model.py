@@ -409,10 +409,10 @@ class CostEstimator:
         if irr_parts > 1:
             # irregular chunk: price at its realized occupancy (~C/k),
             # mirroring the runtime's grouped-kernel behaviour
-            from ..runtime.simulate import _scale_capacity
+            from ..runtime.simulate import scale_capacity
 
             in_types = [
-                _scale_capacity(program.type_of(v), irr_parts)
+                scale_capacity(program.type_of(v), irr_parts)
                 for v in instr.inputs
             ]
             attrs = dict(instr.attrs)

@@ -21,12 +21,8 @@ from ..runtime.cluster import ClusterSpec
 from ..runtime.device import COMPILED, FrameworkProfile
 from .cost_model import DEFAULT_A2A_CACHE_SIZE, CommCostModel, CostEstimator
 from .dw_schedule import DWScheduleReport, WeightGradSchedulePass
-from .partition import (
-    DPResult,
-    LancetHyperParams,
-    OperatorPartitionPass,
-    PlannerState,
-)
+from .partition import DPResult, OperatorPartitionPass, PlannerState
+from .policy import PlanPolicy
 from .profiler import CachingOpProfiler
 
 
@@ -105,25 +101,26 @@ class LancetOptimizer:
         Target cluster (drives the profiler and communication cost model).
     framework:
         Execution-stack profile used for compute-cost profiling.
-    hyper_params:
-        The rho / gamma / iota knobs of the partition pass (Sec. 6).
-    enable_dw_schedule / enable_partition:
-        Ablation switches (paper Fig. 16).
+    policy:
+        The :class:`~repro.core.policy.PlanPolicy` to plan under, kept
+        as :attr:`policy`: which passes run (the ablation switches of
+        paper Fig. 16, plus ``defer_allreduce``) and the rho / gamma /
+        iota knobs of the partition DP (Sec. 6).  With
+        ``enable_hierarchical_a2a`` every irregular all-to-all is priced
+        at the cheaper of the flat and the 2-hop hierarchical algorithm
+        (per chunk, conditioned on the routing signature), the DP plans
+        against those prices, and the optimized program's all-to-alls
+        are annotated with the chosen algorithm (``attrs['a2a_algo']``),
+        which the ground-truth simulator honors.  On single-node (or
+        bandwidth-symmetric) clusters the choice always reduces to
+        flat, so plans are unchanged.  ``skew_aware`` is not read here:
+        the optimizer plans against whatever signatures it is given.
     routing_signatures:
         Optional per-MoE-layer :class:`RoutingSignature` observations;
         when set, both passes price irregular all-to-alls at the
         bottleneck device's realized load instead of the uniform
         approximation.  Install later observations with
         :meth:`set_routing_signatures` or :meth:`observe_routing`.
-    enable_hierarchical_a2a:
-        When True, every irregular all-to-all is priced at the cheaper
-        of the flat and the 2-hop hierarchical algorithm (per chunk,
-        conditioned on the routing signature), the DP plans against
-        those prices, and the optimized program's all-to-alls are
-        annotated with the chosen algorithm (``attrs['a2a_algo']``),
-        which the ground-truth simulator honors.  On single-node (or
-        bandwidth-symmetric) clusters the choice always reduces to
-        flat, so plans are unchanged.
     a2a_cache_size:
         LRU cap of the signature-keyed all-to-all estimate cache
         (``None`` keeps the default bound).
@@ -144,12 +141,8 @@ class LancetOptimizer:
         self,
         cluster: ClusterSpec,
         framework: FrameworkProfile = COMPILED,
-        hyper_params: LancetHyperParams | None = None,
-        enable_dw_schedule: bool = True,
-        enable_partition: bool = True,
-        defer_allreduce: bool = False,
+        policy: PlanPolicy | None = None,
         routing_signatures: dict | None = None,
-        enable_hierarchical_a2a: bool = False,
         a2a_cache_size: int | None = None,
         placement=None,
     ) -> None:
@@ -158,13 +151,7 @@ class LancetOptimizer:
         self.cluster = cluster
         self.placement = normalize_placement(placement)
         self.framework = framework
-        self.hyper_params = hyper_params or LancetHyperParams()
-        self.enable_dw_schedule = enable_dw_schedule
-        self.enable_partition = enable_partition
-        #: extension beyond the paper: prioritize all-to-all over
-        #: all-reduce by deferring gradient sync (see core/comm_priority.py)
-        self.defer_allreduce = defer_allreduce
-        self.enable_hierarchical_a2a = enable_hierarchical_a2a
+        self.policy = policy or PlanPolicy()
         self.profiler = CachingOpProfiler(gpu=cluster.gpu, framework=framework)
         self.costs = CostEstimator(
             self.profiler,
@@ -174,7 +161,7 @@ class LancetOptimizer:
                 if a2a_cache_size is not None
                 else DEFAULT_A2A_CACHE_SIZE
             ),
-            enable_hierarchical=enable_hierarchical_a2a,
+            enable_hierarchical=self.policy.enable_hierarchical_a2a,
         )
         #: warm-start state of the partition planner: persists every
         #: signature-independent DP table across :meth:`optimize` calls,
@@ -269,24 +256,27 @@ class LancetOptimizer:
         )
         work = program.clone()
 
+        policy = self.policy
         pm = PassManager(validate_each=check)
         dw_pass = part_pass = None
-        if self.enable_dw_schedule:
+        if policy.enable_dw_schedule:
             dw_pass = WeightGradSchedulePass(self.costs)
             pm.add(dw_pass)
-        if self.enable_partition:
+        if policy.enable_partition:
             part_pass = OperatorPartitionPass(
-                self.costs, self.hyper_params, state=self.planner_state
+                self.costs, policy, state=self.planner_state
             )
             pm.add(part_pass)
-        if self.defer_allreduce:
+        if policy.defer_allreduce:
+            # extension beyond the paper: prioritize all-to-all over
+            # all-reduce by deferring gradient sync
             from .comm_priority import GradSyncDeferPass
 
             pm.add(GradSyncDeferPass())
         work = pm.run(work)
 
         a2a_algorithms = None
-        if self.enable_hierarchical_a2a:
+        if policy.enable_hierarchical_a2a:
             # pin the flat/hierarchical choice the plan was priced with
             # onto each irregular all-to-all, so the runtime (and the
             # prediction below) executes exactly what the DP assumed

@@ -10,7 +10,6 @@ from .dp import (
     ConsumerIndex,
     DPResult,
     Group,
-    LancetHyperParams,
     PlannerState,
     RangePlan,
     build_groups,
@@ -39,7 +38,6 @@ __all__ = [
     "DPResult",
     "Group",
     "InferenceResult",
-    "LancetHyperParams",
     "MOE_ONLY_OPS",
     "OperatorPartitionPass",
     "PipelineCost",

@@ -56,6 +56,7 @@ import numpy as np
 from ...ir import InstrKind, Program
 from ..cache import LRUCache
 from ..cost_model import CostEstimator
+from ..policy import PlanPolicy
 from .axis_inference import (
     MOE_ONLY_OPS,
     AxisProblem,
@@ -68,43 +69,6 @@ from .rules import RuleContext
 
 # inert: perfbench/spans.py still resolves this retired lane-engine name
 resolve_pending = None
-
-
-@dataclass(frozen=True)
-class LancetHyperParams:
-    """The three optimization-speed knobs of paper Sec. 6.
-
-    Attributes
-    ----------
-    max_partitions:
-        rho -- the largest number of partitions k considered.
-    group_ms:
-        gamma -- target execution time per instruction group.  None picks
-        it so that ~5 groups separate consecutive MoE layers (the paper's
-        experimental setting).
-    max_range_groups:
-        iota -- the longest candidate range, in groups.  None derives it
-        from the spacing between MoE layers (one pipeline per MoE layer).
-    """
-
-    max_partitions: int = 8
-    group_ms: float | None = None
-    max_range_groups: int | None = None
-
-    @property
-    def k_candidates(self) -> list[int]:
-        """Partition counts to evaluate (powers of two up to rho)."""
-        ks = []
-        k = 2
-        while k <= self.max_partitions:
-            ks.append(k)
-            k *= 2
-        return ks
-
-    @property
-    def key(self) -> tuple:
-        """Identity tuple for warm-start validation."""
-        return (self.max_partitions, self.group_ms, self.max_range_groups)
 
 
 #: ops that anchor the MoE pipeline structure; each gets its own group so
@@ -230,11 +194,11 @@ def _auto_group_ms(
     return max(span / 5.0, 0.02)
 
 
-def max_range_for(groups: list[Group], params: LancetHyperParams) -> int:
+def max_range_for(groups: list[Group], policy: PlanPolicy) -> int:
     """The iota cap in groups (one pipeline per MoE layer by default)."""
     ng = len(groups)
-    if params.max_range_groups is not None:
-        max_range = params.max_range_groups
+    if policy.max_range_groups is not None:
+        max_range = policy.max_range_groups
     else:
         # one pipeline per MoE layer: cap ranges at the group distance
         # between consecutive forward all-to-alls
@@ -318,13 +282,13 @@ class PlannerState:
 
     A state validates itself against a structural fingerprint of the
     program (forward prefix order + backward instruction multiset) and
-    the hyper-parameter key; any mismatch falls back to a cold rebuild,
-    so handing a stale state to the planner can cost time but never
-    correctness.
+    the policy's :attr:`~repro.core.policy.PlanPolicy.partition_key`;
+    any mismatch falls back to a cold rebuild, so handing a stale state
+    to the planner can cost time but never correctness.
     """
 
     fingerprint: tuple | None = None
-    params_key: tuple | None = None
+    policy_key: tuple | None = None
     group_ms: float = 0.0
     groups: list[Group] = field(default_factory=list)
     max_range: int = 0
@@ -352,7 +316,7 @@ class PlannerState:
     def reset(self) -> None:
         """Drop all cached structure (program changed)."""
         self.fingerprint = None
-        self.params_key = None
+        self.policy_key = None
         self.group_ms = 0.0
         self.groups = []
         self.max_range = 0
@@ -369,10 +333,10 @@ class PlannerState:
         self,
         program: Program,
         costs: CostEstimator,
-        params: LancetHyperParams,
+        policy: PlanPolicy,
         fwd_end: int,
     ) -> bool:
-        """Validate against ``program``/``params``; (re)build what is
+        """Validate against ``program``/``policy``; (re)build what is
         stale.  Returns True when the grouping and range caches were
         reused (a warm re-plan)."""
         fp = _program_fingerprint(program, fwd_end)
@@ -381,16 +345,16 @@ class PlannerState:
             self.reset()
             self.fingerprint = fp
             self.consumers = ConsumerIndex(program)
-        if not warm or params.key != self.params_key:
+        if not warm or policy.partition_key != self.policy_key:
             # grouping depends on gamma/iota; range contexts do not
-            # (they key on instruction positions), so a pure
-            # hyper-parameter change keeps them
-            self.params_key = params.key
-            self.group_ms = params.group_ms or _auto_group_ms(
+            # (they key on instruction positions), so a pure knob
+            # change keeps them
+            self.policy_key = policy.partition_key
+            self.group_ms = policy.group_ms or _auto_group_ms(
                 program, fwd_end, costs
             )
             self.groups = build_groups(program, fwd_end, costs, self.group_ms)
-            self.max_range = max_range_for(self.groups, params)
+            self.max_range = max_range_for(self.groups, policy)
             self.base_group_times = np.asarray(
                 [g.time_ms for g in self.groups], dtype=np.float64
             )
@@ -506,10 +470,11 @@ def _program_fingerprint(program: Program, fwd_end: int) -> tuple:
 def plan_partitions(
     program: Program,
     costs: CostEstimator,
-    params: LancetHyperParams = LancetHyperParams(),
+    policy: PlanPolicy = PlanPolicy(),
     state: PlannerState | None = None,
 ) -> DPResult:
-    """Run the DP over the forward pass and return the chosen ranges.
+    """Run the DP over the forward pass and return the chosen ranges,
+    under the rho / gamma / iota knobs of ``policy``.
 
     Pass a :class:`PlannerState` to plan incrementally: consecutive calls
     on the same program (e.g. re-plans after routing drift) reuse every
@@ -520,7 +485,7 @@ def plan_partitions(
     if state is None:
         state = PlannerState()  # throwaway: cold plan
     fwd_end = forward_length(program)
-    warm = state.prepare(program, costs, params, fwd_end)
+    warm = state.prepare(program, costs, policy, fwd_end)
 
     groups = state.groups
     ng = len(groups)
@@ -535,7 +500,7 @@ def plan_partitions(
     max_range = state.max_range
     caches = state.caches
     consumers = state.consumers
-    k_candidates = params.k_candidates
+    k_candidates = policy.k_candidates
 
     times = state.group_times(program, costs)
     seq_prefix = np.concatenate([[0.0], np.cumsum(times)])

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from ...ir import Pass, Program
 from ..cost_model import CostEstimator
-from .dp import DPResult, LancetHyperParams, PlannerState, plan_partitions
+from ..policy import PlanPolicy
+from .dp import DPResult, PlannerState, plan_partitions
 from .rewriter import apply_plans
 
 
@@ -18,7 +19,8 @@ class OperatorPartitionPass(Pass):
 
     Pass a persistent :class:`PlannerState` to re-plan incrementally
     across optimizer runs (the online re-optimization loop does); without
-    one, every run plans cold.
+    one, every run plans cold.  The DP's rho / gamma / iota knobs are
+    read from ``policy``.
     """
 
     name = "operator-partition"
@@ -26,17 +28,17 @@ class OperatorPartitionPass(Pass):
     def __init__(
         self,
         costs: CostEstimator,
-        params: LancetHyperParams | None = None,
+        policy: PlanPolicy | None = None,
         state: PlannerState | None = None,
     ) -> None:
         self.costs = costs
-        self.params = params or LancetHyperParams()
+        self.policy = policy or PlanPolicy()
         self.state = state
         self.result: DPResult = DPResult()
 
     def run(self, program: Program) -> Program:
         self.result = plan_partitions(
-            program, self.costs, self.params, state=self.state
+            program, self.costs, self.policy, state=self.state
         )
         apply_plans(program, self.result.plans)
         return program

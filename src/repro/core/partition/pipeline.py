@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 
 from ...ir import AXIS_IRREGULAR as IRR
 from ...ir import NOT_PARTITIONED as NP
-from ...ir import Dim, Instruction, Program, TensorType
+from ...ir import Instruction, Program, TensorType
+from ...runtime.simulate import scale_capacity
 from ..cache import LRUCache
 from ..cost_model import CostEstimator
 from .axis_inference import InferenceResult
@@ -50,20 +51,13 @@ def chunk_type(t: TensorType, axis: int, parts: int, index: int = 0) -> TensorTy
 
     Real axes shrink the dimension (array_split convention); the
     irregular axis keeps the buffer shape but, for *cost* purposes, scales
-    the capacity (or token) dimension -- the static-shape approximation.
+    the capacity (or token) dimension -- the static-shape approximation
+    the runtime prices irregular chunks with.
     """
     if axis == NP:
         return t
     if axis == IRR:
-        if t.has_dim(Dim.CAPACITY):
-            i = t.dim_index(Dim.CAPACITY)
-        elif t.has_dim(Dim.TOKENS):
-            i = t.dim_index(Dim.TOKENS)
-        else:
-            return t
-        new_shape = list(t.shape)
-        new_shape[i] = max(1, math.ceil(t.shape[i] / parts))
-        return t.with_shape(tuple(new_shape))
+        return scale_capacity(t, parts)
     return t.split(axis, parts, index)
 
 

@@ -74,7 +74,3 @@ class PassManager:
             if self.validate_each:
                 validate(program)
         return program
-
-    def total_seconds(self) -> float:
-        """Total optimization time across all passes (paper Fig. 15)."""
-        return sum(t.seconds for t in self.timings)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from ..core.partition import forward_length
 from ..ir import InstrKind, Program, Value
 from ..ir.validate import validate
 from .stage import StagedCluster
@@ -120,13 +121,6 @@ def extract_subprogram(
     return sub
 
 
-def _infer_forward_len(program: Program) -> int:
-    for idx, instr in enumerate(program.instructions):
-        if instr.kind in (InstrKind.DX, InstrKind.DW):
-            return idx
-    return len(program.instructions)
-
-
 def split_stages(
     graph_or_program,
     staged: StagedCluster,
@@ -137,13 +131,14 @@ def split_stages(
 
     Accepts a :class:`~repro.models.ModelGraph` (which knows its forward
     prefix length) or a bare :class:`~repro.ir.Program` (the forward/
-    backward split is then inferred from the first dX/dW instruction).
+    backward split is then inferred from the first dX/dW/optimizer
+    instruction, :func:`~repro.core.partition.forward_length`).
     """
     program = getattr(graph_or_program, "program", graph_or_program)
     if forward_len is None:
         forward_len = getattr(
             graph_or_program, "forward_len", None
-        ) or _infer_forward_len(program)
+        ) or forward_length(program)
 
     buckets: dict[tuple[int, str], list] = {
         (s, ph): [] for s in range(staged.num_stages) for ph in PHASES

@@ -40,7 +40,6 @@ from .simulate import (
     DISPATCH_OPS,
     GroundTruthCost,
     SimulationConfig,
-    iteration_time_ms,
     observed_routing_signatures,
     simulate_cluster,
     simulate_cluster_batch,
@@ -97,7 +96,6 @@ __all__ = [
     "hierarchical_all_to_all",
     "imbalance_summary",
     "intersect_length",
-    "iteration_time_ms",
     "merge_intervals",
     "observed_routing_signatures",
     "overlap_summary",

@@ -61,7 +61,7 @@ DISPATCH_OPS = {
 }
 
 
-def _scale_capacity(
+def scale_capacity(
     t: TensorType, parts: int, occupancy: float = 1.0
 ) -> TensorType:
     """Shrink the capacity (or token) dimension of an irregular chunk,
@@ -159,10 +159,10 @@ class GroundTruthCost:
             # irregular chunk and/or block-sparse kernel: only realized
             # capacity slots are computed (grouped GEMM over real rows)
             in_types = [
-                _scale_capacity(t, irr_parts, occupancy) for t in in_types
+                scale_capacity(t, irr_parts, occupancy) for t in in_types
             ]
             out_types = [
-                _scale_capacity(t, irr_parts, occupancy) for t in out_types
+                scale_capacity(t, irr_parts, occupancy) for t in out_types
             ]
         key = (
             instr.op,
@@ -412,13 +412,6 @@ def simulate_cluster_batch(
             raise ValueError("need configs or costs")
         costs = [GroundTruthCost(c) for c in configs]
     return simulate_scenarios(pack_scenarios(program, list(costs)))
-
-
-def iteration_time_ms(
-    program: Program, config: SimulationConfig
-) -> float:
-    """Convenience: simulated makespan of one iteration."""
-    return simulate_program(program, config=config).makespan
 
 
 def observed_routing_signatures(

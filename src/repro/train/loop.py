@@ -20,13 +20,14 @@ moves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..api.compiler import plan_resolved, resolve_workload
 from ..api.fingerprint import graph_fingerprint
-from ..api.plan import Plan, PlanPolicy
+from ..api.plan import Plan
 from ..faults.injector import derive_degraded
 from ..faults.model import FaultSpec
 from ..ir import Program
@@ -191,8 +192,8 @@ class ReplanEvent:
     #: predicted iteration time of the new schedule; for priced
     #: re-plans, as simulated on the target cluster for the pricing
     predicted_ms: float
-    #: the planner run's ``compile_seconds`` (0.0 unless
-    #: ``source="planned"``)
+    #: how long the trainer waited for the answer: the server round
+    #: trip, or its own optimizer's planner run
     wall_seconds: float
     #: routing drift that triggered a drift re-plan (0.0 otherwise)
     drift: float = 0.0
@@ -482,7 +483,7 @@ class ReoptimizingTrainer(Trainer):
                 nominal.cluster,
                 [FaultSpec("straggler", d, s) for d, s in slowdowns.items()],
             )
-            target = PlanPolicy.from_optimizer(nominal).make_optimizer(
+            target = nominal.policy.make_optimizer(
                 degraded.plan_spec, nominal.framework
             )
         target.set_placement(self.optimizer.placement)
@@ -586,7 +587,9 @@ class ReoptimizingTrainer(Trainer):
         it is a degraded answer, and record the event."""
         opt = self.optimizer
         request = dict(
-            policy=PlanPolicy.from_optimizer(opt),
+            # the optimizer plans against whatever signatures it is
+            # given: the observed ones
+            policy=replace(opt.policy, skew_aware=True),
             signatures=dict(self._observed) or None,
             framework=opt.framework,
             placement=opt.placement,
@@ -594,6 +597,7 @@ class ReoptimizingTrainer(Trainer):
         # resolved once: the server keys on it without a second
         # fingerprint of the graph
         resolved = resolve_workload(self.graph, opt.cluster, **request)
+        t0 = time.perf_counter()
         if self.server is not None:
             answer = self.server.serve(resolved)
             plan, source, key = answer.plan, answer.origin, answer.key
@@ -604,6 +608,7 @@ class ReoptimizingTrainer(Trainer):
             # the previous plan, so only the drifted pricing is redone
             plan = plan_resolved(resolved, optimizer=opt)
             source, key, reason = "planned", resolved.identity.key(), None
+        wall_seconds = time.perf_counter() - t0
         planned = source == "planned"
         event = ReplanEvent(
             step=step,
@@ -612,7 +617,7 @@ class ReoptimizingTrainer(Trainer):
             key=key,
             cluster=opt.cluster.name,
             predicted_ms=plan.predicted_iteration_ms,
-            wall_seconds=plan.planner["compile_seconds"] if planned else 0.0,
+            wall_seconds=wall_seconds,
             drift=drift,
             warm_start=planned and bool(plan.planner.get("warm_planned")),
             # a degraded answer (stale, baseline) is never installed
@@ -661,8 +666,8 @@ class ReoptimizingTrainer(Trainer):
 
     @property
     def reoptimization_seconds(self) -> float:
-        """Total wall time of the planner runs behind the re-plans
-        (answers from the server's caches are free)."""
+        """Total time the trainer waited for re-plan answers (a cached
+        answer costs its server round trip)."""
         return sum(e.wall_seconds for e in self.events)
 
     @property

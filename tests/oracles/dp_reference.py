@@ -21,7 +21,6 @@ from repro.core.cost_model import CostEstimator
 from repro.core.partition.axis_inference import InferenceResult, infer_axes
 from repro.core.partition.dp import (
     DPResult,
-    LancetHyperParams,
     RangePlan,
     _auto_group_ms,
     build_groups,
@@ -29,25 +28,26 @@ from repro.core.partition.dp import (
     max_range_for,
 )
 from repro.core.partition.pipeline import max_feasible_parts, pipeline_cost_ms
+from repro.core.policy import PlanPolicy
 from repro.ir import Program
 
 
 def plan_partitions_reference(
     program: Program,
     costs: CostEstimator,
-    params: LancetHyperParams = LancetHyperParams(),
+    policy: PlanPolicy = PlanPolicy(),
 ) -> DPResult:
     """Run the naive DP over the forward pass; same contract as
     :func:`~repro.core.partition.dp.plan_partitions`."""
     fwd_end = forward_length(program)
-    group_ms = params.group_ms or _auto_group_ms(program, fwd_end, costs)
+    group_ms = policy.group_ms or _auto_group_ms(program, fwd_end, costs)
     groups = build_groups(program, fwd_end, costs, group_ms)
     ng = len(groups)
     result = DPResult(num_groups=ng, skew_aware=bool(costs.signatures))
     if ng == 0:
         return result
 
-    max_range = max_range_for(groups, params)
+    max_range = max_range_for(groups, policy)
 
     seq_prefix = np.concatenate([[0.0], np.cumsum([g.time_ms for g in groups])])
     has_a2a_prefix = np.concatenate(
@@ -96,7 +96,7 @@ def plan_partitions_reference(
             instrs = program.instructions[i_pos:n_pos]
             outside = consumers_after(i_pos, n_pos)
             k_limit = max_feasible_parts(instrs, program, axes)
-            for k in params.k_candidates:
+            for k in policy.k_candidates:
                 if k > k_limit:
                     continue
 

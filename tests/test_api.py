@@ -497,6 +497,35 @@ class TestPlanIdentity:
             assert published.placement == trainer.optimizer.placement
             assert PlanIdentity.of(published).key(store.digits) == event.key
 
+    def test_digests_are_computed_once_per_identity(self, monkeypatch):
+        """A resolved workload builds its identity once, and the identity
+        hashes each digest once; a fresh identity still hashes to the
+        same keys."""
+        import repro.api.store as store_mod
+        from repro.api.compiler import resolve_workload
+
+        resolved = resolve_workload(Scenario.preset("tiny/a100x8-hot"))
+        assert resolved.signatures
+        identity = resolved.identity
+        assert resolved.identity is identity
+        hashed = []
+        real = store_mod.canonical_digest
+        monkeypatch.setattr(
+            store_mod,
+            "canonical_digest",
+            lambda payload: hashed.append(payload) or real(payload),
+        )
+        keys = [identity.key(), identity.key(2), identity.key(3)]
+        bases = [identity.base_key(), identity.base_key()]
+        assert len(hashed) == 3  # digits 2, digits 3, base
+        assert keys[0] == keys[1] != keys[2] and bases[0] == bases[1]
+        fresh = replace(identity)
+        assert (fresh.key(), fresh.key(3), fresh.base_key()) == (
+            keys[0],
+            keys[2],
+            bases[0],
+        )
+
 
 #: ``(field, values, digests)``: two ``tiny/a100x8`` variants that compare
 #: equal but serialize apart, with their pinned scenario keys (the first
@@ -839,6 +868,62 @@ class TestTrainerIntegration:
         b = run_trainer()
         hits = [e for e in b.events if e.source == "store"]
         assert hits, "trainer B must reuse trainer A's published plans"
-        assert all(e.wall_seconds == 0.0 for e in hits)
+        # the trainer still waited for each answer: the store read
+        assert all(e.wall_seconds > 0 for e in hits)
         # identical trajectory regardless of where the plan came from
         assert a.loss_curve() == b.loss_curve()
+
+
+#: every ``PlanPolicy`` field is off its default in at least one case
+ONE_POLICY_CASES = {
+    "no-dw-rho2": PlanPolicy(enable_dw_schedule=False, max_partitions=2),
+    "no-partition-deferred": PlanPolicy(
+        enable_partition=False, defer_allreduce=True
+    ),
+    "hier-uniform-gamma-iota": PlanPolicy(
+        enable_hierarchical_a2a=True,
+        skew_aware=False,
+        group_ms=0.05,
+        max_range_groups=4,
+    ),
+}
+
+
+class TestOnePolicy:
+    """One ``PlanPolicy`` value reaches every planner front end: the
+    facade, the Lancet baseline and the re-optimizing trainer."""
+
+    @pytest.mark.parametrize(
+        "policy", ONE_POLICY_CASES.values(), ids=ONE_POLICY_CASES.keys()
+    )
+    def test_policy_reaches_every_planner(
+        self, policy, tiny_graph, small_cluster
+    ):
+        from repro.baselines import LancetFramework
+        from repro.ir import program_to_json
+        from repro.train import ReoptimizingTrainer
+
+        plan = compile(tiny_graph, small_cluster, policy=policy)
+        assert plan.policy == policy
+
+        baseline = LancetFramework(policy).prepare(tiny_graph, small_cluster)
+        assert program_to_json(baseline.program) == program_to_json(
+            plan.program
+        )
+
+        optimizer = policy.make_optimizer(small_cluster)
+        assert optimizer.policy is policy
+        trainer = ReoptimizingTrainer(
+            tiny_graph, optimizer, drift_threshold=0.0, seed=0
+        )
+        trainer.run(1)
+        [event] = trainer.events
+        # the trainer plans against what it observed, so its request
+        # is the skew-aware twin of the optimizer's policy
+        assert event.key == PlanIdentity(
+            graph_fingerprint(tiny_graph.program),
+            small_cluster,
+            replace(policy, skew_aware=True),
+            optimizer.framework,
+            trainer.plan_signatures,
+        ).key()

@@ -8,8 +8,8 @@ from repro.core import (
     CachingOpProfiler,
     CommCostModel,
     CostEstimator,
-    LancetHyperParams,
     PlannerState,
+    PlanPolicy,
 )
 from repro.ir import AXIS_IRREGULAR as IRR
 from repro.ir import NOT_PARTITIONED as NP
@@ -188,7 +188,7 @@ class TestIncrementalMatchesOracle:
         )
         state = PlannerState()
         state.prepare(
-            program, costs, LancetHyperParams(), forward_length(program)
+            program, costs, PlanPolicy(), forward_length(program)
         )
         groups = state.groups
         seen = {"feasible": 0, "infeasible": 0, "moe_only": 0}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from generators import fresh_values
-from repro import GPT2MoEConfig, build_training_graph, validate
+from repro import GPT2MoEConfig, PlanPolicy, build_training_graph, validate
 from repro.baselines import (
     DeepSpeedBaseline,
     LancetFramework,
@@ -119,5 +119,6 @@ class TestLancetFramework:
 
     def test_ablation_flags_forwarded(self, setting):
         graph, cluster = setting
-        res = LancetFramework(enable_partition=False).prepare(graph, cluster)
+        policy = PlanPolicy(enable_partition=False)
+        res = LancetFramework(policy).prepare(graph, cluster)
         assert res.info["report"].partition is None

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles.cluster_reference import simulate_cluster_reference
 
-from repro.core import LancetOptimizer
+from repro.core import LancetOptimizer, PlanPolicy
 from repro.faults import (
     FaultInjector,
     FaultSchedule,
@@ -112,7 +112,9 @@ class TestScenarioBatchDifferential:
         path must price them exactly like the scalar simulator."""
         cluster = ClusterSpec.p3dn(2)
         graph = build_grid_graph(2, 16, 8, 256)
-        opt = LancetOptimizer(cluster, enable_hierarchical_a2a=True)
+        opt = LancetOptimizer(
+            cluster, policy=PlanPolicy(enable_hierarchical_a2a=True)
+        )
         routing = SyntheticRoutingModel(
             seed=1, concentration=0.3, hot_experts=1, hot_boost=0.7
         )

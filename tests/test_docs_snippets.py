@@ -64,3 +64,16 @@ def test_docs_exist_and_are_linked():
         "docs/RELIABILITY.md",
     ):
         assert name in readme, f"README does not link {name}"
+
+
+def test_backticked_dotted_names_resolve():
+    """The checker finds backticked dotted ``repro.…`` names and refuses
+    one that no longer resolves; modules, attributes and nested
+    attributes resolve."""
+    text = "see `repro`, `repro.compile` and `repro.compile_plan()`"
+    assert check_docs._DOTTED.findall(text) == ["repro.compile"]
+    assert check_docs.resolves("repro.api")
+    assert check_docs.resolves("repro.api.PlanPolicy")
+    assert check_docs.resolves("repro.api.PlanPolicy.make_optimizer")
+    assert not check_docs.resolves("repro.compile_plan")
+    assert not check_docs.resolves("repro.no_such_module.thing")

@@ -6,7 +6,7 @@ import pytest
 
 from generators import fresh_values
 from repro import GPT2MoEConfig, LancetOptimizer, build_training_graph, validate
-from repro.core import GradSyncDeferPass
+from repro.core import GradSyncDeferPass, PlanPolicy
 from repro.models.init import init_device_values
 from repro.runtime import (
     ClusterSpec,
@@ -197,7 +197,8 @@ class TestGradSyncDefer:
         cluster = ClusterSpec.for_gpus("v100", 32)
 
         def measure(**flags):
-            opt, _ = LancetOptimizer(cluster, **flags).optimize(graph)
+            policy = PlanPolicy(**flags)
+            opt, _ = LancetOptimizer(cluster, policy=policy).optimize(graph)
             sim = SimulationConfig(
                 cluster=cluster,
                 padded_a2a=False,

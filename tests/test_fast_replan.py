@@ -18,6 +18,8 @@ Acceptance coverage of the planner-performance subsystem:
   cold compiles.
 """
 
+from dataclasses import replace
+
 import pytest
 from generators import PROGRAM_GRID, build_grid_graph, routing_models
 from oracles.dp_reference import plan_partitions_reference
@@ -29,7 +31,6 @@ from repro.core import (
     CachingOpProfiler,
     CommCostModel,
     CostEstimator,
-    LancetHyperParams,
     LancetOptimizer,
     LRUCache,
     PlannerState,
@@ -181,9 +182,9 @@ class TestEquivalence:
         state = PlannerState()
         costs = fresh_costs(cluster)
         plan_partitions(graph.program, costs, state=state)
-        params = LancetHyperParams(max_partitions=2)
-        fast = plan_partitions(graph.program, costs, params, state=state)
-        ref = plan_partitions_reference(graph.program, fresh_costs(cluster), params)
+        policy = PlanPolicy(max_partitions=2)
+        fast = plan_partitions(graph.program, costs, policy, state=state)
+        ref = plan_partitions_reference(graph.program, fresh_costs(cluster), policy)
         assert_identical(fast, ref)
         assert all(p.parts <= 2 for p in fast.plans)
 
@@ -470,7 +471,7 @@ class TestTrainerIntegration:
         assert tr.events[-1].key == PlanIdentity(
             graph_fingerprint(tiny_graph.program),
             opt.cluster,
-            PlanPolicy.from_optimizer(opt),
+            replace(opt.policy, skew_aware=True),
             opt.framework,
             tr.plan_signatures,
         ).key()
@@ -583,7 +584,7 @@ class TestTrainerViaServer:
             srv.drain()
         [event] = second.events
         assert event.source == "nearest" and event.migrated
-        assert event.wall_seconds == 0.0
+        assert event.wall_seconds > 0  # the server round trip
         # drift is measured against the neighbor's own signatures, so
         # the next observation re-plans (and finds the swapped-in plan)
         assert signature_bucket(second.plan_signatures) == signature_bucket(

@@ -506,7 +506,7 @@ class TestFaultReplanPath:
                 {1: 2.0},
             )
         assert second.source == "store"
-        assert second.wall_seconds == 0.0
+        assert second.wall_seconds > 0  # the server round trip
         assert second.key == first.key
 
     def test_second_onset_plans_warm_through_the_server(

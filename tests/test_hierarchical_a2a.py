@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.core import CommCostModel, LancetOptimizer
+from repro.core import CommCostModel, LancetOptimizer, PlanPolicy
 from repro.runtime import (
     ClusterSpec,
     RoutingSignature,
@@ -308,7 +308,9 @@ class TestOptimizerChoice:
         signatures = opt_flat.observe_routing(graph, routing)
         prog_flat, rep_flat = opt_flat.optimize(graph)
 
-        opt_hier = LancetOptimizer(cluster, enable_hierarchical_a2a=True)
+        opt_hier = LancetOptimizer(
+            cluster, policy=PlanPolicy(enable_hierarchical_a2a=True)
+        )
         opt_hier.set_routing_signatures(signatures or None)
         prog_hier, rep_hier = opt_hier.optimize(graph)
 
@@ -362,7 +364,7 @@ class TestTrainerIntegration:
         def run(**kw):
             trainer = ReoptimizingTrainer(
                 graph,
-                LancetOptimizer(cluster, **kw),
+                LancetOptimizer(cluster, policy=PlanPolicy(**kw)),
                 drift_threshold=0.02,
             )
             trainer.run(3)

@@ -44,7 +44,6 @@ class TestPassManager:
         pm.run(small_program())
         assert len(pm.timings) == 1
         assert pm.timings[0].name == "append-relu"
-        assert pm.total_seconds() >= 0
 
     def test_validates_after_each_pass(self):
         pm = PassManager().add(BreakSSA())

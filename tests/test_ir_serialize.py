@@ -16,6 +16,7 @@ import pytest
 from repro import (
     ClusterSpec,
     LancetOptimizer,
+    PlanPolicy,
     SimulationConfig,
     SyntheticRoutingModel,
     simulate_program,
@@ -79,7 +80,7 @@ class TestRoundTrip:
         graph = tiny_graph(num_gpus=16)
         cluster = ClusterSpec.for_gpus("a100", 16)
         optimized, _ = LancetOptimizer(
-            cluster, enable_hierarchical_a2a=hierarchical
+            cluster, policy=PlanPolicy(enable_hierarchical_a2a=hierarchical)
         ).optimize(graph)
         p2 = roundtrip(optimized)
 

@@ -6,8 +6,8 @@ import pytest
 from generators import fresh_values
 from repro import (
     GPT2MoEConfig,
-    LancetHyperParams,
     LancetOptimizer,
+    PlanPolicy,
     build_training_graph,
     validate,
 )
@@ -72,10 +72,10 @@ class TestOptimize:
         graph, cluster = medium
         _, r_full = LancetOptimizer(cluster).optimize(graph)
         _, r_nodw = LancetOptimizer(
-            cluster, enable_dw_schedule=False
+            cluster, policy=PlanPolicy(enable_dw_schedule=False)
         ).optimize(graph)
         _, r_nopart = LancetOptimizer(
-            cluster, enable_partition=False
+            cluster, policy=PlanPolicy(enable_partition=False)
         ).optimize(graph)
         assert r_nodw.dw_schedule is None and r_nodw.partition is not None
         assert r_nopart.partition is None and r_nopart.dw_schedule is not None
@@ -83,8 +83,10 @@ class TestOptimize:
 
     def test_hyper_params_threaded(self, medium):
         graph, cluster = medium
-        hp = LancetHyperParams(max_partitions=2)
-        _, report = LancetOptimizer(cluster, hyper_params=hp).optimize(graph)
+        policy = PlanPolicy(max_partitions=2)
+        opt = LancetOptimizer(cluster, policy=policy)
+        assert opt.policy is policy
+        _, report = opt.optimize(graph)
         assert all(p.parts <= 2 for p in report.partition.plans)
 
     def test_profiler_cache_reused_across_optimizations(self, medium):

@@ -1,4 +1,4 @@
-"""Tests for the pipeline scheduler, DP range selection and hyper-params."""
+"""Tests for the pipeline scheduler, DP range selection and its knobs."""
 
 import pytest
 
@@ -7,7 +7,7 @@ from repro.core import (
     CachingOpProfiler,
     CommCostModel,
     CostEstimator,
-    LancetHyperParams,
+    PlanPolicy,
     plan_partitions,
 )
 from repro.core.partition import (
@@ -175,14 +175,14 @@ class TestDP:
     def test_respects_max_partitions(self, env):
         _, costs, graph = env
         res = plan_partitions(
-            graph.program, costs, LancetHyperParams(max_partitions=2)
+            graph.program, costs, PlanPolicy(max_partitions=2)
         )
         assert all(p.parts <= 2 for p in res.plans)
 
     def test_k_candidates(self):
-        assert LancetHyperParams(max_partitions=8).k_candidates == [2, 4, 8]
-        assert LancetHyperParams(max_partitions=4).k_candidates == [2, 4]
-        assert LancetHyperParams(max_partitions=1).k_candidates == []
+        assert PlanPolicy(max_partitions=8).k_candidates == [2, 4, 8]
+        assert PlanPolicy(max_partitions=4).k_candidates == [2, 4]
+        assert PlanPolicy(max_partitions=1).k_candidates == []
 
     def test_bpr_plans_exclude_gate(self):
         cluster = ClusterSpec.p4de(2)

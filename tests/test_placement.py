@@ -695,7 +695,7 @@ class TestTrainerMigration:
         """A placement switch must not alias the pre-switch plan cache
         entries: the re-plan's request key embeds the placement
         fingerprint."""
-        from repro.api import PlanIdentity, PlanPolicy, graph_fingerprint
+        from repro.api import PlanIdentity, graph_fingerprint
 
         graph, cluster = placed_setup
         trainer = self._trainer(graph, cluster, with_placement=True)
@@ -709,7 +709,7 @@ class TestTrainerMigration:
         placed = PlanIdentity(
             graph_fingerprint(graph.program),
             opt.cluster,
-            PlanPolicy.from_optimizer(opt),
+            dataclasses.replace(opt.policy, skew_aware=True),
             opt.framework,
             trainer.plan_signatures,
             placement,

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.api import (
     PlanIdentity,
-    PlanPolicy,
     PlanStore,
     Scenario,
     graph_fingerprint,
@@ -441,7 +442,7 @@ class TestTrainerIntegration:
             key = PlanIdentity(
                 graph_fingerprint(tiny_graph.program),
                 small_cluster,
-                PlanPolicy.from_optimizer(trainer.optimizer),
+                replace(trainer.optimizer.policy, skew_aware=True),
                 trainer.optimizer.framework,
                 trainer.plan_signatures,
             ).key(store.digits)
@@ -450,7 +451,7 @@ class TestTrainerIntegration:
             again = server.serve(
                 tiny_graph,
                 small_cluster,
-                policy=PlanPolicy.from_optimizer(trainer.optimizer),
+                policy=replace(trainer.optimizer.policy, skew_aware=True),
                 signatures=trainer.plan_signatures,
             )
         assert again.origin == "memory" and again.key == key

@@ -235,7 +235,8 @@ class TestReoptimizingTrainer:
 
     def test_plan_cache_hits_are_free(self, tiny_setup, tmp_path):
         """A signature bucket already in the plan server's memory cache
-        is answered from it: no planner run, no wall time."""
+        is answered from it: no planner run, and the trainer waits only
+        for the server round trip."""
         from repro.api import PlanStore
         from repro.serving import PlanServer
 
@@ -263,11 +264,11 @@ class TestReoptimizingTrainer:
             assert server.counters["planner_runs"] == runs
         assert [e.source for e in second.events] == ["memory"] * 3
         assert all(
-            e.wall_seconds == 0.0 and not e.warm_start and e.migrated
+            e.wall_seconds > 0 and not e.warm_start and e.migrated
             for e in second.events
         )
         assert [e.key for e in second.events] == [e.key for e in first.events]
-        assert second.reoptimization_seconds == 0.0
+        assert second.reoptimization_seconds < first.reoptimization_seconds
         assert second.loss_curve() == first.loss_curve()
 
     def test_high_threshold_never_reoptimizes(self, tiny_setup):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation hygiene checker (run by the CI ``docs`` job).
 
-Three checks over the repo's markdown:
+Four checks over the repo's markdown:
 
 1. **Intra-repo links resolve.**  Every relative markdown link target
    (``[text](path)``, ``path`` not a URL or pure anchor) must exist on
@@ -15,6 +15,9 @@ Three checks over the repo's markdown:
    mentioned somewhere under ``docs/`` (or the README) -- the facade
    surface cannot silently outgrow its documentation.  (Runs only in
    default mode, where the full corpus is checked.)
+4. **Dotted names resolve.**  Every dotted ``repro.…`` name written in
+   backticks must import and resolve, so a deleted or renamed name
+   cannot linger in the prose.
 
 Usage:  python tools/check_docs.py [files...]
         (no arguments = README.md + all of docs/)
@@ -24,6 +27,7 @@ Exit status: 0 = clean, 1 = problems found.
 
 from __future__ import annotations
 
+import importlib
 import pathlib
 import re
 import sys
@@ -33,6 +37,8 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 #: [text](target) -- excluding images; target captured up to ) or space
 _LINK = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 _FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
+#: a backticked dotted name rooted at the package: `repro.api.compile`
+_DOTTED = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)`")
 
 
 def default_files() -> list[pathlib.Path]:
@@ -87,37 +93,63 @@ _COVERED_MODULES = (
 
 def check_symbol_coverage(files: list[pathlib.Path]) -> list[str]:
     """Every public facade symbol is mentioned in the doc corpus."""
-    import importlib
+    corpus = "\n".join(f.read_text() for f in files if f.exists())
+    problems = []
+    for module_name in _COVERED_MODULES:
+        module = importlib.import_module(module_name)
+        for name in module.__all__:
+            if name not in corpus:
+                problems.append(
+                    f"{module_name}.{name} is public but never "
+                    f"mentioned in README.md or docs/"
+                )
+    return problems
 
-    sys.path.insert(0, str(REPO / "src"))
-    try:
-        corpus = "\n".join(f.read_text() for f in files if f.exists())
-        problems = []
-        for module_name in _COVERED_MODULES:
-            module = importlib.import_module(module_name)
-            for name in module.__all__:
-                if name not in corpus:
-                    problems.append(
-                        f"{module_name}.{name} is public but never "
-                        f"mentioned in README.md or docs/"
-                    )
-        return problems
-    finally:
-        sys.path.remove(str(REPO / "src"))
+
+def resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names an importable module, or an attribute
+    path under the longest importable module prefix."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        try:
+            for attr in parts[cut:]:
+                obj = getattr(obj, attr)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def check_dotted_names(path: pathlib.Path) -> list[str]:
+    """Every backticked ``repro.…`` name in a file resolves."""
+    return [
+        f"{path.relative_to(REPO)}: `{name}` does not resolve"
+        for name in sorted(set(_DOTTED.findall(path.read_text())))
+        if not resolves(name)
+    ]
 
 
 def main(argv: list[str] | None = None) -> int:
     args = argv if argv is not None else sys.argv[1:]
-    files = [pathlib.Path(a) for a in args] or default_files()
+    files = [pathlib.Path(a).resolve() for a in args] or default_files()
     problems: list[str] = []
-    for f in files:
-        if not f.exists():
-            problems.append(f"missing file: {f}")
-            continue
-        problems += check_links(f)
-        problems += check_snippets(f)
-    if not args:  # full-corpus mode: coverage is meaningful
-        problems += check_symbol_coverage(files)
+    sys.path.insert(0, str(REPO / "src"))
+    try:
+        for f in files:
+            if not f.exists():
+                problems.append(f"missing file: {f}")
+                continue
+            problems += check_links(f)
+            problems += check_snippets(f)
+            problems += check_dotted_names(f)
+        if not args:  # full-corpus mode: coverage is meaningful
+            problems += check_symbol_coverage(files)
+    finally:
+        sys.path.remove(str(REPO / "src"))
     if problems:
         print("documentation problems:", file=sys.stderr)
         for p in problems:
@@ -126,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
     coverage = "" if args else ", public symbols covered"
     print(
         f"docs OK: {len(files)} files, links resolve, snippets "
-        f"compile{coverage}"
+        f"compile, dotted names resolve{coverage}"
     )
     return 0
 
