@@ -23,7 +23,7 @@ share the exact same workload-identity and planning logic:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from ..ir import Program
@@ -262,12 +262,25 @@ def plan_resolved(
     serving) is cache machinery.  Staged workloads (``resolved.pipeline``
     set) route through the pipeline boundary planner, which runs one
     optimizer per stage, so they take no ``optimizer``.
+
+    The plan is filed under ``resolved.policy``, so a given
+    ``optimizer`` must plan under that policy; only ``skew_aware`` may
+    differ (it decides whether signatures are observed, which
+    ``resolved`` already settled).  A mismatch raises ``ValueError``.
     """
     if resolved.pipeline is not None:
         if optimizer is not None:
             raise TypeError("staged workloads build one optimizer per stage")
         return _plan_resolved_staged(resolved, check=check)
     t0 = time.perf_counter()
+    if optimizer is not None and (
+        replace(optimizer.policy, skew_aware=resolved.policy.skew_aware)
+        != resolved.policy
+    ):
+        raise ValueError(
+            f"optimizer plans under {optimizer.policy}, but the plan "
+            f"would be filed under {resolved.policy}"
+        )
     if optimizer is None:
         optimizer = resolved.policy.make_optimizer(
             resolved.cluster, resolved.framework

@@ -103,6 +103,7 @@ def run(grid=DEFAULT_GRID, cluster_kind: str = "a100") -> FigureResult:
                 "warm_replan_ms": warm_best * 1e3,
                 "speedup": cold_s / warm_best,
                 "cost_evals": cold_report.partition.num_cost_evals,
+                "cold_pipeline_sims": cold_report.partition.num_pipeline_sims,
                 "warm_pipeline_sims": warm_sims,
                 "warm_bit_identical": warm_identical,
             }
@@ -150,10 +151,14 @@ def run(grid=DEFAULT_GRID, cluster_kind: str = "a100") -> FigureResult:
         ),
         # lower-is-better gates for check_regression.py.  The ratio is
         # wall-time based but machine-normalized; the eval/sim counts are
-        # fully deterministic.
+        # fully deterministic (the sims count the candidates that
+        # survived the DP's lower bound).
         "regression_metrics": {
             "warm_over_cold_ratio_worst": worst_ratio,
             "cost_evals_reference": float(reference["cost_evals"]),
+            "cold_pipeline_sims_reference": float(
+                reference["cold_pipeline_sims"]
+            ),
             "warm_pipeline_sims_reference": float(
                 reference["warm_pipeline_sims"]
             ),

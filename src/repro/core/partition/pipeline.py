@@ -20,13 +20,18 @@ the routing signature (stage decomposition, intra-range dependencies,
 boundary-overhead operands, chunk-duration cache keys) and
 :class:`PlanCaches` memoizes the signature-independent numbers (compute
 chunk durations, boundary overheads) plus finished pipeline simulations
-keyed by the realized all-to-all chunk durations.  There is one pricing
-method, :meth:`RangeContext.cost`: the one-shot :func:`pipeline_cost_ms`
-behind the reference DP calls it uncached, the fast DP with its
-:class:`PlanCaches`.  Both run the same chunk durations through the same
-scalar recurrence, :meth:`RangeContext.simulate_ms`, so caching can
-never change a predicted number: a cache hit returns the value the
-uncached evaluation would have produced, bit for bit.
+keyed by the realized all-to-all chunk durations.
+
+:meth:`RangeContext.cost` is ``P(i, n, k)`` in one uncached call, the
+one-shot :func:`pipeline_cost_ms` behind the reference DP.  The fast DP
+calls the memoized pieces in turn -- :meth:`~RangeContext.a2a_durations`
+(priced once per plan), :meth:`~RangeContext.overhead_ms`, the exact
+:meth:`~RangeContext.lower_bound_ms` it prunes with, and only then
+:meth:`~RangeContext.pipeline_ms`.  Both paths run the same chunk
+durations through the same scalar recurrence,
+:meth:`RangeContext.simulate_ms`, so caching can never change a
+predicted number: a cache hit returns the value the uncached evaluation
+would have produced, bit for bit.
 """
 
 from __future__ import annotations
@@ -159,6 +164,11 @@ class PipelineCost:
 #: plan produces ~1.1k) and evictions only cost a re-simulation.
 DEFAULT_SIM_CACHE_SIZE = 8192
 
+#: relative margin :meth:`RangeContext.lower_bound_ms` scales its bound
+#: down by, so float summation order can never lift it above the
+#: recurrence's makespan (see the method)
+BOUND_MARGIN = 1e-9
+
 
 @dataclass
 class PlanCaches:
@@ -194,17 +204,6 @@ class PlanCaches:
         }
 
 
-def _memoized(cache: LRUCache | None, key, compute):
-    """``compute()``, looked up in and stored to ``cache`` when given."""
-    if cache is None:
-        return compute()
-    value = cache.get(key)
-    if value is None:
-        value = compute()
-        cache.put(key, value)
-    return value
-
-
 class RangeContext:
     """Everything about one candidate range that is independent of ``k``
     and of the routing signature.
@@ -226,6 +225,8 @@ class RangeContext:
         "stages",
         "deps",
         "a2a_idx",
+        "a2a_irregular",
+        "a2a_on_comm",
         "chunk_keys",
         "entry_nbytes",
         "exit_pairs",
@@ -276,6 +277,10 @@ class RangeContext:
         self.a2a_idx = [
             i for i, ins in enumerate(instrs) if ins.op == "all_to_all"
         ]
+        self.a2a_irregular = [
+            axes.axis_of(instrs[i].outputs[0]) == IRR for i in self.a2a_idx
+        ]
+        self.a2a_on_comm = [instrs[i].is_comm for i in self.a2a_idx]
         # memoization key per non-collective instruction: the chunk
         # duration is a pure function of (instr, operand axes, parts)
         self.chunk_keys: list[tuple | None] = []
@@ -306,30 +311,25 @@ class RangeContext:
             for vid in sorted(produced)
             if axes.axis_of(vid) != NP
         ]
-        # parts -> duration list with all-to-all slots left as None (the
-        # only signature-dependent entries); filled per evaluation
-        self._dur_templates: dict[int, list] = {}
+        # parts -> (duration list with all-to-all slots left as None,
+        # compute sum, comm sum); see _template
+        self._dur_templates: dict[int, tuple[list, float, float]] = {}
 
-    # -- the three cost components ----------------------------------------
+    # -- the cost components ----------------------------------------------
 
-    def chunk_durations(
-        self, parts: int, costs: CostEstimator, caches: PlanCaches | None
-    ) -> list[float]:
-        """Per-instruction chunk durations at ``parts``-way splitting.
-
-        All-to-alls always re-price through the estimator (its own cache
-        keys on the routing signature); everything else is memoized here.
-        """
-        axes = self.axes
-        if caches is None:
-            return [
-                chunk_duration_ms(ins, self.program, axes, parts, costs)
-                for ins in self.instrs
-            ]
-        template = self._dur_templates.get(parts)
-        if template is None:
+    def _template(
+        self, parts: int, costs: CostEstimator, caches: PlanCaches
+    ) -> tuple[list, float, float]:
+        """``(durations, compute sum, comm sum)`` at ``parts``-way
+        splitting, memoized per ``parts``.  The duration list leaves the
+        all-to-all slots as None (the only signature-dependent entries);
+        the two sums add up the other slots per stream, for
+        :meth:`lower_bound_ms`."""
+        entry = self._dur_templates.get(parts)
+        if entry is None:
             chunk = caches.chunk
             template = []
+            comp_sum = comm_sum = 0.0
             for ins, key in zip(self.instrs, self.chunk_keys):
                 if key is None:  # all_to_all: re-priced per evaluation
                     template.append(None)
@@ -338,21 +338,109 @@ class RangeContext:
                 t = chunk.get(full_key)
                 if t is None:
                     t = _compute_chunk_ms(
-                        ins, self.program, axes, parts, costs
+                        ins, self.program, self.axes, parts, costs
                     )
                     chunk.put(full_key, t)
                 template.append(t)
-            self._dur_templates[parts] = template
-        durs = template.copy()
-        for i in self.a2a_idx:
+                if ins.is_comm:
+                    comm_sum += t
+                else:
+                    comp_sum += t
+            entry = (template, comp_sum, comm_sum)
+            self._dur_templates[parts] = entry
+        return entry
+
+    def a2a_durations(
+        self, parts: int, costs: CostEstimator, prices: dict
+    ) -> tuple[float, ...]:
+        """Chunk durations of the range's all-to-alls, in range order.
+
+        They price through the estimator (its own cache keys on the
+        routing signature); ``prices`` memoizes them by ``(uid, parts,
+        irregular)`` while the estimator's signatures stay put -- the DP
+        keeps one such dict per plan.
+        """
+        out = []
+        for i, irregular in zip(self.a2a_idx, self.a2a_irregular):
             ins = self.instrs[i]
-            durs[i] = costs.a2a_chunk_ms(
-                ins,
-                self.program,
-                parts,
-                irregular=(axes.axis_of(ins.outputs[0]) == IRR),
-            )
+            key = (ins.uid, parts, irregular)
+            t = prices.get(key)
+            if t is None:
+                t = costs.a2a_chunk_ms(ins, self.program, parts, irregular)
+                prices[key] = t
+            out.append(t)
+        return tuple(out)
+
+    def chunk_durations(self, parts: int, costs: CostEstimator) -> list[float]:
+        """Per-instruction chunk durations at ``parts``-way splitting,
+        each priced afresh (the memoized path fills :meth:`_template`)."""
+        return [
+            chunk_duration_ms(ins, self.program, self.axes, parts, costs)
+            for ins in self.instrs
+        ]
+
+    def _filled(
+        self,
+        parts: int,
+        a2a: tuple[float, ...],
+        costs: CostEstimator,
+        caches: PlanCaches,
+    ) -> list[float]:
+        """The memoized template with the all-to-all slots filled in."""
+        durs = self._template(parts, costs, caches)[0].copy()
+        for i, t in zip(self.a2a_idx, a2a):
+            durs[i] = t
         return durs
+
+    def lower_bound_ms(
+        self,
+        parts: int,
+        a2a: tuple[float, ...],
+        costs: CostEstimator,
+        caches: PlanCaches,
+    ) -> float:
+        """A lower bound on :meth:`simulate_ms` for the all-to-all chunk
+        durations ``a2a``: ``max(parts * compute sum, parts * comm sum)``
+        scaled down by :data:`BOUND_MARGIN`.
+
+        Each stream's free time only grows by ``start + dur`` with
+        ``start >= free``, so the recurrence's makespan is at least the
+        float sum of every chunk on either stream.  This bound adds the
+        same positive terms in another order, and two orders of N terms
+        differ by at most ~2N unit roundoffs (~2e-13 for N ~ 1000), far
+        inside the margin.
+        """
+        _, comp, comm = self._template(parts, costs, caches)
+        for t, on_comm in zip(a2a, self.a2a_on_comm):
+            if on_comm:
+                comm += t
+            else:
+                comp += t
+        return max(parts * comp, parts * comm) * (1.0 - BOUND_MARGIN)
+
+    def pipeline_ms(
+        self,
+        parts: int,
+        a2a: tuple[float, ...],
+        costs: CostEstimator,
+        caches: PlanCaches,
+    ) -> float:
+        """The recurrence's makespan for the all-to-all chunk durations
+        ``a2a``, memoized in ``caches.sim``.
+
+        A finished simulation depends only on the range structure and
+        the duration vector; the non-a2a entries are pinned by (range,
+        parts), so keying by the all-to-all durations makes the entry
+        self-invalidating under drift.
+        """
+        key = (self.start, self.end, parts, a2a)
+        value = caches.sim.get(key)
+        if value is None:
+            value = self.simulate_ms(
+                self._filled(parts, a2a, costs, caches), parts
+            )
+            caches.sim.put(key, value)
+        return value
 
     def boundary_overhead_ms(
         self, parts: int, costs: CostEstimator, consumers_after
@@ -381,6 +469,22 @@ class RangeContext:
             if vid in consumers_after:
                 overhead += fw.launch_ms(1) + gpu.mem_time_ms(2.0 * nbytes)
         return overhead
+
+    def overhead_ms(
+        self,
+        parts: int,
+        costs: CostEstimator,
+        consumers_after,
+        caches: PlanCaches,
+    ) -> float:
+        """:meth:`boundary_overhead_ms`, memoized in ``caches.overhead``
+        by (range, parts)."""
+        key = (self.start, self.end, parts)
+        value = caches.overhead.get(key)
+        if value is None:
+            value = self.boundary_overhead_ms(parts, costs, consumers_after)
+            caches.overhead.put(key, value)
+        return value
 
     def simulate_ms(self, durs: list[float], parts: int) -> float:
         """The two-stream pipeline recurrence over the interleaved order.
@@ -424,35 +528,19 @@ class RangeContext:
         return max(end)
 
     def cost(
-        self,
-        parts: int,
-        costs: CostEstimator,
-        consumers_after=None,
-        caches: PlanCaches | None = None,
+        self, parts: int, costs: CostEstimator, consumers_after=None
     ) -> PipelineCost:
-        """The paper's ``P(i, n, k)`` for this range.
+        """The paper's ``P(i, n, k)`` for this range, priced uncached.
 
-        With ``caches``, the chunk template, the finished simulation and
-        the boundary overhead are memoized; a hit returns the value the
-        uncached evaluation would have produced, bit for bit.
+        The fast DP evaluates the same pieces memoized
+        (:meth:`a2a_durations`, :meth:`overhead_ms`,
+        :meth:`pipeline_ms`); a cache hit there returns the value this
+        evaluation produces, bit for bit.
         """
-        durs = self.chunk_durations(parts, costs, caches)
-        # a finished simulation depends only on the range structure and
-        # the duration vector; the non-a2a entries are pinned by (range,
-        # parts), so keying by the realized all-to-all chunk durations
-        # makes the entry self-invalidating under drift
-        pipeline_ms = _memoized(
-            None if caches is None else caches.sim,
-            (self.start, self.end, parts, tuple(durs[i] for i in self.a2a_idx)),
-            lambda: self.simulate_ms(durs, parts),
-        )
+        pipeline_ms = self.simulate_ms(self.chunk_durations(parts, costs), parts)
         overhead = 0.0
         if consumers_after is not None:
-            overhead = _memoized(
-                None if caches is None else caches.overhead,
-                (self.start, self.end, parts),
-                lambda: self.boundary_overhead_ms(parts, costs, consumers_after),
-            )
+            overhead = self.boundary_overhead_ms(parts, costs, consumers_after)
         return PipelineCost(
             total_ms=pipeline_ms + overhead,
             pipeline_ms=pipeline_ms,

@@ -38,8 +38,10 @@ def _chunk_sizes(total: int, parts: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(parts)]
 
 
-def apply_plan(program: Program, plan: RangePlan) -> None:
-    """Rewrite ``program`` in place, partitioning one range."""
+def _rewrite_range(program: Program, plan: RangePlan) -> dict[int, int]:
+    """Splice the partitioned form of one range into ``program`` in
+    place and return its substitution (original exported value id ->
+    reconstructed id).  Later uses are left for the caller to remap."""
     start, end, k, axes = plan.start, plan.end, plan.parts, plan.axes
     instrs = program.instructions[start:end]
     pre = program.instructions[:start]
@@ -202,13 +204,32 @@ def apply_plan(program: Program, plan: RangePlan) -> None:
             (full,) = emit("concat", chunks, attrs={"axis": axis}, kind=InstrKind.FORWARD)
         substitution[vid] = full.id
 
-    # -- splice & remap later uses ---------------------------------------------------
+    # -- splice ---------------------------------------------------------------------
     program.instructions = pre + new_seq + post
-    program.remap_uses(substitution, start=len(pre) + len(new_seq))
+    return substitution
+
+
+def apply_plan(program: Program, plan: RangePlan) -> None:
+    """Rewrite ``program`` in place, partitioning one range."""
+    apply_plans(program, [plan])
 
 
 def apply_plans(program: Program, plans: list[RangePlan]) -> None:
-    """Apply multiple non-overlapping plans (descending start order keeps
-    positions valid)."""
+    """Apply multiple non-overlapping plans, then remap later uses once.
+
+    Ranges are rewritten in descending start order, which keeps the
+    positions of the ones still to come valid and numbers new values
+    the same way every time.  One :meth:`~repro.ir.Program.remap_uses`
+    pass from the lowest plan start then redirects every consumer of an
+    exported value.  That equals remapping after each range: in SSA
+    order nothing before a range reads what the range produces, a
+    rewritten body reads only chunk values, entry values and values
+    from outside the range, and the substitution keys of different
+    ranges are disjoint original ids whose targets are all fresh.
+    """
+    if not plans:
+        return
+    substitution: dict[int, int] = {}
     for plan in sorted(plans, key=lambda pl: pl.start, reverse=True):
-        apply_plan(program, plan)
+        substitution.update(_rewrite_range(program, plan))
+    program.remap_uses(substitution, start=min(pl.start for pl in plans))

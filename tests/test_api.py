@@ -927,3 +927,26 @@ class TestOnePolicy:
             optimizer.framework,
             trainer.plan_signatures,
         ).key()
+
+    def test_plan_resolved_rejects_an_optimizer_of_another_policy(
+        self, tiny_graph, small_cluster
+    ):
+        """A plan is filed under ``resolved.policy``; an optimizer that
+        plans under a different policy would file a schedule that policy
+        did not produce (here: a dW pass run under
+        ``enable_dw_schedule=False``).  Only ``skew_aware`` may differ."""
+        from repro.api.compiler import plan_resolved, resolve_workload
+        from repro.core import LancetOptimizer
+
+        no_dw = PlanPolicy(enable_dw_schedule=False)
+        resolved = resolve_workload(tiny_graph, small_cluster, policy=no_dw)
+        with pytest.raises(ValueError, match="filed under"):
+            plan_resolved(resolved, optimizer=LancetOptimizer(small_cluster))
+
+        plan = plan_resolved(
+            resolved, optimizer=replace(no_dw, skew_aware=True).make_optimizer(
+                small_cluster
+            )
+        )
+        assert plan.policy == no_dw
+        assert "num_dw_moved" not in plan.planner
