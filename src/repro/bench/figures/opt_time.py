@@ -47,6 +47,11 @@ def _program_key(program):
     ]
 
 
+def _rows_priced(report) -> int:
+    """Prediction rows the optimizer has priced afresh so far."""
+    return report.cache_stats["planner_warm_path"]["prediction_rows_priced"]
+
+
 def run(grid=DEFAULT_GRID, cluster_kind: str = "a100") -> FigureResult:
     rows = []
     for label, layers, gpus, batch, seq in grid:
@@ -68,6 +73,7 @@ def run(grid=DEFAULT_GRID, cluster_kind: str = "a100") -> FigureResult:
         warm_s = []
         warm_sims = 0
         warm_identical = True
+        priced = _rows_priced(cold_report)
         for drift in DRIFTS:
             routing = SyntheticRoutingModel(**drift)
             sigs = opt.observe_routing(graph, routing)
@@ -75,6 +81,8 @@ def run(grid=DEFAULT_GRID, cluster_kind: str = "a100") -> FigureResult:
             warm_prog, warm_report = opt.optimize(graph)
             warm_s.append(time.perf_counter() - t0)
             warm_sims = warm_report.partition.num_pipeline_sims
+            warm_priced = _rows_priced(warm_report) - priced
+            priced += warm_priced
             assert warm_report.partition.warm_start
             # the warm plan must equal what a cold optimizer, handed the
             # same signatures, would have produced -- bit for bit
@@ -105,6 +113,7 @@ def run(grid=DEFAULT_GRID, cluster_kind: str = "a100") -> FigureResult:
                 "cost_evals": cold_report.partition.num_cost_evals,
                 "cold_pipeline_sims": cold_report.partition.num_pipeline_sims,
                 "warm_pipeline_sims": warm_sims,
+                "warm_rows_priced": warm_priced,
                 "warm_bit_identical": warm_identical,
             }
         )
@@ -161,6 +170,11 @@ def run(grid=DEFAULT_GRID, cluster_kind: str = "a100") -> FigureResult:
             ),
             "warm_pipeline_sims_reference": float(
                 reference["warm_pipeline_sims"]
+            ),
+            # rows the last warm re-plan's prediction priced afresh: its
+            # all-to-alls and the rows of ranges it rewrote, not replayed
+            "warm_rows_priced_reference": float(
+                reference["warm_rows_priced"]
             ),
         },
     }

@@ -5,6 +5,7 @@ from .comm_priority import GradSyncDeferPass
 from .cost_model import CommCostModel, CostEstimator
 from .dw_schedule import (
     A2AOverlapRecord,
+    DWLabelling,
     DWScheduleReport,
     WeightGradSchedulePass,
     legalize_order,
@@ -17,7 +18,6 @@ from .partition import (
     PlannerState,
     RangePlan,
     infer_axes,
-    pipeline_cost_ms,
     plan_partitions,
 )
 from .policy import PlanPolicy
@@ -29,6 +29,7 @@ __all__ = [
     "CommCostModel",
     "CostEstimator",
     "DPResult",
+    "DWLabelling",
     "DWScheduleReport",
     "GradSyncDeferPass",
     "InferenceResult",
@@ -42,6 +43,5 @@ __all__ = [
     "WeightGradSchedulePass",
     "infer_axes",
     "legalize_order",
-    "pipeline_cost_ms",
     "plan_partitions",
 ]

@@ -264,6 +264,11 @@ class CostEstimator:
     #: every distinct signature mints fresh keys, so an unbounded dict
     #: would leak across a long re-optimizing run.
     _a2a_cache: LRUCache = field(default=None, repr=False)  # type: ignore[assignment]
+    #: rows :meth:`predict_iteration_ms` priced through
+    #: :meth:`duration_ms` (memo misses and all-to-alls), cumulative
+    rows_priced: int = field(default=0, repr=False)
+    #: uid -> (attrs, price) of the last predicted program's rows
+    _row_prices: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self._a2a_cache is None:
@@ -426,10 +431,40 @@ class CostEstimator:
     def predict_iteration_ms(self, program: Program) -> float:
         """Predicted end-to-end iteration time of a program.
 
-        Runs the same two-stream schedule simulation as the ground truth,
-        but with predicted per-op costs (the paper's cost-model output
-        compared against measurement in Fig. 14).
-        """
-        from ..runtime.simulate import simulate_program
+        Runs the representative-device two-stream recurrence
+        (:func:`~repro.runtime.simulate.two_stream_makespan`, the one
+        :func:`~repro.runtime.simulate.simulate_program` runs) with
+        predicted per-op costs -- the paper's cost-model output compared
+        against measurement in Fig. 14 -- and reads the makespan off the
+        stream clocks, building no timeline.
 
-        return simulate_program(program, duration_fn=self.duration_ms).makespan
+        Every row but an all-to-all (the only price that depends on the
+        routing signature) keeps its price across calls, by instruction
+        uid.  Within a process an instruction keeps its uid only through
+        rewrites that keep its op, attrs and input types (a use remap,
+        or a replayed partition segment), and a hit must also find the
+        very ``attrs`` object it was priced with, so a program decoded
+        from another process (whose uids may repeat local ones) prices
+        afresh.  The memo holds only the current program's rows, so it
+        stays bounded.
+        """
+        from ..runtime.simulate import two_stream_makespan
+
+        memo = self._row_prices
+        rows: dict[int, tuple[dict, float]] = {}
+        durations = []
+        fresh = 0
+        for ins in program.instructions:
+            if ins.op == "all_to_all":
+                fresh += 1
+                durations.append(self.duration_ms(ins, program))
+                continue
+            hit = memo.get(ins.uid)
+            if hit is None or hit[0] is not ins.attrs:
+                fresh += 1
+                hit = (ins.attrs, self.duration_ms(ins, program))
+            rows[ins.uid] = hit
+            durations.append(hit[1])
+        self._row_prices = rows
+        self.rows_priced += fresh
+        return two_stream_makespan(program, durations)

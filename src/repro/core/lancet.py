@@ -163,11 +163,11 @@ class LancetOptimizer:
             ),
             enable_hierarchical=self.policy.enable_hierarchical_a2a,
         )
-        #: warm-start state of the partition planner: persists every
-        #: signature-independent DP table across :meth:`optimize` calls,
-        #: so a re-plan after routing drift only re-prices what the new
-        #: signature invalidates (self-validating -- see
-        #: :class:`~repro.core.partition.PlannerState`)
+        #: warm-start state: persists every signature-independent DP
+        #: table, rewritten range and the dW labelling across
+        #: :meth:`optimize` calls, so a re-plan after routing drift only
+        #: re-prices what the new signature invalidates (self-validating
+        #: -- see :class:`~repro.core.partition.PlannerState`)
         self.planner_state = PlannerState()
         if routing_signatures:
             self.costs.set_signatures(self._remapped(routing_signatures))
@@ -259,13 +259,12 @@ class LancetOptimizer:
         policy = self.policy
         pm = PassManager(validate_each=check)
         dw_pass = part_pass = None
+        state = self.planner_state
         if policy.enable_dw_schedule:
-            dw_pass = WeightGradSchedulePass(self.costs)
+            dw_pass = WeightGradSchedulePass(self.costs, labels=state.dw)
             pm.add(dw_pass)
         if policy.enable_partition:
-            part_pass = OperatorPartitionPass(
-                self.costs, policy, state=self.planner_state
-            )
+            part_pass = OperatorPartitionPass(self.costs, policy, state=state)
             pm.add(part_pass)
         if policy.defer_allreduce:
             # extension beyond the paper: prioritize all-to-all over
@@ -282,11 +281,14 @@ class LancetOptimizer:
             # prediction below) executes exactly what the DP assumed
             a2a_algorithms = self._annotate_a2a_algorithms(work)
 
+        priced = self.costs.rows_priced
+        predicted = self.costs.predict_iteration_ms(work)
+        state.prediction_rows_priced += self.costs.rows_priced - priced
         report = LancetReport(
             pass_timings=list(pm.timings),
             dw_schedule=dw_pass.report if dw_pass else None,
             partition=part_pass.result if part_pass else None,
-            predicted_iteration_ms=self.costs.predict_iteration_ms(work),
+            predicted_iteration_ms=predicted,
             profiled_ops=self.profiler.profile_count,
             routing_signatures=(
                 dict(self.costs.signatures) if self.costs.signatures else None

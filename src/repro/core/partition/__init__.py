@@ -19,16 +19,12 @@ from .dp import (
 )
 from .pass_ import OperatorPartitionPass
 from .pipeline import (
-    PipelineCost,
     PlanCaches,
     RangeContext,
     Stage,
     build_stages,
-    chunk_duration_ms,
     chunk_type,
     max_feasible_parts,
-    pipeline_cost_ms,
-    sequential_cost_ms,
 )
 from .rewriter import apply_plan, apply_plans
 from .rules import RuleContext, entry_domain, rules_for
@@ -40,7 +36,6 @@ __all__ = [
     "InferenceResult",
     "MOE_ONLY_OPS",
     "OperatorPartitionPass",
-    "PipelineCost",
     "PlanCaches",
     "PlannerState",
     "RangeContext",
@@ -51,16 +46,13 @@ __all__ = [
     "apply_plans",
     "build_groups",
     "build_stages",
-    "chunk_duration_ms",
     "chunk_type",
     "entry_domain",
     "forward_length",
     "infer_axes",
     "max_feasible_parts",
     "max_range_for",
-    "pipeline_cost_ms",
     "plan_partitions",
     "range_is_moe_only",
     "rules_for",
-    "sequential_cost_ms",
 ]

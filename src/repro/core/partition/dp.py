@@ -67,6 +67,7 @@ import numpy as np
 from ...ir import InstrKind, Program
 from ..cache import LRUCache
 from ..cost_model import CostEstimator
+from ..dw_schedule import DWLabelling
 from ..policy import PlanPolicy
 from .axis_inference import (
     MOE_ONLY_OPS,
@@ -272,6 +273,11 @@ class _ConsumersView:
         return first < self.i_pos or idx.last_use[vid] >= self.n_pos
 
 
+#: rewritten ranges a :class:`PlannerState` keeps for replay.  A drifting
+#: run keeps choosing from a few dozen distinct ``(start, end, parts)``
+#: on the reference config, so this holds every one with room to spare.
+DEFAULT_SEGMENT_CACHE_SIZE = 128
+
 #: cached marker for "axis inference proved this range unpartitionable"
 _INFEASIBLE = object()
 #: cache-miss sentinel
@@ -292,13 +298,21 @@ class PlannerState:
     * the :class:`ConsumerIndex`;
     * the :class:`PlanCaches` (compute chunk durations, boundary
       overheads, and pipeline simulations keyed by realized a2a chunk
-      durations, which self-invalidate under drift).
+      durations, which self-invalidate under drift);
+    * the rewritten segment of every range the rewriter emitted, keyed by
+      ``(start, end, parts)`` and replayed when a later plan picks the
+      same range (see :func:`~.rewriter.apply_plans`); LRU-bounded.
 
     A state validates itself against a structural fingerprint of the
     program (forward prefix order + backward instruction multiset) and
     the policy's :attr:`~repro.core.policy.PlanPolicy.partition_key`;
     any mismatch falls back to a cold rebuild, so handing a stale state
     to the planner can cost time but never correctness.
+
+    The optimizer also keeps its dW-pass labelling here (:attr:`dw`,
+    which validates itself against the pass's own input program), so
+    :meth:`stats` reports the whole warm path: ranges replayed and
+    rewritten, prediction rows priced, dW labellings built.
     """
 
     fingerprint: tuple | None = None
@@ -319,11 +333,22 @@ class PlannerState:
     #: range start position -> (end position, :class:`AxisProblem` of the
     #: range); lives for one ``plan_partitions`` call only
     frontiers: dict[int, tuple[int, AxisProblem]] = field(default_factory=dict)
+    #: :class:`~.rewriter.Segment` per ``(start, end, parts)``; hits are
+    #: ranges replayed, misses ranges rewritten
+    segments: LRUCache = field(
+        default_factory=lambda: LRUCache(
+            DEFAULT_SEGMENT_CACHE_SIZE, name="planner-segments"
+        )
+    )
+    #: the dW pass's routing-independent labelling
+    dw: DWLabelling = field(default_factory=DWLabelling)
     cold_plans: int = 0
     warm_plans: int = 0
     #: instructions added to axis problems, and propagation steps run
     axis_instrs: int = 0
     axis_steps: int = 0
+    #: rows the optimizer's iteration predictions priced afresh
+    prediction_rows_priced: int = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -340,6 +365,7 @@ class PlannerState:
         self.caches.chunk.clear()
         self.caches.overhead.clear()
         self.caches.sim.clear()
+        self.segments.clear()
         self.consumers = None
         self.frontiers.clear()
 
@@ -455,6 +481,12 @@ class PlannerState:
         out["axis_inference"] = {
             "instructions": self.axis_instrs,
             "propagation_steps": self.axis_steps,
+        }
+        out["warm_path"] = {
+            "ranges_replayed": self.segments.hits,
+            "ranges_rewritten": self.segments.misses,
+            "prediction_rows_priced": self.prediction_rows_priced,
+            "dw_labellings": self.dw.rebuilds,
         }
         return out
 

@@ -40,5 +40,5 @@ class OperatorPartitionPass(Pass):
         self.result = plan_partitions(
             program, self.costs, self.policy, state=self.state
         )
-        apply_plans(program, self.result.plans)
+        apply_plans(program, self.result.plans, self.state)
         return program

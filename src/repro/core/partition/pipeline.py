@@ -22,16 +22,15 @@ boundary-overhead operands, chunk-duration cache keys) and
 chunk durations, boundary overheads) plus finished pipeline simulations
 keyed by the realized all-to-all chunk durations.
 
-:meth:`RangeContext.cost` is ``P(i, n, k)`` in one uncached call, the
-one-shot :func:`pipeline_cost_ms` behind the reference DP.  The fast DP
-calls the memoized pieces in turn -- :meth:`~RangeContext.a2a_durations`
-(priced once per plan), :meth:`~RangeContext.overhead_ms`, the exact
-:meth:`~RangeContext.lower_bound_ms` it prunes with, and only then
-:meth:`~RangeContext.pipeline_ms`.  Both paths run the same chunk
-durations through the same scalar recurrence,
-:meth:`RangeContext.simulate_ms`, so caching can never change a
-predicted number: a cache hit returns the value the uncached evaluation
-would have produced, bit for bit.
+:meth:`~RangeContext.a2a_durations` (priced once per plan),
+:meth:`~RangeContext.overhead_ms`, the exact
+:meth:`~RangeContext.lower_bound_ms` the DP prunes with, and only then
+:meth:`~RangeContext.pipeline_ms` make up ``P(i, n, k)``.  Every piece
+is memoized on keys that pin its inputs, so a cache hit returns the
+value a fresh evaluation would produce, bit for bit; the uncached
+one-shot form the reference DP prices with lives with the test oracles
+(``tests/oracles/dp_reference.py``) and runs the same chunk durations
+through the same scalar recurrence, :meth:`RangeContext.simulate_ms`.
 """
 
 from __future__ import annotations
@@ -91,24 +90,6 @@ def _compute_chunk_ms(
     return costs.profiler.op_time_ms(instr.op, in_types, attrs)
 
 
-def chunk_duration_ms(
-    instr: Instruction,
-    program: Program,
-    axes: InferenceResult,
-    parts: int,
-    costs: CostEstimator,
-) -> float:
-    """Predicted duration of one chunk of ``instr`` when split ``parts`` ways."""
-    if instr.op == "all_to_all":
-        out_axis = axes.axis_of(instr.outputs[0])
-        # irregular chunks route through the estimator so the static-shape
-        # approximation is conditioned on the layer's routing signature
-        return costs.a2a_chunk_ms(
-            instr, program, parts, irregular=(out_axis == IRR)
-        )
-    return _compute_chunk_ms(instr, program, axes, parts, costs)
-
-
 def max_feasible_parts(
     instrs: list[Instruction],
     program: Program,
@@ -146,16 +127,6 @@ def build_stages(instrs: list[Instruction]) -> list[Stage]:
             stages.append(Stage(is_comm=ins.is_comm))
         stages[-1].indices.append(i)
     return stages
-
-
-@dataclass
-class PipelineCost:
-    """Cost estimate of one pipelined range."""
-
-    total_ms: float
-    pipeline_ms: float
-    overhead_ms: float
-    num_stages: int
 
 
 #: bound of the pipeline-simulation cache.  Its keys embed realized a2a
@@ -371,14 +342,6 @@ class RangeContext:
             out.append(t)
         return tuple(out)
 
-    def chunk_durations(self, parts: int, costs: CostEstimator) -> list[float]:
-        """Per-instruction chunk durations at ``parts``-way splitting,
-        each priced afresh (the memoized path fills :meth:`_template`)."""
-        return [
-            chunk_duration_ms(ins, self.program, self.axes, parts, costs)
-            for ins in self.instrs
-        ]
-
     def _filled(
         self,
         parts: int,
@@ -526,49 +489,3 @@ class RangeContext:
                         comp_free = start + durs[i]
                         end[i * parts + p] = comp_free
         return max(end)
-
-    def cost(
-        self, parts: int, costs: CostEstimator, consumers_after=None
-    ) -> PipelineCost:
-        """The paper's ``P(i, n, k)`` for this range, priced uncached.
-
-        The fast DP evaluates the same pieces memoized
-        (:meth:`a2a_durations`, :meth:`overhead_ms`,
-        :meth:`pipeline_ms`); a cache hit there returns the value this
-        evaluation produces, bit for bit.
-        """
-        pipeline_ms = self.simulate_ms(self.chunk_durations(parts, costs), parts)
-        overhead = 0.0
-        if consumers_after is not None:
-            overhead = self.boundary_overhead_ms(parts, costs, consumers_after)
-        return PipelineCost(
-            total_ms=pipeline_ms + overhead,
-            pipeline_ms=pipeline_ms,
-            overhead_ms=overhead,
-            num_stages=len(self.stages),
-        )
-
-
-def pipeline_cost_ms(
-    program: Program,
-    instrs: list[Instruction],
-    axes: InferenceResult,
-    parts: int,
-    costs: CostEstimator,
-    consumers_after: set[int] | None = None,
-) -> PipelineCost:
-    """The paper's ``P(i, n, k)``: end-to-end time of the pipelined range.
-
-    One-shot form: builds a throwaway :class:`RangeContext` and evaluates
-    it uncached -- the exact computation the fast planner memoizes.
-    """
-    return RangeContext(program, instrs, axes).cost(
-        parts, costs, consumers_after
-    )
-
-
-def sequential_cost_ms(
-    program: Program, instrs: list[Instruction], costs: CostEstimator
-) -> float:
-    """Unpartitioned execution time of a range (the k=1 / no-pipeline case)."""
-    return sum(costs.duration_ms(ins, program) for ins in instrs)

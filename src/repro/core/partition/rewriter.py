@@ -18,18 +18,43 @@ All of this is mathematically exact thanks to the capacity-passing gate:
 chunk buffers occupy disjoint slots of the full-capacity buffer, so their
 sum *is* the unpartitioned buffer, and token-level dropping matches the
 unpartitioned gate bit for bit (tested).
+
+A warm re-plan replays the ranges it rewrote before
+(:class:`Segment`, kept in the :class:`~.dp.PlannerState`): what a
+rewrite emits depends only on the range, its degree, its solved axes,
+the program's types and which of the range's values are read after it,
+and all of those are fixed while the state's fingerprint holds.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from ...ir import AXIS_IRREGULAR as IRR
 from ...ir import NOT_PARTITIONED as NP
-from ...ir import Instruction, InstrKind, Program
+from ...ir import Instruction, InstrKind, Program, Value
 from ...ir.tensor import is_route_type
-from .dp import RangePlan
+from .dp import PlannerState, RangePlan
 from .pipeline import build_stages
+
+
+class Segment(NamedTuple):
+    """One range's rewrite as emitted, before the caller's use remap.
+
+    ``outputs[j]`` holds the values ``instrs[j]`` allocated, and ``base``
+    is the first value id the rewrite allocated.  Every value made before
+    the rewrite has an id below ``base``, and every value the rewrite
+    makes has an id at or above it, so :func:`_replay` can renumber a
+    segment by shifting exactly the ids at or above ``base``.
+    """
+
+    instrs: list[Instruction]
+    outputs: list[list[Value]]
+    base: int
+    #: original exported value id -> reconstructed id
+    substitution: dict[int, int]
 
 
 def _chunk_sizes(total: int, parts: int) -> list[int]:
@@ -38,13 +63,12 @@ def _chunk_sizes(total: int, parts: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(parts)]
 
 
-def _rewrite_range(program: Program, plan: RangePlan) -> dict[int, int]:
-    """Splice the partitioned form of one range into ``program`` in
-    place and return its substitution (original exported value id ->
-    reconstructed id).  Later uses are left for the caller to remap."""
+def _rewrite_range(program: Program, plan: RangePlan) -> Segment:
+    """Emit the partitioned form of one range, allocating its values in
+    ``program``, and return it unspliced.  Later uses are left for the
+    caller to remap."""
     start, end, k, axes = plan.start, plan.end, plan.parts, plan.axes
     instrs = program.instructions[start:end]
-    pre = program.instructions[:start]
     post = program.instructions[end:]
 
     produced: set[int] = set()
@@ -70,12 +94,14 @@ def _rewrite_range(program: Program, plan: RangePlan) -> dict[int, int]:
         return offs
 
     new_seq: list[Instruction] = []
+    new_outs: list[list[Value]] = []
 
     def emit(op, inputs, attrs=None, kind=None, partition=None, origin=None):
         outs = program.add(
             op, inputs, attrs=attrs, kind=kind, partition=partition, origin=origin
         )
         new_seq.append(program.instructions.pop())
+        new_outs.append(outs)
         return outs
 
     # -- prologue: split entry values ---------------------------------------------
@@ -204,9 +230,43 @@ def _rewrite_range(program: Program, plan: RangePlan) -> dict[int, int]:
             (full,) = emit("concat", chunks, attrs={"axis": axis}, kind=InstrKind.FORWARD)
         substitution[vid] = full.id
 
-    # -- splice ---------------------------------------------------------------------
-    program.instructions = pre + new_seq + post
-    return substitution
+    # every op emitted here has an output, so the first one's is the
+    # first id the rewrite allocated
+    return Segment(new_seq, new_outs, new_outs[0][0].id, substitution)
+
+
+def _replay(program: Program, seg: Segment) -> Segment:
+    """Re-emit a recorded segment into ``program`` and return it as
+    emitted now: its values are allocated in emission order and every
+    in-segment id shifts by ``new_base - base``.
+
+    The values come out numbered exactly as a fresh rewrite numbers them
+    (it would allocate the same count, in the same order, from the same
+    next id), and the instructions keep their uids, op, attrs and input
+    types, so the cost model's uid-keyed prices stay valid.  No shape
+    inference runs; the final validation re-infers every instruction.
+    """
+    new_value = program.new_value
+    outputs = [[new_value(v.type) for v in outs] for outs in seg.outputs]
+    base = seg.base
+    delta = outputs[0][0].id - base
+    if delta == 0:
+        return seg
+    instrs = [
+        Instruction(
+            op=ins.op,
+            inputs=tuple(v + delta if v >= base else v for v in ins.inputs),
+            outputs=tuple(v.id for v in outs),
+            attrs=ins.attrs,
+            kind=ins.kind,
+            uid=ins.uid,
+            partition=ins.partition,
+            origin=ins.origin,
+        )
+        for ins, outs in zip(seg.instrs, outputs)
+    ]
+    substitution = {k: v + delta for k, v in seg.substitution.items()}
+    return Segment(instrs, outputs, base + delta, substitution)
 
 
 def apply_plan(program: Program, plan: RangePlan) -> None:
@@ -214,7 +274,11 @@ def apply_plan(program: Program, plan: RangePlan) -> None:
     apply_plans(program, [plan])
 
 
-def apply_plans(program: Program, plans: list[RangePlan]) -> None:
+def apply_plans(
+    program: Program,
+    plans: list[RangePlan],
+    state: PlannerState | None = None,
+) -> None:
     """Apply multiple non-overlapping plans, then remap later uses once.
 
     Ranges are rewritten in descending start order, which keeps the
@@ -226,10 +290,37 @@ def apply_plans(program: Program, plans: list[RangePlan]) -> None:
     rewritten body reads only chunk values, entry values and values
     from outside the range, and the substitution keys of different
     ranges are disjoint original ids whose targets are all fresh.
+
+    With a :class:`~.dp.PlannerState` (the one that planned ``plans``),
+    each rewrite is recorded under ``(start, end, parts)`` and a range
+    recorded before is replayed instead (:func:`_replay`).  A recorded
+    segment stays valid for as long as the state's fingerprint holds:
+
+    * the range's instructions, its solved axes and every type it reads
+      are fixed by the forward prefix and the range;
+    * its exports are the values it produces that are read after it.
+      What reads after it is the forward tail and the backward half.  A
+      rewritten later range reads from outside itself exactly what its
+      original instructions read (split entry values, or the value
+      itself where it is not partitioned), and the dW pass only reorders
+      the backward half, which leaves its set of reads unchanged;
+    * it reads only values made before the rewrite and its own, so
+      shifting its own ids renumbers it for any set of later ranges.
     """
     if not plans:
         return
     substitution: dict[int, int] = {}
     for plan in sorted(plans, key=lambda pl: pl.start, reverse=True):
-        substitution.update(_rewrite_range(program, plan))
+        key = (plan.start, plan.end, plan.parts)
+        seg = None if state is None else state.segments.get(key)
+        if seg is None:
+            seg = _rewrite_range(program, plan)
+        else:
+            seg = _replay(program, seg)
+        if state is not None:
+            # keep the latest numbering: a re-plan that repeats the
+            # ranges above this one replays it unshifted
+            state.segments.put(key, seg)
+        program.instructions[plan.start : plan.end] = seg.instrs
+        substitution.update(seg.substitution)
     program.remap_uses(substitution, start=min(pl.start for pl in plans))

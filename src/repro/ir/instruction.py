@@ -47,7 +47,7 @@ def ensure_uid_floor(floor: int) -> None:
     _instr_counter = itertools.count(max(next(_instr_counter), floor))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instruction:
     """One IR instruction.
 

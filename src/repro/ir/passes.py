@@ -4,8 +4,14 @@ Lancet is implemented as two optimization passes registered with the
 compiler's pass manager (paper Sec. 6: "users only need to enable them in
 RAF's optimization pass manager").  This module provides that harness: a
 :class:`Pass` protocol, a :class:`PassManager` that runs passes in order,
-validates the IR after each one, and records per-pass wall time (which
+validates the final IR once, and records per-pass wall time (which
 feeds the paper's Fig. 15 optimization-time measurement).
+
+Validating once, at the end, still catches every invariant break in the
+final program (:func:`~.validate.validate` checks SSA order and
+re-infers every output type).  A break in an intermediate program
+surfaces there or as an error in the next pass, and the error no longer
+names the pass that made it.
 """
 
 from __future__ import annotations
@@ -43,14 +49,15 @@ class PassTiming:
 
 @dataclass
 class PassManager:
-    """Runs a list of passes over a program, validating after each.
+    """Runs a list of passes over a program, then validates it once.
 
     Attributes
     ----------
     passes:
         Passes to run, in order.
     validate_each:
-        If True (default), run the IR validator after every pass.
+        If True (default), run the IR validator on the final program,
+        once, after the last pass.
     timings:
         Filled by :meth:`run`; one entry per executed pass.
     """
@@ -71,6 +78,6 @@ class PassManager:
             t0 = time.perf_counter()
             program = p.run(program)
             self.timings.append(PassTiming(p.name, time.perf_counter() - t0))
-            if self.validate_each:
-                validate(program)
+        if self.validate_each and self.passes:
+            validate(program)
         return program

@@ -149,9 +149,10 @@ class Program:
         partition rewriter to redirect later consumers to reconstructed
         values without touching the pipeline body itself).
         """
+        keys = substitution.keys()
         for pos in range(start, len(self.instructions)):
             instr = self.instructions[pos]
-            if any(v in substitution for v in instr.inputs):
+            if not keys.isdisjoint(instr.inputs):
                 new_inputs = tuple(substitution.get(v, v) for v in instr.inputs)
                 self.instructions[pos] = instr.with_(uid=instr.uid, inputs=new_inputs)
         self.outputs = [substitution.get(v, v) for v in self.outputs]

@@ -188,7 +188,7 @@ def is_route_type(t: TensorType) -> bool:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Value:
     """A single SSA value in the IR.
 

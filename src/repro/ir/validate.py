@@ -1,7 +1,11 @@
 """IR well-formedness checks.
 
-Run after every pass in debug mode; Lancet's transformations must keep the
-program a valid, topologically ordered SSA sequence.
+Lancet's transformations must keep the program a valid, topologically
+ordered SSA sequence.  The pass manager runs :func:`validate` once, on
+the final program of a pass pipeline: it checks every instruction's SSA
+order and re-infers every output type, so one run catches a break made
+by any pass (and by a replayed partition segment, which skips shape
+inference when it is emitted).
 """
 
 from __future__ import annotations

@@ -313,35 +313,58 @@ def simulate_program(
             cost = GroundTruthCost(config)
         duration_fn = cost.duration_ms
 
-    value_ready: dict[int, float] = {}
-    stream_free = {Stream.COMPUTE: 0.0, Stream.COMM: 0.0}
     intervals: list[Interval] = []
+    two_stream_makespan(
+        program,
+        (duration_fn(instr, program) for instr in program.instructions),
+        intervals,
+    )
+    return Timeline(intervals)
 
-    for instr in program.instructions:
-        stream = Stream.COMM if instr.is_comm else Stream.COMPUTE
+
+def two_stream_makespan(
+    program: Program, durations, intervals: list | None = None
+) -> float:
+    """The two-stream recurrence over ``program`` in program order, with
+    ``durations`` (an iterable aligned with the instructions); returns
+    the makespan.
+
+    This is the one implementation of the representative-device
+    schedule: :func:`simulate_program` runs it with ``intervals`` to
+    collect, and the cost model's iteration prediction runs it with a
+    duration vector and no intervals.  Each stream's free time is the
+    end of its last instruction and never decreases, so
+    ``max(compute_free, comm_free)`` equals ``Timeline.makespan`` of
+    the collected intervals bit for bit.
+    """
+    value_ready: dict[int, float] = {}
+    compute_free = comm_free = 0.0
+    for instr, dur in zip(program.instructions, durations):
         dep_ready = 0.0
         for v in instr.inputs:
             t = value_ready.get(v, 0.0)
             if t > dep_ready:
                 dep_ready = t
-        start = max(stream_free[stream], dep_ready)
-        dur = duration_fn(instr, program)
-        end = start + dur
-        stream_free[stream] = end
+        if instr.is_comm:
+            start = comm_free if comm_free > dep_ready else dep_ready
+            comm_free = end = start + dur
+        else:
+            start = compute_free if compute_free > dep_ready else dep_ready
+            compute_free = end = start + dur
         for o in instr.outputs:
             value_ready[o] = end
-        intervals.append(
-            Interval(
-                uid=instr.uid,
-                op=instr.op,
-                kind=instr.kind.value,
-                stream=stream,
-                start=start,
-                end=end,
+        if intervals is not None:
+            intervals.append(
+                Interval(
+                    uid=instr.uid,
+                    op=instr.op,
+                    kind=instr.kind.value,
+                    stream=Stream.COMM if instr.is_comm else Stream.COMPUTE,
+                    start=start,
+                    end=end,
+                )
             )
-        )
-
-    return Timeline(intervals)
+    return compute_free if compute_free > comm_free else comm_free
 
 
 def simulate_cluster(

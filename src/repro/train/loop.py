@@ -45,10 +45,14 @@ from ..runtime.routing_model import RoutingSignature
 from .data import SyntheticCorpus
 
 
-def _check_plan_matches(plan: Plan, graph: ModelGraph) -> None:
+def _check_plan_matches(
+    plan: Plan, graph: ModelGraph, actual: str | None = None
+) -> None:
     """Refuse a plan compiled for a different graph: it would install a
-    wrong (or crashing) schedule."""
-    actual = graph_fingerprint(graph.program)
+    wrong (or crashing) schedule.  ``actual`` is the graph's fingerprint
+    when the caller already has it."""
+    if actual is None:
+        actual = graph_fingerprint(graph.program)
     if plan.fingerprint != actual:
         raise ValueError(
             f"plan was compiled for a different graph "
@@ -318,8 +322,12 @@ class ReoptimizingTrainer(Trainer):
         self.migration_events: list = []
         self.drift_threshold = drift_threshold
         self.server = server
+        #: the graph resolved once: every re-plan request reuses its
+        #: fingerprint, since the graph never changes
+        self._workload = None
         if plan is not None:
-            _check_plan_matches(plan, graph)
+            self._workload = resolve_workload(graph, optimizer.cluster)
+            _check_plan_matches(plan, graph, self._workload.fingerprint)
             if plan.cluster != optimizer.cluster:
                 raise ValueError(
                     f"plan was compiled for cluster {plan.cluster.name}, "
@@ -594,9 +602,12 @@ class ReoptimizingTrainer(Trainer):
             framework=opt.framework,
             placement=opt.placement,
         )
-        # resolved once: the server keys on it without a second
-        # fingerprint of the graph
-        resolved = resolve_workload(self.graph, opt.cluster, **request)
+        # the server keys on the resolved workload without a second
+        # fingerprint of the graph, and the trainer fingerprints its
+        # graph once, not per re-plan
+        if self._workload is None:
+            self._workload = resolve_workload(self.graph, opt.cluster)
+        resolved = replace(self._workload, cluster=opt.cluster, **request)
         t0 = time.perf_counter()
         if self.server is not None:
             answer = self.server.serve(resolved)

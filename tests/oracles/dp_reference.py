@@ -11,9 +11,18 @@ agree bit for bit on randomized programs and routing signatures.
 
 Keep this module dumb and obvious: its value is that its correctness can
 be checked by reading it next to the paper.
+
+It also holds the uncached pricing path the reference prices ``P(i, n,
+k)`` with (:func:`pipeline_cost_ms`, :func:`sequential_cost_ms`): every
+chunk duration is priced afresh and run through the planner's own
+recurrence, :meth:`RangeContext.simulate_ms
+<repro.core.partition.pipeline.RangeContext.simulate_ms>`, so the fast
+planner's memoized pieces must reproduce it bit for bit.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,9 +36,98 @@ from repro.core.partition.dp import (
     forward_length,
     max_range_for,
 )
-from repro.core.partition.pipeline import max_feasible_parts, pipeline_cost_ms
+from repro.core.partition.pipeline import (
+    RangeContext,
+    _compute_chunk_ms,
+    max_feasible_parts,
+)
 from repro.core.policy import PlanPolicy
-from repro.ir import Program
+from repro.ir import AXIS_IRREGULAR as IRR
+from repro.ir import Instruction, Program
+
+
+@dataclass
+class PipelineCost:
+    """Cost estimate of one pipelined range."""
+
+    total_ms: float
+    pipeline_ms: float
+    overhead_ms: float
+    num_stages: int
+
+
+def chunk_duration_ms(
+    instr: Instruction,
+    program: Program,
+    axes: InferenceResult,
+    parts: int,
+    costs: CostEstimator,
+) -> float:
+    """Predicted duration of one chunk of ``instr`` when split ``parts`` ways."""
+    if instr.op == "all_to_all":
+        out_axis = axes.axis_of(instr.outputs[0])
+        # irregular chunks route through the estimator so the static-shape
+        # approximation is conditioned on the layer's routing signature
+        return costs.a2a_chunk_ms(
+            instr, program, parts, irregular=(out_axis == IRR)
+        )
+    return _compute_chunk_ms(instr, program, axes, parts, costs)
+
+
+def chunk_durations(
+    ctx: RangeContext, parts: int, costs: CostEstimator
+) -> list[float]:
+    """Per-instruction chunk durations of a range at ``parts``-way
+    splitting, each priced afresh."""
+    return [
+        chunk_duration_ms(ins, ctx.program, ctx.axes, parts, costs)
+        for ins in ctx.instrs
+    ]
+
+
+def range_cost(
+    ctx: RangeContext, parts: int, costs: CostEstimator, consumers_after=None
+) -> PipelineCost:
+    """The paper's ``P(i, n, k)`` for one range context, priced uncached.
+
+    The fast DP evaluates the same pieces memoized
+    (:meth:`~RangeContext.a2a_durations`,
+    :meth:`~RangeContext.overhead_ms`, :meth:`~RangeContext.pipeline_ms`);
+    a cache hit there returns the value this evaluation produces, bit for
+    bit.
+    """
+    pipeline_ms = ctx.simulate_ms(chunk_durations(ctx, parts, costs), parts)
+    overhead = 0.0
+    if consumers_after is not None:
+        overhead = ctx.boundary_overhead_ms(parts, costs, consumers_after)
+    return PipelineCost(
+        total_ms=pipeline_ms + overhead,
+        pipeline_ms=pipeline_ms,
+        overhead_ms=overhead,
+        num_stages=len(ctx.stages),
+    )
+
+
+def pipeline_cost_ms(
+    program: Program,
+    instrs: list[Instruction],
+    axes: InferenceResult,
+    parts: int,
+    costs: CostEstimator,
+    consumers_after: set[int] | None = None,
+) -> PipelineCost:
+    """The paper's ``P(i, n, k)``: end-to-end time of the pipelined range,
+    from a throwaway :class:`RangeContext` evaluated uncached."""
+    return range_cost(
+        RangeContext(program, instrs, axes), parts, costs, consumers_after
+    )
+
+
+def sequential_cost_ms(
+    program: Program, instrs: list[Instruction], costs: CostEstimator
+) -> float:
+    """Unpartitioned execution time of a range (the k=1 / no-pipeline case)."""
+    return sum(costs.duration_ms(ins, program) for ins in instrs)
 
 
 def plan_partitions_reference(

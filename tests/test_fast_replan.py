@@ -27,6 +27,7 @@ from oracles.dp_reference import plan_partitions_reference
 from repro import GPT2MoEConfig, build_training_graph
 from repro.api import PlanIdentity, PlanPolicy, graph_fingerprint
 from repro.api.store import signature_bucket
+from repro.bench.figures.opt_time import DRIFTS
 from repro.core import (
     CachingOpProfiler,
     CommCostModel,
@@ -337,6 +338,33 @@ class TestPerfBudget:
         assert 0 < drifted.num_pipeline_sims <= cold.num_pipeline_sims
 
 
+    def test_warm_path_counts_reference_config(self):
+        """After the DP, a warm re-plan replays every range it rewrote
+        before, re-prices only all-to-all rows and freshly rewritten
+        rows in the prediction, and keeps its dW labelling.  Pinned on
+        the opt-time figure's drift sequence: a cold plan (6 ranges
+        rewritten, all 1501 rows priced), then three drifts."""
+        gpus = 16
+        cluster = ClusterSpec.for_gpus("a100", gpus)
+        graph = build_training_graph(
+            GPT2MoEConfig.gpt2_s_moe(), batch=24, seq=512, num_gpus=gpus
+        )
+        opt = LancetOptimizer(cluster)
+        opt.optimize(graph)
+        counts = [dict(opt.cache_stats()["planner_warm_path"])]
+        for drift in DRIFTS:
+            opt.observe_routing(graph, SyntheticRoutingModel(**drift))
+            opt.optimize(graph)
+            counts.append(dict(opt.cache_stats()["planner_warm_path"]))
+        assert [
+            (c["ranges_replayed"], c["ranges_rewritten"]) for c in counts
+        ] == [(0, 6), (0, 12), (3, 15), (8, 16)]
+        assert [c["prediction_rows_priced"] for c in counts] == [
+            1501, 2176, 2487, 2733
+        ]
+        assert {c["dw_labellings"] for c in counts} == {1}
+
+
 class TestLRUCache:
     def test_hit_miss_eviction_counters(self):
         c = LRUCache(2, name="t")
@@ -480,6 +508,46 @@ class TestTrainerIntegration:
             opt.cluster,
             replace(opt.policy, skew_aware=True),
             opt.framework,
+            tr.plan_signatures,
+        ).key()
+
+    @pytest.mark.parametrize("with_plan", [False, True])
+    def test_graph_fingerprinted_once(
+        self, tiny_graph, small_cluster, monkeypatch, with_plan
+    ):
+        """The graph never changes, so N re-plans (and the constructor's
+        check of a handed-in plan) fingerprint it at most once."""
+        import repro.api.compiler
+        import repro.train.loop
+        from repro.api import compile
+
+        plan = None
+        if with_plan:
+            plan = compile(tiny_graph, small_cluster)
+        real = graph_fingerprint
+        calls = []
+
+        def counting(program):
+            calls.append(program)
+            return real(program)
+
+        for module in (repro.api.compiler, repro.train.loop):
+            monkeypatch.setattr(module, "graph_fingerprint", counting)
+        tr = ReoptimizingTrainer(
+            tiny_graph,
+            LancetOptimizer(small_cluster),
+            drift_threshold=0.0,
+            seed=0,
+            plan=plan,
+        )
+        tr.run(4)
+        assert len(tr.events) == 4
+        assert len(calls) == 1
+        assert tr.events[-1].key == PlanIdentity(
+            real(tiny_graph.program),
+            tr.optimizer.cluster,
+            replace(tr.optimizer.policy, skew_aware=True),
+            tr.optimizer.framework,
             tr.plan_signatures,
         ).key()
 

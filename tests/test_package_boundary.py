@@ -19,6 +19,8 @@ ORACLE_NAMES = (
     "brute_force_placement",
     "remap_pair_bytes_reference",
     "replay_reference",
+    "pipeline_cost_ms",
+    "sequential_cost_ms",
 )
 
 SRC = pathlib.Path(repro.__file__).parent

@@ -18,6 +18,7 @@ import pytest
 from generators import PROGRAM_GRID, build_grid_graph, st_routing_model
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles.dp_reference import chunk_durations
 
 from repro import Scenario
 from repro.bench.figures.opt_time import DRIFTS
@@ -61,7 +62,7 @@ def check_bound(program, costs, policy=PlanPolicy()):
                 continue
             a2a = ctx.a2a_durations(k, costs, {})
             bound = ctx.lower_bound_ms(k, a2a, costs, state.caches)
-            exact = ctx.simulate_ms(ctx.chunk_durations(k, costs), k)
+            exact = ctx.simulate_ms(chunk_durations(ctx, k, costs), k)
             checked += 1
             if not 0.0 < bound <= exact:
                 violations.append((key, k, bound, exact))

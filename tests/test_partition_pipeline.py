@@ -1,6 +1,7 @@
 """Tests for the pipeline scheduler, DP range selection and its knobs."""
 
 import pytest
+from oracles.dp_reference import pipeline_cost_ms, sequential_cost_ms
 
 from repro import GPT2MoEConfig, build_training_graph
 from repro.core import (
@@ -16,8 +17,6 @@ from repro.core.partition import (
     chunk_type,
     forward_length,
     infer_axes,
-    pipeline_cost_ms,
-    sequential_cost_ms,
 )
 from repro.core.partition.pipeline import max_feasible_parts
 from repro.ir import AXIS_IRREGULAR as IRR

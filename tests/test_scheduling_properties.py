@@ -4,10 +4,11 @@ scheduler, chunk typing) using hypothesis."""
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.dp_reference import chunk_duration_ms, pipeline_cost_ms
 
 from repro import GPT2MoEConfig, build_training_graph
 from repro.core import CachingOpProfiler, CommCostModel, CostEstimator, legalize_order
-from repro.core.partition import build_stages, chunk_type, infer_axes, pipeline_cost_ms
+from repro.core.partition import build_stages, chunk_type, infer_axes
 from repro.ir import (
     AXIS_IRREGULAR,
     NOT_PARTITIONED,
@@ -109,8 +110,6 @@ class TestPipelineSchedulerProperties:
         """The pipelined time can never beat the larger of (total compute,
         total communication) of the chunked ops."""
         p, instrs, axes = moe_range
-        from repro.core.partition.pipeline import chunk_duration_ms
-
         comp = comm = 0.0
         for ins in instrs:
             d = chunk_duration_ms(ins, p, axes, k, costs) * k
@@ -125,8 +124,6 @@ class TestPipelineSchedulerProperties:
     def test_pipeline_at_most_sequential_of_chunks(self, moe_range, costs, k):
         """Pipelining never exceeds running every chunk back to back."""
         p, instrs, axes = moe_range
-        from repro.core.partition.pipeline import chunk_duration_ms
-
         total = sum(
             chunk_duration_ms(ins, p, axes, k, costs) * k for ins in instrs
         )

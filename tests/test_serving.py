@@ -459,9 +459,9 @@ class TestTrainerIntegration:
     def test_server_replan_fingerprints_the_graph_once(
         self, tiny_graph, small_cluster, store, monkeypatch
     ):
-        """The trainer resolves its request once and hands the resolved
-        workload to the server, which keys on it without fingerprinting
-        the graph a second time."""
+        """The trainer fingerprints its graph once, not per re-plan, and
+        hands the resolved workload to the server, which keys on it
+        without fingerprinting the graph a second time."""
         import repro.api.compiler as compiler_mod
         import repro.serving.server as server_mod
         import repro.train.loop as loop_mod
@@ -487,8 +487,8 @@ class TestTrainerIntegration:
             calls.clear()
             trainer.run(3)
         planned = [e for e in trainer.events if e.source == "planned"]
-        assert planned
-        assert len(calls) == trainer.num_reoptimizations
+        assert planned and trainer.num_reoptimizations == 3
+        assert len(calls) == 1
 
     def test_placed_requests_are_filed_under_their_placed_key(
         self, tiny_graph, small_cluster, store, tiny_swapped_placement
