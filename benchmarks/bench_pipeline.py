@@ -34,7 +34,7 @@ from repro.pipeline import (
     split_stages,
     stage_costs,
 )
-from repro.runtime import ClusterSpec
+from repro.runtime import ClusterSpec, SimulationConfig
 
 
 def _differential_drill() -> dict:
@@ -57,12 +57,15 @@ def _differential_drill() -> dict:
         staged = StagedCluster.even(cluster, layers, stages)
         split = split_stages(graph, staged)
         for routing in routing_models(include_none=True):
-            costs = stage_costs(
-                split, routing=routing, padded_a2a=routing is None
+            config = (
+                SimulationConfig(cluster)
+                if routing is None
+                else SimulationConfig(cluster, padded_a2a=False, routing=routing)
             )
+            costs = stage_costs(split, config)
             for schedule in SCHEDULES:
                 sim = simulate_staged(
-                    split, microbatches, schedule=schedule, costs=costs
+                    split, microbatches, costs, schedule=schedule
                 )
                 orders = schedule_order(schedule, stages, microbatches)
                 oracle = replay_reference(costs, orders)

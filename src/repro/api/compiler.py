@@ -194,6 +194,7 @@ def _plan_resolved_staged(resolved: ResolvedWorkload, check: bool) -> Plan:
     tail -- what an iteration of the staged workload actually costs.
     """
     from ..pipeline import plan_stages
+    from ..runtime.simulate import SimulationConfig
 
     t0 = time.perf_counter()
     request = resolved.pipeline
@@ -204,19 +205,20 @@ def _plan_resolved_staged(resolved: ResolvedWorkload, check: bool) -> Plan:
             stage_cluster, resolved.framework, resolved.signatures
         )
 
-    routing = None
+    config = SimulationConfig(resolved.cluster, framework=resolved.framework)
     if resolved.scenario is not None and policy.skew_aware:
-        routing = resolved.scenario.routing_model()
+        config = replace(
+            config,
+            routing=resolved.scenario.routing_model(),
+            padded_a2a=False,
+        )
     result = plan_stages(
         resolved.source,
-        resolved.cluster,
+        config,
         request["num_stages"],
         request["microbatches"],
         schedule=request["schedule"],
         optimizer_factory=optimizer_factory,
-        framework=resolved.framework,
-        routing=routing,
-        padded_a2a=routing is None,
         check=check,
     )
     planner = {

@@ -37,7 +37,7 @@ from ...pipeline import (
     split_stages,
     stage_costs,
 )
-from ...runtime import ClusterSpec, SyntheticRoutingModel
+from ...runtime import ClusterSpec, SimulationConfig, SyntheticRoutingModel
 from ..formatting import format_table
 from .common import FigureResult
 
@@ -111,22 +111,14 @@ def _hot_grid_drill(seeds_per_point: int, seed: int) -> dict:
                 hot_experts=2,
                 hot_boost=0.7,
             )
-            planned = plan_stages(
-                graph,
-                cluster,
-                GRID_STAGES,
-                GRID_MICROBATCHES,
-                routing=routing,
-                padded_a2a=False,
-            )
+            config = SimulationConfig(cluster, padded_a2a=False, routing=routing)
+            planned = plan_stages(graph, config, GRID_STAGES, GRID_MICROBATCHES)
             baseline = plan_stages(
                 graph,
-                cluster,
+                config,
                 GRID_STAGES,
                 GRID_MICROBATCHES,
                 layer_counts=even,
-                routing=routing,
-                padded_a2a=False,
             )
             wins.append(1.0 - planned.makespan_ms / baseline.makespan_ms)
             chosen = planned.stage_map.layer_counts
@@ -171,11 +163,12 @@ def _schedule_drill(seed: int) -> dict:
         )
         staged = StagedCluster.even(cluster, cfg.num_layers, stages)
         split = split_stages(graph, staged)
-        costs = stage_costs(split, routing=routing, padded_a2a=False)
+        costs = stage_costs(
+            split,
+            SimulationConfig(cluster, padded_a2a=False, routing=routing),
+        )
         sims = {
-            name: simulate_staged(
-                split, microbatches, schedule=name, costs=costs
-            )
+            name: simulate_staged(split, microbatches, costs, schedule=name)
             for name in SCHEDULES
         }
         peaks = {

@@ -410,22 +410,6 @@ class CostEstimator:
         if instr.op == "allreduce":
             nbytes = float(program.type_of(instr.inputs[0]).nbytes)
             return self.comm.allreduce_ms(nbytes)
-        irr_parts = int(instr.attrs.get("irr_parts", 1))
-        if irr_parts > 1:
-            # irregular chunk: price at its realized occupancy (~C/k),
-            # mirroring the runtime's grouped-kernel behaviour
-            from ..runtime.simulate import scale_capacity
-
-            in_types = [
-                scale_capacity(program.type_of(v), irr_parts)
-                for v in instr.inputs
-            ]
-            attrs = dict(instr.attrs)
-            if "capacity" in attrs:
-                attrs["capacity"] = max(
-                    1, -(-int(attrs["capacity"]) // irr_parts)
-                )
-            return self.profiler.op_time_ms(instr.op, in_types, attrs)
         return self.profiler.instr_time_ms(instr, program)
 
     def predict_iteration_ms(self, program: Program) -> float:

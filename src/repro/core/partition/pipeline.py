@@ -35,15 +35,14 @@ through the same scalar recurrence, :meth:`RangeContext.simulate_ms`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from ...ir import AXIS_IRREGULAR as IRR
 from ...ir import NOT_PARTITIONED as NP
 from ...ir import Instruction, Program, TensorType
-from ...runtime.simulate import scale_capacity
 from ..cache import LRUCache
 from ..cost_model import CostEstimator
+from ..profiler import chunk_attrs, scale_capacity
 from .axis_inference import InferenceResult
 
 # inert: perfbench/spans.py still resolves these retired lane-engine names
@@ -83,10 +82,7 @@ def _compute_chunk_ms(
     if "capacity" in attrs and any(
         axes.axis_of(v) == IRR for v in list(instr.inputs) + list(instr.outputs)
     ):
-        attrs = {
-            **attrs,
-            "capacity": max(1, math.ceil(attrs["capacity"] / parts)),
-        }
+        attrs = chunk_attrs(attrs, parts)
     return costs.profiler.op_time_ms(instr.op, in_types, attrs)
 
 

@@ -5,21 +5,79 @@ the result; the cached time is reused across the many cost queries the
 DP partition search makes.  On real hardware profiling means running the
 kernel; here it means querying the analytic device model -- the caching
 structure and query surface are the same.
+
+The profiler is this reproduction's one op model: the cost estimator
+plans with it and the ground-truth simulator
+(:class:`~repro.runtime.simulate.GroundTruthCost`) measures with it, so
+predicted and simulated compute agree row for row (the ground truth
+differs only on collectives and on block-sparse expert occupancy).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-from ..ir import Instruction, Program, TensorType, get_op
+from ..ir import Dim, Instruction, Program, TensorType, get_op
 from ..runtime.device import FrameworkProfile, GPUSpec
-from ..runtime.simulate import DISPATCH_OPS
 from .cache import LRUCache
 
 #: default bound of the (op, shapes, attrs) -> time cache.  Generous --
 #: a model profiles a few thousand distinct shapes -- but finite, so a
 #: long-lived profiler shared across many programs cannot leak.
 DEFAULT_PROFILE_CACHE_SIZE = 65536
+
+#: attr value types that enter the cache key
+_SCALARS = (int, float, str, bool)
+
+#: Ops whose kernel time is scaled by the framework's dispatch multiplier
+#: (DeepSpeed's slow dispatch vs Tutel's fast kernels, paper Sec. 7).
+DISPATCH_OPS = frozenset(
+    {
+        "moe_dispatch",
+        "moe_combine",
+        "moe_dispatch_dx",
+        "moe_combine_dx",
+        "moe_combine_dprobs",
+        "routing",
+        "routing_partial",
+    }
+)
+
+
+def chunk_capacity(n: int, parts: int, occupancy: float = 1.0) -> int:
+    """Capacity slots one of ``parts`` irregular chunks occupies out of
+    ``n``: ``ceil(n * occupancy / parts)``, at least one.  The static-shape
+    approximation of paper Sec. 3, optionally scaled by the realized
+    occupancy a block-sparse expert kernel computes."""
+    return max(1, math.ceil(n * occupancy / parts))
+
+
+def scale_capacity(
+    t: TensorType, parts: int, occupancy: float = 1.0
+) -> TensorType:
+    """Shrink the capacity (or token) dimension of an irregular chunk
+    (:func:`chunk_capacity`)."""
+    if t.has_dim(Dim.CAPACITY):
+        i = t.dim_index(Dim.CAPACITY)
+    elif t.has_dim(Dim.TOKENS):
+        i = t.dim_index(Dim.TOKENS)
+    else:
+        return t
+    shape = list(t.shape)
+    shape[i] = chunk_capacity(shape[i], parts, occupancy)
+    return t.with_shape(tuple(shape))
+
+
+def chunk_attrs(attrs: dict, parts: int, occupancy: float = 1.0) -> dict:
+    """``attrs`` of an irregular chunk: a ``capacity`` attr shrinks like
+    the capacity dimension (:func:`chunk_capacity`)."""
+    if "capacity" not in attrs:
+        return attrs
+    return {
+        **attrs,
+        "capacity": chunk_capacity(int(attrs["capacity"]), parts, occupancy),
+    }
 
 
 @dataclass
@@ -52,9 +110,11 @@ class CachingOpProfiler:
         in_types: list[TensorType],
         attrs: dict | None = None,
     ) -> float:
-        """Execution time of one op with the given input types."""
+        """Execution time of one op with the given input types, cached on
+        (op, input shapes, scalar attrs)."""
         attrs = attrs or {}
-        key = self._key(op, in_types, attrs)
+        scalars = [kv for kv in attrs.items() if isinstance(kv[1], _SCALARS)]
+        key = (op, tuple([t.shape for t in in_types]), tuple(sorted(scalars)))
         hit = self._cache.get(key)
         if hit is not None:
             return hit
@@ -62,23 +122,26 @@ class CachingOpProfiler:
         self._cache.put(key, t)
         return t
 
-    def instr_time_ms(self, instr: Instruction, program: Program) -> float:
-        """Execution time of a (non-communication) instruction."""
+    def instr_time_ms(
+        self, instr: Instruction, program: Program, occupancy: float = 1.0
+    ) -> float:
+        """Execution time of a (non-communication) instruction.
+
+        An irregular chunk (``irr_parts`` > 1, set by the partition
+        rewriter) keeps its static ``[E, C, H]`` shape but computes only
+        its share of the capacity slots, and a block-sparse expert
+        kernel only the realized ``occupancy`` of them: both price at
+        the shrunken shapes (:func:`scale_capacity`, :func:`chunk_attrs`).
+        """
         in_types = [program.type_of(v) for v in instr.inputs]
-        return self.op_time_ms(instr.op, in_types, instr.attrs)
+        attrs = instr.attrs
+        parts = int(attrs.get("irr_parts", 1))
+        if parts > 1 or occupancy < 1.0:
+            in_types = [scale_capacity(t, parts, occupancy) for t in in_types]
+            attrs = chunk_attrs(attrs, parts, occupancy)
+        return self.op_time_ms(instr.op, in_types, attrs)
 
     # -- internals -----------------------------------------------------------
-
-    @staticmethod
-    def _key(op: str, in_types: list[TensorType], attrs: dict):
-        attr_sig = tuple(
-            sorted(
-                (k, v)
-                for k, v in attrs.items()
-                if isinstance(v, (int, float, str, bool))
-            )
-        )
-        return (op, tuple(t.shape for t in in_types), attr_sig)
 
     def _profile(self, op: str, in_types: list[TensorType], attrs: dict) -> float:
         """One profiling run (a device-model query in this reproduction)."""

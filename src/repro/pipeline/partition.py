@@ -124,7 +124,6 @@ def extract_subprogram(
 def split_stages(
     graph_or_program,
     staged: StagedCluster,
-    forward_len: int | None = None,
     check: bool = True,
 ) -> SplitProgram:
     """Split a layer-stamped training program into per-stage segments.
@@ -135,10 +134,9 @@ def split_stages(
     instruction, :func:`~repro.core.partition.forward_length`).
     """
     program = getattr(graph_or_program, "program", graph_or_program)
-    if forward_len is None:
-        forward_len = getattr(
-            graph_or_program, "forward_len", None
-        ) or forward_length(program)
+    forward_len = getattr(
+        graph_or_program, "forward_len", None
+    ) or forward_length(program)
 
     buckets: dict[tuple[int, str], list] = {
         (s, ph): [] for s in range(staged.num_stages) for ph in PHASES

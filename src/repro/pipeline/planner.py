@@ -23,8 +23,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from ..runtime.cluster import ClusterSpec
-from ..runtime.device import COMPILED
 from ..runtime.simulate import GroundTruthCost, SimulationConfig
 from .partition import SplitProgram, split_stages
 from .simulate import SegmentPricer, StagedSimulation, simulate_staged
@@ -38,17 +36,13 @@ MAX_EXHAUSTIVE_SPLITS = 256
 DEFAULT_TOP_K = 4
 
 
-def layer_costs(program, cluster: ClusterSpec, framework=COMPILED,
-                routing=None, padded_a2a: bool = True) -> dict[int, float]:
+def layer_costs(program, cost: GroundTruthCost) -> dict[int, float]:
     """Total ground-truth duration of each layer's instructions, ms.
 
-    Priced on the *stage subgroup* cluster (where the layer would run),
-    with realized routing when given -- so a hot MoE layer's all-to-alls
-    weigh as much as they will in the staged simulation."""
-    kwargs = dict(cluster=cluster, framework=framework, padded_a2a=padded_a2a)
-    if routing is not None:
-        kwargs["routing"] = routing
-    cost = GroundTruthCost(SimulationConfig(**kwargs))
+    Priced by ``cost`` on its cluster -- the *stage subgroup* cluster,
+    where the layer would run -- with its realized routing, so a hot MoE
+    layer's all-to-alls weigh as much as they will in the staged
+    simulation."""
     totals: dict[int, float] = {}
     for instr in program.instructions:
         layer = instr.attrs.get("layer")
@@ -164,17 +158,13 @@ def _optimize_split(split, optimizer_factory, check: bool = False):
 
 def plan_stages(
     graph_or_program,
-    cluster: ClusterSpec,
+    config: SimulationConfig,
     num_stages: int,
     microbatches: int,
     schedule: str = "1f1b",
     layer_counts: tuple[int, ...] | None = None,
     optimizer_factory=None,
-    framework=COMPILED,
-    routing=None,
-    padded_a2a: bool = True,
     top_k: int = DEFAULT_TOP_K,
-    forward_len: int | None = None,
     check: bool = False,
 ) -> StagedPlanResult:
     """Plan a staged iteration: pick boundaries, optimize each stage.
@@ -184,6 +174,10 @@ def plan_stages(
     graph_or_program:
         Layer-stamped training graph built for *one microbatch* at the
         stage-subgroup device count (``cluster.num_gpus / num_stages``).
+    config:
+        Ground truth to plan against: ``config.cluster`` is the whole
+        (base) cluster the stages are cut from, and every price is taken
+        under ``config`` with the stage subgroup cluster swapped in.
     layer_counts:
         Skip the search and force these boundaries (used by the naive
         even-split baseline, which still gets per-stage optimization).
@@ -194,6 +188,7 @@ def plan_stages(
     check:
         Validate the IR after each per-stage optimizer pass.
     """
+    cluster = config.cluster
     program = getattr(graph_or_program, "program", graph_or_program)
     num_layers = 1 + max(
         int(i.attrs.get("layer", 0)) for i in program.instructions
@@ -203,20 +198,11 @@ def plan_stages(
             f"need 1 <= stages <= {num_layers} layers, got {num_stages}"
         )
 
-    pricer = SegmentPricer(
-        framework=framework, routing=routing, padded_a2a=padded_a2a
-    )
+    pricer = SegmentPricer(config)
     candidates: list[dict] = []
     if layer_counts is None:
-        per_layer = layer_costs(
-            program,
-            StagedCluster.even(cluster, num_layers, num_stages)
-            .stages[0]
-            .cluster,
-            framework=framework,
-            routing=routing,
-            padded_a2a=padded_a2a,
-        )
+        even = StagedCluster.even(cluster, num_layers, num_stages)
+        per_layer = layer_costs(program, pricer.cost(even.stages[0].cluster))
         scored = []
         for counts in enumerate_layer_counts(num_layers, num_stages):
             edges = [0]
@@ -230,7 +216,6 @@ def plan_stages(
                 (pipeline_bound_ms(stage_ms, microbatches), counts)
             )
         scored.sort(key=lambda t: (t[0], t[1]))
-        even = StagedCluster.even(cluster, num_layers, num_stages)
         shortlist = [counts for _, counts in scored[:top_k]]
         if even.layer_counts not in shortlist:
             shortlist.append(even.layer_counts)
@@ -238,14 +223,12 @@ def plan_stages(
         best = None
         for counts in shortlist:
             staged = StagedCluster.from_layer_counts(cluster, counts)
-            split = split_stages(
-                graph_or_program, staged, forward_len=forward_len
-            )
+            split = split_stages(graph_or_program, staged)
             sim = simulate_staged(
                 split,
                 microbatches,
+                pricer.stage_costs(split),
                 schedule=schedule,
-                costs=pricer.stage_costs(split),
             )
             bound = next(b for b, c in scored if c == counts)
             candidates.append(
@@ -263,7 +246,6 @@ def plan_stages(
         split = split_stages(
             graph_or_program,
             StagedCluster.from_layer_counts(cluster, layer_counts),
-            forward_len=forward_len,
         )
 
     stage_reports, rewritten = [], set()
@@ -274,8 +256,8 @@ def plan_stages(
     simulation = simulate_staged(
         split,
         microbatches,
+        pricer.stage_costs(split, fresh=rewritten),
         schedule=schedule,
-        costs=pricer.stage_costs(split, fresh=rewritten),
     )
     from .partition import reassemble
 

@@ -25,11 +25,11 @@ here is bit-identical to the naive event-replay reference
 from __future__ import annotations
 
 from collections.abc import Collection
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from ..core.profiler import CachingOpProfiler
 from ..ir import Stream
 from ..runtime.cluster import ClusterSpec
-from ..runtime.device import COMPILED
 from ..runtime.simulate import (
     GroundTruthCost,
     SimulationConfig,
@@ -65,12 +65,17 @@ class StageCosts:
 class SegmentPricer:
     """Makespans of stage segments on their subgroup clusters.
 
-    One :class:`~repro.runtime.simulate.GroundTruthCost` per subgroup
-    cluster, so its op-duration cache is shared across phases and
-    candidate splits.  One shared routing model instance across all
-    segments keeps each MoE layer's forward and backward all-to-all on
-    the same realized draw (the per-layer-key cache), exactly like a
-    flat simulation.
+    Every segment is priced under one :class:`SimulationConfig` with its
+    stage's subgroup cluster swapped in (``dataclasses.replace``), by
+    one :class:`~repro.runtime.simulate.GroundTruthCost` per subgroup
+    cluster (:meth:`cost`).  All of them price compute through one
+    profiler, whose op cache is shared across stages, phases and
+    candidate splits (stage clusters keep the base cluster's GPU), and
+    the swapped configs share the config's one routing model, which
+    keeps each MoE layer's forward and backward all-to-all on the same
+    realized draw (the per-layer-key cache), exactly like a flat
+    simulation.  The config's ``cluster`` itself is never priced on;
+    stage costing sets no stragglers.
 
     Prices are memoized on ``(stage.layers, phase, stage.cluster)``: an
     unoptimized segment is a pure function of its stage's layer run and
@@ -80,31 +85,29 @@ class SegmentPricer:
     per-stage optimizer's output) must be named in ``fresh``.
     """
 
-    def __init__(
-        self,
-        framework=COMPILED,
-        routing=None,
-        padded_a2a: bool = True,
-        block_sparse_experts: bool = False,
-    ) -> None:
-        self._config = dict(
-            framework=framework,
-            padded_a2a=padded_a2a,
-            block_sparse_experts=block_sparse_experts,
+    def __init__(self, config: SimulationConfig) -> None:
+        if config.straggler_slowdown is not None:
+            raise ValueError("stage costing prices without stragglers")
+        self.config = config
+        self.profiler = CachingOpProfiler(
+            gpu=config.cluster.gpu, framework=config.framework
         )
-        if routing is not None:
-            self._config["routing"] = routing
         self._costs: dict[ClusterSpec, GroundTruthCost] = {}
         self._prices: dict[tuple, float] = {}
+
+    def cost(self, cluster: ClusterSpec) -> GroundTruthCost:
+        """The ground truth on one stage subgroup cluster."""
+        cost = self._costs.get(cluster)
+        if cost is None:
+            cost = self._costs[cluster] = GroundTruthCost(
+                replace(self.config, cluster=cluster), self.profiler
+            )
+        return cost
 
     def _makespan(self, cluster: ClusterSpec, program) -> float:
         if not program.instructions:
             return 0.0
-        cost = self._costs.get(cluster)
-        if cost is None:
-            config = SimulationConfig(cluster=cluster, **self._config)
-            cost = self._costs[cluster] = GroundTruthCost(config)
-        return simulate_program(program, cost=cost).makespan
+        return simulate_program(program, cost=self.cost(cluster)).makespan
 
     def stage_costs(
         self, split: SplitProgram, fresh: Collection[tuple[int, str]] = ()
@@ -143,23 +146,17 @@ class SegmentPricer:
 
 
 def stage_costs(
-    split: SplitProgram,
-    framework=COMPILED,
-    routing=None,
-    padded_a2a: bool = True,
-    block_sparse_experts: bool = False,
+    split: SplitProgram, config: SimulationConfig | None = None
 ) -> StageCosts:
     """Measure per-stage segment makespans on their subgroup clusters.
 
     Each segment is priced as it stands in ``split`` (optimized or not),
-    once; :class:`SegmentPricer` documents the pricing.
+    once, under ``config`` (default: ``SimulationConfig`` of the base
+    cluster); :class:`SegmentPricer` documents the pricing.
     """
-    return SegmentPricer(
-        framework=framework,
-        routing=routing,
-        padded_a2a=padded_a2a,
-        block_sparse_experts=block_sparse_experts,
-    ).stage_costs(split)
+    if config is None:
+        config = SimulationConfig(split.staged.base)
+    return SegmentPricer(config).stage_costs(split)
 
 
 def _dep_time(
@@ -259,29 +256,18 @@ class StagedSimulation:
 def simulate_staged(
     split: SplitProgram,
     microbatches: int,
+    costs: StageCosts,
     schedule: str = "1f1b",
-    costs: StageCosts | None = None,
-    framework=COMPILED,
-    routing=None,
-    padded_a2a: bool = True,
-    block_sparse_experts: bool = False,
 ) -> StagedSimulation:
     """Simulate a full pipelined iteration of a split program.
 
     ``M`` microbatch F/B jobs per stage under the named schedule, then
-    each stage's once-per-iteration tail (gradient sync + optimizer).
-    Pass precomputed ``costs`` to reuse segment measurements across
-    schedules (the ablation switch compares on identical costs).
+    each stage's once-per-iteration tail (gradient sync + optimizer),
+    with job durations from ``costs`` (:func:`stage_costs`); one
+    ``costs`` serves every schedule (the ablation switch compares on
+    identical costs).
     """
     staged = split.staged
-    if costs is None:
-        costs = stage_costs(
-            split,
-            framework=framework,
-            routing=routing,
-            padded_a2a=padded_a2a,
-            block_sparse_experts=block_sparse_experts,
-        )
     orders = schedule_order(schedule, staged.num_stages, microbatches)
     job_times = schedule_jobs(costs, orders)
 

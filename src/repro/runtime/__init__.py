@@ -37,7 +37,6 @@ from .routing_model import (
     UniformRoutingModel,
 )
 from .simulate import (
-    DISPATCH_OPS,
     GroundTruthCost,
     SimulationConfig,
     observed_routing_signatures,
@@ -70,7 +69,6 @@ __all__ = [
     "ClusterSpec",
     "ClusterTimeline",
     "DEEPSPEED",
-    "DISPATCH_OPS",
     "DeviceEnv",
     "FRAMEWORK_PROFILES",
     "FrameworkProfile",

@@ -35,9 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-import math
-
-from ..ir import Dim, Instruction, Program, Stream, TensorType, get_op
+from ..core.profiler import CachingOpProfiler
+from ..ir import Instruction, Program, Stream
 from .batch import pack_scenarios, simulate_scenarios
 from .cluster import ClusterSpec
 from .device import COMPILED, FrameworkProfile
@@ -47,35 +46,6 @@ from .routing_model import (
     UniformRoutingModel,
 )
 from .timeline import ClusterTimeline, Interval, Timeline
-
-#: Ops whose kernel time is scaled by the framework's dispatch multiplier
-#: (DeepSpeed's slow dispatch vs Tutel's fast kernels, paper Sec. 7).
-DISPATCH_OPS = {
-    "moe_dispatch",
-    "moe_combine",
-    "moe_dispatch_dx",
-    "moe_combine_dx",
-    "moe_combine_dprobs",
-    "routing",
-    "routing_partial",
-}
-
-
-def scale_capacity(
-    t: TensorType, parts: int, occupancy: float = 1.0
-) -> TensorType:
-    """Shrink the capacity (or token) dimension of an irregular chunk,
-    optionally also by the realized occupancy (block-sparse kernels)."""
-    if t.has_dim(Dim.CAPACITY):
-        i = t.dim_index(Dim.CAPACITY)
-    elif t.has_dim(Dim.TOKENS):
-        i = t.dim_index(Dim.TOKENS)
-    else:
-        return t
-    shape = list(t.shape)
-    shape[i] = max(1, math.ceil(shape[i] * occupancy / parts))
-    return t.with_shape(tuple(shape))
-
 
 #: expert computation ops whose padded slots a block-sparse kernel skips
 EXPERT_BUF_OPS = frozenset({"expert_ffn", "expert_ffn_dx", "expert_ffn_dw"})
@@ -131,55 +101,53 @@ class SimulationConfig:
 
 
 class GroundTruthCost:
-    """Ground-truth duration of each instruction under a config."""
+    """Ground-truth duration of each instruction under a config.
 
-    def __init__(self, config: SimulationConfig) -> None:
+    Compute ops are priced by the profiler's op model
+    (:class:`~repro.core.profiler.CachingOpProfiler`, the one the cost
+    estimator plans with), at the realized expert occupancy when
+    block-sparse experts are on; collectives by the cluster's network
+    model under the realized routing.  Ground truths on clusters of one
+    GPU and framework may share one ``profiler`` (and so its cache): a
+    price is a function of its cache key alone.
+    """
+
+    def __init__(
+        self, config: SimulationConfig, profiler: CachingOpProfiler | None = None
+    ) -> None:
+        if profiler is None:
+            profiler = CachingOpProfiler(
+                gpu=config.cluster.gpu, framework=config.framework
+            )
+        elif (profiler.gpu, profiler.framework) != (
+            config.cluster.gpu,
+            config.framework,
+        ):
+            raise ValueError("profiler models another GPU or framework")
         self.config = config
-        self._compute_cache: dict = {}
+        self.profiler = profiler
 
-    # -- compute ops -------------------------------------------------------------
+    def duration_ms(self, instr: Instruction, program: Program) -> float:
+        """Ground-truth duration of one instruction in milliseconds; a
+        collective's is its busiest participant's
+        (:meth:`collective_device_times`)."""
+        if instr.op == "all_to_all" or instr.op == "allreduce":
+            return float(self.collective_device_times(instr, program).max())
+        return self.profiler.instr_time_ms(
+            instr, program, self._occupancy(instr, program)
+        )
 
-    def _compute_ms(self, instr: Instruction, program: Program) -> float:
-        spec = get_op(instr.op)
-        fw = self.config.framework
-        gpu = self.config.cluster.gpu
-        in_types = [program.type_of(v) for v in instr.inputs]
-        out_types = [program.type_of(v) for v in instr.outputs]
-        irr_parts = int(instr.attrs.get("irr_parts", 1))
-        occupancy = 1.0
-        if (
+    def _occupancy(self, instr: Instruction, program: Program) -> float:
+        """Fraction of an expert op's capacity slots a block-sparse
+        kernel computes (1.0 when the kernels are dense)."""
+        if not (
             self.config.block_sparse_experts
             and instr.op in EXPERT_BUF_OPS
             and "tokens" in instr.attrs
         ):
-            buf = in_types[0]
-            slots = buf.shape[0] * buf.shape[1]
-            occupancy = min(1.0, instr.attrs["tokens"] / slots)
-        if irr_parts > 1 or occupancy < 1.0:
-            # irregular chunk and/or block-sparse kernel: only realized
-            # capacity slots are computed (grouped GEMM over real rows)
-            in_types = [
-                scale_capacity(t, irr_parts, occupancy) for t in in_types
-            ]
-            out_types = [
-                scale_capacity(t, irr_parts, occupancy) for t in out_types
-            ]
-        key = (
-            instr.op,
-            tuple(t.shape for t in in_types),
-            fw.name,
-        )
-        hit = self._compute_cache.get(key)
-        if hit is not None:
-            return hit
-        flops = spec.flops(in_types, out_types, instr.attrs)
-        nbytes = spec.membytes(in_types, out_types, instr.attrs)
-        t = gpu.op_time_ms(flops, nbytes) * fw.compute_mult
-        if instr.op in DISPATCH_OPS:
-            t *= fw.dispatch_mult
-        t += fw.launch_ms(spec.kernels)
-        self._compute_cache[key] = t
-        return t
+            return 1.0
+        buf = program.type_of(instr.inputs[0])
+        return min(1.0, instr.attrs["tokens"] / (buf.shape[0] * buf.shape[1]))
 
     # -- communication ops ----------------------------------------------------------
 
@@ -236,25 +204,6 @@ class GroundTruthCost:
         counts = self.config.routing.counts_for(*draw, fraction=fraction)
         return counts, float(bytes_per_token)
 
-    def _a2a_ms(self, instr: Instruction, program: Program) -> float:
-        pair = self.a2a_pair_bytes(instr, program)
-        if pair is None:
-            buf_t = program.type_of(instr.inputs[0])
-            return self.config.cluster.a2a_time_ms(float(buf_t.nbytes))
-        if instr.attrs.get("a2a_algo") == "hierarchical":
-            # the plan chose the 2-hop algorithm for this collective
-            return self.config.cluster.hierarchical_a2a_time_ms_irregular(pair)
-        return self.config.cluster.a2a_time_ms_irregular(pair)
-
-    def duration_ms(self, instr: Instruction, program: Program) -> float:
-        """Ground-truth duration of one instruction in milliseconds."""
-        if instr.op == "all_to_all":
-            return self._a2a_ms(instr, program)
-        if instr.op == "allreduce":
-            nbytes = float(program.type_of(instr.inputs[0]).nbytes)
-            return self.config.cluster.allreduce_time_ms(nbytes)
-        return self._compute_ms(instr, program)
-
     # -- device-resolved costs (simulate_cluster) -------------------------------
 
     def collective_device_times(
@@ -265,8 +214,8 @@ class GroundTruthCost:
         Padded all-to-alls and all-reduces are symmetric (every device
         moves the same bytes); irregular all-to-alls resolve to each
         device's own send/receive bottleneck under the realized routing,
-        so hot-expert owners stay busy longer.  ``result.max()`` always
-        equals the representative-device :meth:`duration_ms`.
+        so hot-expert owners stay busy longer.  ``result.max()`` is the
+        representative-device :meth:`duration_ms`.
         """
         g = self.config.cluster.num_gpus
         if instr.op == "all_to_all":
@@ -290,7 +239,7 @@ class GroundTruthCost:
         self, instr: Instruction, program: Program, slowdown: float = 1.0
     ) -> float:
         """Compute-op duration on one device, with its straggler factor."""
-        t = self._compute_ms(instr, program)
+        t = self.duration_ms(instr, program)
         return t if slowdown == 1.0 else t * slowdown
 
 
@@ -298,25 +247,20 @@ def simulate_program(
     program: Program,
     cost: GroundTruthCost | None = None,
     config: SimulationConfig | None = None,
-    duration_fn=None,
 ) -> Timeline:
     """Simulate one training iteration; returns the device timeline.
 
-    Provide either a :class:`GroundTruthCost` / :class:`SimulationConfig`
-    pair, or a raw ``duration_fn(instr, program) -> ms`` (used by Lancet's
-    internal pipeline scheduler with *predicted* costs).
+    Provide a :class:`GroundTruthCost` or the :class:`SimulationConfig`
+    to build one from.
     """
-    if duration_fn is None:
-        if cost is None:
-            if config is None:
-                raise ValueError("need cost, config, or duration_fn")
-            cost = GroundTruthCost(config)
-        duration_fn = cost.duration_ms
-
+    if cost is None:
+        if config is None:
+            raise ValueError("need cost or config")
+        cost = GroundTruthCost(config)
     intervals: list[Interval] = []
     two_stream_makespan(
         program,
-        (duration_fn(instr, program) for instr in program.instructions),
+        (cost.duration_ms(instr, program) for instr in program.instructions),
         intervals,
     )
     return Timeline(intervals)

@@ -53,7 +53,7 @@ from repro.pipeline import (
 import repro.pipeline.simulate as pipeline_simulate
 from repro.api.fingerprint import graph_fingerprint
 from repro.pipeline.stage import _subcluster
-from repro.runtime import ClusterSpec, SimulationConfig, simulate_cluster
+from repro.runtime import ClusterSpec, GroundTruthCost, SimulationConfig, simulate_cluster
 
 A100x8 = ClusterSpec.for_gpus("a100", 8)
 
@@ -66,6 +66,14 @@ def staged_graph(layers: int, subgroup: int, batch: int = 4, seq: int = 16):
         seq=seq,
         num_gpus=subgroup,
     )
+
+
+def ground_truth(cluster, routing=None):
+    """Simulation config on ``cluster``: padded all-to-alls under the
+    default routing, or irregular ones under ``routing``."""
+    if routing is None:
+        return SimulationConfig(cluster)
+    return SimulationConfig(cluster, padded_a2a=False, routing=routing)
 
 
 @pytest.fixture(scope="module")
@@ -288,7 +296,10 @@ class TestPartition:
         with pytest.raises(ValueError, match="layer"):
             split_stages(graph, staged)
         with pytest.raises(ValueError, match="layer"):
-            layer_costs(graph.program, staged.stages[0].cluster)
+            layer_costs(
+                graph.program,
+                GroundTruthCost(SimulationConfig(staged.stages[0].cluster)),
+            )
 
     def test_reassemble_rejects_changed_output_arity(self, graph2):
         split = split_stages(graph2, StagedCluster.even(A100x8, 2, 2))
@@ -398,14 +409,12 @@ class TestDifferentialGrid:
         staged = StagedCluster.even(cluster, layers, stages)
         split = split_stages(graph, staged)
         for routing in routing_models(include_none=True):
-            costs = stage_costs(
-                split, routing=routing, padded_a2a=routing is None
-            )
+            costs = stage_costs(split, ground_truth(cluster, routing))
             assert all(f > 0 for f in costs.forward_ms)
             assert all(b > 0 for b in costs.backward_ms)
             for schedule in SCHEDULES:
                 sim = simulate_staged(
-                    split, microbatches, schedule=schedule, costs=costs
+                    split, microbatches, costs, schedule=schedule
                 )
                 orders = schedule_order(schedule, stages, microbatches)
                 assert sim.job_times == replay_reference(costs, orders)
@@ -421,12 +430,11 @@ class TestDifferentialGrid:
         graph = staged_graph(layers, cluster.num_gpus // stages)
         split = split_stages(graph, StagedCluster.even(cluster, layers, stages))
         for routing in routing_models(include_none=True):
-            padded = routing is None
-            costs = stage_costs(split, routing=routing, padded_a2a=padded)
-            assert costs == cluster_priced_costs(split, routing, padded)
+            costs = stage_costs(split, ground_truth(cluster, routing))
+            assert costs == cluster_priced_costs(split, routing, routing is None)
 
     def test_makespan_covers_jobs_and_tails(self, split2):
-        sim = simulate_staged(split2, 4, schedule="1f1b")
+        sim = simulate_staged(split2, 4, stage_costs(split2), schedule="1f1b")
         last_job_end = max(end for _, end in sim.job_times.values())
         assert sim.makespan >= last_job_end
         for s, (t_start, t_end) in enumerate(sim.tail_times):
@@ -435,11 +443,26 @@ class TestDifferentialGrid:
 
     def test_gpipe_never_beats_1f1b_here(self, split2):
         costs = stage_costs(split2)
-        ofob = simulate_staged(split2, 4, schedule="1f1b", costs=costs)
-        gpipe = simulate_staged(split2, 4, schedule="gpipe", costs=costs)
+        ofob = simulate_staged(split2, 4, costs, schedule="1f1b")
+        gpipe = simulate_staged(split2, 4, costs, schedule="gpipe")
         # identical per-job costs and both retire all jobs: with 2
         # stages the two schedules pipeline equally well
         assert ofob.makespan <= gpipe.makespan + 1e-9
+
+    def test_stage_costing_rejects_stragglers(self, split2):
+        """Segments are priced on the representative-device recurrence,
+        which has no per-device clock a straggler could slow."""
+        config = SimulationConfig(A100x8, straggler_slowdown={0: 1.5})
+        with pytest.raises(ValueError, match="stragglers"):
+            stage_costs(split2, config)
+
+    def test_stages_price_compute_with_one_profiler(self, split2):
+        pricer = pipeline_simulate.SegmentPricer(SimulationConfig(A100x8))
+        first, second = (s.cluster for s in split2.staged.stages)
+        assert first != second  # the stage clusters differ by name
+        assert pricer.cost(first).profiler is pricer.profiler
+        assert pricer.cost(second).profiler is pricer.profiler
+        assert pricer.cost(first).config.cluster == first
 
 
 class TestPlanner:
@@ -461,7 +484,7 @@ class TestPlanner:
 
     def test_search_never_loses_to_even_split(self):
         graph = staged_graph(layers=3, subgroup=4)
-        result = plan_stages(graph, A100x8, 2, 3)
+        result = plan_stages(graph, SimulationConfig(A100x8), 2, 3)
         assert sum(result.stage_map.layer_counts) == 3
         assert result.stage_map.predicted_pipeline_ms == result.makespan_ms
         by_counts = {
@@ -475,13 +498,13 @@ class TestPlanner:
 
     def test_top_k_zero_still_simulates_the_even_split(self):
         graph = staged_graph(layers=2, subgroup=4)
-        result = plan_stages(graph, A100x8, 2, 2, top_k=0)
+        result = plan_stages(graph, SimulationConfig(A100x8), 2, 2, top_k=0)
         assert [c["layer_counts"] for c in result.candidates] == [(1, 1)]
         assert result.stage_map.layer_counts == (1, 1)
 
     def test_forced_layer_counts_skip_search(self):
         graph = staged_graph(layers=3, subgroup=4)
-        result = plan_stages(graph, A100x8, 2, 2, layer_counts=(1, 2))
+        result = plan_stages(graph, SimulationConfig(A100x8), 2, 2, layer_counts=(1, 2))
         assert result.candidates == []
         assert result.stage_map.layer_counts == (1, 2)
 
@@ -489,7 +512,7 @@ class TestPlanner:
         graph = staged_graph(layers=2, subgroup=4)
         result = plan_stages(
             graph,
-            A100x8,
+            SimulationConfig(A100x8),
             2,
             2,
             layer_counts=(1, 1),
@@ -540,7 +563,7 @@ class TestPlanner:
     def test_stage_count_validated(self):
         graph = staged_graph(layers=2, subgroup=4)
         with pytest.raises(ValueError, match="stages"):
-            plan_stages(graph, A100x8, 4, 2)
+            plan_stages(graph, SimulationConfig(A100x8), 4, 2)
 
     def test_memoized_costs_equal_fresh_pricing(self):
         """The planner's final costs -- memoized tails and unchanged
@@ -548,17 +571,15 @@ class TestPlanner:
         optimized split from scratch."""
         graph = staged_graph(layers=3, subgroup=4)
         for routing in routing_models(include_none=True):
-            padded = routing is None
+            config = ground_truth(A100x8, routing)
             result = plan_stages(
                 graph,
-                A100x8,
+                config,
                 2,
                 3,
                 optimizer_factory=lambda c: LancetOptimizer(c),
-                routing=routing,
-                padded_a2a=padded,
             )
-            fresh = stage_costs(result.split, routing=routing, padded_a2a=padded)
+            fresh = stage_costs(result.split, config)
             assert result.simulation.costs == fresh
 
 

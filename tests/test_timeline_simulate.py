@@ -135,9 +135,98 @@ class TestSimulator:
     def test_compute_cache_hit(self, config, tiny_graph):
         cost = GroundTruthCost(config)
         simulate_program(tiny_graph.program, cost=cost)
-        n = len(cost._compute_cache)
+        n = cost.profiler.cache_size()
+        profiled = cost.profiler.profile_count
         simulate_program(tiny_graph.program, cost=cost)
-        assert len(cost._compute_cache) == n  # second run fully cached
+        # second run fully cached
+        assert cost.profiler.cache_size() == n
+        assert cost.profiler.profile_count == profiled
+
+
+class TestOneOpModel:
+    """Ground truth prices compute with the profiler's op model, whose
+    cache key pins every scalar attr: a price never depends on which
+    rows were priced before it."""
+
+    @pytest.fixture(scope="class")
+    def config(self):
+        return SimulationConfig(cluster=ClusterSpec.for_gpus("a100", 16))
+
+    def test_split_degrees_of_one_tensor(self, config):
+        p = Program("splits")
+        x = p.add_input(TensorType((8, 512, 768), DType.F16), "x")
+        chunks = {}
+        for parts in (2, 8):
+            p.add(
+                "split_chunk",
+                [x.id],
+                attrs={"axis": 1, "parts": parts, "index": 0},
+            )
+            chunks[parts] = p.instructions[-1]
+        fresh = {
+            parts: GroundTruthCost(config).duration_ms(ins, p)
+            for parts, ins in chunks.items()
+        }
+        assert fresh[2] != fresh[8]
+        for order in ((2, 8), (8, 2)):
+            cost = GroundTruthCost(config)
+            for parts in order:
+                assert cost.duration_ms(chunks[parts], p) == fresh[parts]
+
+    def test_costs_of_one_gpu_share_a_profiler(self, config):
+        profiler = GroundTruthCost(config).profiler
+        a100x8 = SimulationConfig(cluster=ClusterSpec.for_gpus("a100", 8))
+        assert GroundTruthCost(a100x8, profiler).profiler is profiler
+        v100x8 = SimulationConfig(cluster=ClusterSpec.for_gpus("v100", 8))
+        with pytest.raises(ValueError, match="GPU or framework"):
+            GroundTruthCost(v100x8, profiler)
+
+    @pytest.fixture(scope="class")
+    def compiled(self):
+        from repro.api import Scenario, compile
+
+        scenario = Scenario.preset("gpt2-s-moe/a100x16")
+        plan = compile(scenario)
+        return scenario, plan.program, plan.simulation_cluster()
+
+    @pytest.mark.parametrize("block_sparse", [False, True])
+    def test_compute_rows_equal_the_estimator(self, compiled, block_sparse):
+        from repro.core import CachingOpProfiler, CommCostModel, CostEstimator
+        from repro.runtime.simulate import EXPERT_BUF_OPS
+
+        scenario, program, cluster = compiled
+        rows = [i for i in program.instructions if not i.is_comm]
+        degrees = {}
+        for ins in rows:
+            if ins.op == "split_chunk":
+                shape = program.type_of(ins.inputs[0]).shape
+                degrees.setdefault(shape, set()).add(ins.attrs["parts"])
+        # the plan splits one shape at two degrees
+        assert any(len(d) > 1 for d in degrees.values())
+
+        config = SimulationConfig(
+            cluster=cluster,
+            padded_a2a=False,
+            block_sparse_experts=block_sparse,
+            routing=scenario.routing_model(),
+        )
+        cost = GroundTruthCost(config)
+        costs = CostEstimator(
+            CachingOpProfiler(gpu=cluster.gpu, framework=config.framework),
+            CommCostModel(cluster),
+        )
+        sparse = 0
+        for ins in rows:
+            got = cost.duration_ms(ins, program)
+            assert got == GroundTruthCost(config).duration_ms(ins, program)
+            predicted = costs.duration_ms(ins, program)
+            if block_sparse and ins.op in EXPERT_BUF_OPS:
+                # a block-sparse kernel computes only the realized slots
+                assert got <= predicted
+                sparse += got < predicted
+            else:
+                assert got == predicted
+        assert sparse > 0 if block_sparse else sparse == 0
 
 
 class TestRoutingModels:

@@ -10,7 +10,8 @@ routing-independent result of the re-plan before it:
   ``gpt2-s-moe/a100x16`` (uniform and ``-hot``), a hierarchical-a2a
   2-node cluster, and a ``-pp2x4`` stage segment (on ``v100x32``);
 - the iteration prediction keeps its compute prices by instruction uid
-  -- checked against ``simulate_program(duration_fn=...)`` bit for bit,
+  -- checked against the two-stream recurrence over freshly priced
+  rows (``two_stream_makespan``) bit for bit,
   including programs decoded from JSON whose uids collide with local
   ones;
 - the dW pass keeps its labelling (:class:`DWLabelling`);
@@ -35,7 +36,7 @@ from repro.core.partition import apply_plans
 from repro.ir import Program, validate
 from repro.pipeline import StagedCluster
 from repro.pipeline.partition import split_stages
-from repro.runtime import simulate_program
+from repro.runtime.simulate import two_stream_makespan
 from repro.runtime.routing_model import SyntheticRoutingModel
 
 HIER = PlanPolicy(enable_hierarchical_a2a=True)
@@ -191,9 +192,10 @@ class TestPredictionPricesOnce:
         for opt, _, warm, report in drift_replans(
             graph, cluster, HIER, steps=5, seed=11
         ):
-            exact = simulate_program(
-                warm, duration_fn=opt.costs.duration_ms
-            ).makespan
+            exact = two_stream_makespan(
+                warm,
+                [opt.costs.duration_ms(i, warm) for i in warm.instructions],
+            )
             assert report.predicted_iteration_ms == exact
             assert opt.costs.predict_iteration_ms(warm) == exact
             priced.append(warm_path(opt)["prediction_rows_priced"])
@@ -216,8 +218,11 @@ class TestPredictionPricesOnce:
         b = next(i for i, r in enumerate(rows) if r["op"] == "expert_ffn")
         rows[a]["uid"], rows[b]["uid"] = rows[b]["uid"], rows[a]["uid"]
         decoded = Program.from_json(doc)
-        exact = simulate_program(decoded, duration_fn=costs.duration_ms)
-        assert costs.predict_iteration_ms(decoded) == exact.makespan
+        exact = two_stream_makespan(
+            decoded,
+            [costs.duration_ms(i, decoded) for i in decoded.instructions],
+        )
+        assert costs.predict_iteration_ms(decoded) == exact
 
 
 class TestDifferentProgramResets:
